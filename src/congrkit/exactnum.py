@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Union
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -233,12 +233,3 @@ def pow_compare(a: int, ea: int, b: int, eb: int) -> int:
             return -1
     x, y = a**ea, b**eb
     return (x > y) - (x < y)
-
-
-def iter_primes() -> Iterator[int]:
-    """Unbounded ascending prime iterator (trial division)."""
-    n = 2
-    while True:
-        if is_prime(n):
-            yield n
-        n += 1 if n == 2 else 2

@@ -7,13 +7,15 @@ are folded through binomial(2k, k) / (2k - 1), which is an integer for all
 k >= 0 (equal to -1 at k = 0), so those families stay in integer arithmetic
 from end to end.
 
-Module-level value caches grow monotonically and are written only while a
-single thread warms them; parallel drivers fork after warm-up or pay the
-recompute in the child, so cached lists are effectively read-only.
+Module-level value caches grow monotonically.  Missing values are computed
+outside a module lock and published under it, so threads that grow one
+cache at the same time may repeat work but never store a value at the wrong
+index; published entries are never changed.
 """
 from __future__ import annotations
 
 import math
+import threading
 from fractions import Fraction
 from typing import Callable
 
@@ -48,17 +50,28 @@ __all__ = [
 
 # -- shared incremental rows ------------------------------------------------
 
+_MEMO_LOCK = threading.Lock()  # guards every length check-and-extend below
+
 _CENTRAL = [1]  # binomial(2k, k)
 _CENTRAL_OVER = [-1]  # binomial(2k, k) // (2k - 1)
 
 
 def _central_rows(upto: int) -> tuple[list[int], list[int]]:
-    k = len(_CENTRAL)
-    while k <= upto:
-        c = _CENTRAL[-1] * (2 * (2 * k - 1)) // k
-        _CENTRAL.append(c)
-        _CENTRAL_OVER.append(c // (2 * k - 1))
-        k += 1
+    """The shared rows through index upto; callers must not mutate them."""
+    with _MEMO_LOCK:
+        start = len(_CENTRAL)
+        if start > upto:
+            return _CENTRAL, _CENTRAL_OVER
+        c = _CENTRAL[-1]
+    central, over = [], []
+    for k in range(start, upto + 1):
+        c = c * (2 * (2 * k - 1)) // k
+        central.append(c)
+        over.append(c // (2 * k - 1))
+    with _MEMO_LOCK:
+        skip = len(_CENTRAL) - start  # rows another thread published meanwhile
+        _CENTRAL.extend(central[skip:])
+        _CENTRAL_OVER.extend(over[skip:])
     return _CENTRAL, _CENTRAL_OVER
 
 
@@ -276,29 +289,31 @@ _R_POLY_CACHE: list[Poly] = []
 _S_POLY_CACHE: list[Poly] = []
 
 
+def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list:
+    """cache[: n_max + 1], first extending cache with make(i) where missing."""
+    start = len(cache)
+    if start <= n_max:
+        fresh = [make(i) for i in range(start, n_max + 1)]
+        with _MEMO_LOCK:
+            cache.extend(fresh[len(cache) - start :])
+    return cache[: n_max + 1]
+
+
 def R_values(n_max: int) -> list[int]:
     """[R(0), ..., R(n_max)], served from a monotone cache."""
-    while len(_R_CACHE) <= n_max:
-        _R_CACHE.append(R(len(_R_CACHE)))
-    return _R_CACHE[: n_max + 1]
+    return _memo_prefix(_R_CACHE, n_max, R)
 
 
 def S_values(n_max: int) -> list[int]:
-    while len(_S_CACHE) <= n_max:
-        _S_CACHE.append(S(len(_S_CACHE)))
-    return _S_CACHE[: n_max + 1]
+    return _memo_prefix(_S_CACHE, n_max, S)
 
 
 def R_polys(n_max: int) -> list[Poly]:
-    while len(_R_POLY_CACHE) <= n_max:
-        _R_POLY_CACHE.append(R_poly(len(_R_POLY_CACHE)))
-    return _R_POLY_CACHE[: n_max + 1]
+    return _memo_prefix(_R_POLY_CACHE, n_max, R_poly)
 
 
 def S_polys(n_max: int) -> list[Poly]:
-    while len(_S_POLY_CACHE) <= n_max:
-        _S_POLY_CACHE.append(S_poly(len(_S_POLY_CACHE)))
-    return _S_POLY_CACHE[: n_max + 1]
+    return _memo_prefix(_S_POLY_CACHE, n_max, S_poly)
 
 
 # -- recurrence cross-checks ---------------------------------------------------

@@ -1,10 +1,22 @@
 """Checkers for the divisibility and congruence families.
 
-Every checker evaluates its sums exactly (integers over one common
-denominator, or Fractions where denominators vary) and reduces once at the
+Most checkers evaluate their sums exactly (integers over one common
+denominator, or Fractions where denominators vary) and reduce once at the
 end.  A modulus that cannot invert a denominator is reported as ILL_POSED,
-never skipped.  Checkers that aggregate an inner parameter (the offset d of
-a ratio-sum family, the index k of a per-term divisibility) return a single
+never skipped.
+
+The prime-indexed sums of thm11 (mod p^2), thm12 (mod p) and conj51
+(mod p^2) are instead reduced mod p^e term by term.  Each term is a product
+of integers from the exact central-binomial rows, a binomial whose
+denominator is a product of factorials below p, and a power of 1/2, 1/8,
+1/16 or 1/32.  Every such denominator is prime to p, and reduction mod p^e
+is a ring homomorphism on those rationals, so the residue of the sum is the
+sum of the term residues: the same lhs, rhs and witness that an exact sum
+reduced at the end gives.  thm12 also skips the terms that vanish mod p
+(Kummer's theorem) and takes binomial(p+1, j) mod p from Lucas's theorem.
+
+Checkers that aggregate an inner parameter (the offset d of a ratio-sum
+family, the index k of a per-term divisibility) return a single
 CheckResult whose witness points at the first failing inner instance.
 """
 
@@ -58,7 +70,7 @@ from .sequences import (
     T_plus,
     T_seq,
 )
-from .sequences import _central_rows
+from .sequences import _central_rows, _exact_div
 
 __all__ = [
     "check_thm11",
@@ -85,20 +97,12 @@ __all__ = [
     "conj53_witness",
     "kernel_from_descriptor",
     "kernel_descriptor",
-    "scan_conjectures",
     "scan_instances",
     "scan_run",
 ]
 
 
 # -- small exact helpers ------------------------------------------------------
-
-
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("non-exact division %d / %d" % (a, b))
-    return q
 
 
 def _binom_row(top: int, count: int) -> list[int]:
@@ -217,33 +221,102 @@ def _divisibility(
     )
 
 
-# -- central-binomial power sums ----------------------------------------------
-
-_POWER_SUM_CACHE: dict[tuple[int, int], Fraction] = {}
+# -- residue-first sums over prime-indexed ranges ---------------------------------
 
 
-def _central_square_power_sum(p: int, base: int) -> Fraction:
-    """sum_{k<p} binomial(2k,k)^2 / ((2k-1) * base^k), exact."""
-    key = (p, base)
-    got = _POWER_SUM_CACHE.get(key)
-    if got is None:
-        central, over = _central_rows(p - 1)
-        acc = 0
-        for k in range(p):
-            acc = acc * base + central[k] * over[k]
-        got = Fraction(acc, base ** (p - 1))
-        _POWER_SUM_CACHE[key] = got
-    return got
+def _factorial_tables(top: int, modulus: int) -> tuple[list[int], list[int]]:
+    """j! and 1/j! mod modulus for j <= top; every j <= top must be a unit."""
+    fact = [1] * (top + 1)
+    for j in range(1, top + 1):
+        fact[j] = fact[j - 1] * j % modulus
+    inv = [1] * (top + 1)
+    inv[top] = pow(fact[top], -1, modulus)
+    for j in range(top, 0, -1):
+        inv[j - 1] = inv[j] * j % modulus
+    return fact, inv
 
 
-def _central_offset_power_sum(p: int) -> Fraction:
-    """sum_{k<p} binomial(2k,k) binomial(2k,k+1) / ((2k-1) 8^k), exact."""
-    central, over = _central_rows(p - 1)
+def _horner(coeffs: Sequence[int], x: int, modulus: int) -> int:
+    """sum_k coeffs[k] * x^k mod modulus."""
     acc = 0
-    for k in range(p):
-        off = _exact_div(central[k] * k, k + 1) if k else 0
-        acc = acc * 8 + over[k] * off
-    return Fraction(acc, 8 ** (p - 1))
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % modulus
+    return acc
+
+
+def _R_residues(n: int, points: Sequence[int], modulus: int) -> list[int]:
+    """R-type polynomial of index n at each point, mod a power of a prime
+    p > 2n: binomial(n+k, 2k) comes from factorials below p, all units."""
+    _, over = _central_rows(n)
+    fact, inv = _factorial_tables(2 * n, modulus)
+    coeffs = [
+        fact[n + k] * inv[2 * k] * inv[n - k] % modulus * over[k] % modulus
+        for k in range(n + 1)
+    ]
+    return [_horner(coeffs, x, modulus) for x in points]
+
+
+def _central_square_power_sums(p: int, bases: Sequence[int]) -> list[int]:
+    """sum_{k<p} binomial(2k,k)^2 / ((2k-1) * base^k) mod p^2, per base."""
+    m = p * p
+    central, over = _central_rows(p - 1)
+    terms = [central[k] % m * (over[k] % m) % m for k in range(p)]
+    return [_horner(terms, pow(base, -1, m), m) for base in bases]
+
+
+def _central_offset_power_sum(p: int) -> int:
+    """sum_{k<p} binomial(2k,k) binomial(2k,k+1) / ((2k-1) 8^k) mod p^2.
+
+    binomial(2k, k+1) is taken exactly from the row: at k = p - 1 its
+    quotient form has p in the denominator, so no factorial table mod p^2
+    covers it."""
+    m = p * p
+    central, over = _central_rows(p - 1)
+    terms = [over[k] % m * (central[k] * k // (k + 1) % m) % m for k in range(p)]
+    return _horner(terms, pow(8, -1, m), m)
+
+
+def _lucas_binomial(a: int, b: int, p: int, fact: list[int], inv: list[int]) -> int:
+    """binomial(a, b) mod p for a, b >= 0, digit by digit in base p (Lucas)."""
+    out = 1
+    while b:
+        a, a0 = divmod(a, p)
+        b, b0 = divmod(b, p)
+        if b0 > a0:
+            return 0
+        out = out * fact[a0] * inv[b0] * inv[a0 - b0] % p
+    return out
+
+
+def _offset_pair_sums(p: int, offsets: range) -> dict[int, int]:
+    """sum_{k<p} binomial(2k,k) binomial(2k,k+d) / ((2k-1) 8^k) mod p for
+    each d in offsets (ascending, d >= 0).
+
+    Terms with k > (p+1)/2 vanish mod p: there p divides binomial(2k, k)
+    (Kummer: k + k carries in base p) but not 2k - 1.  Below that bound
+    2k <= p + 1, so binomial(2k, k+d) comes from factorials below p, or
+    from Lucas's theorem at 2k = p + 1."""
+    n = (p - 1) // 2
+    _, over = _central_rows(n + 1)
+    fact, inv = _factorial_tables(p - 1, p)
+    inv8 = pow(8, -1, p)
+    acc = dict.fromkeys(offsets, 0)
+    w = 1  # 8^-k mod p
+    for k in range(n + 2):
+        z = over[k] % p * w % p
+        w = w * inv8 % p
+        if 2 * k < p:
+            z = z * fact[2 * k] % p
+            for d in offsets:
+                if d > k:
+                    break
+                acc[d] += z * inv[k + d] * inv[k - d]
+        else:
+            for d in offsets:
+                if d > k:
+                    break
+                acc[d] += z * _lucas_binomial(2 * k, k + d, p, fact, inv)
+    return {d: v % p for d, v in acc.items()}
 
 
 def _R_eval_int(n: int, x: int) -> int:
@@ -259,20 +332,6 @@ def _R_eval_int(n: int, x: int) -> int:
     return total
 
 
-def _R_at_minus_half(n: int) -> Fraction:
-    _, over = _central_rows(n)
-    num = 0
-    c = 1
-    sign = 1
-    pw = 1 << n
-    for k in range(n + 1):
-        num += c * over[k] * sign * pw
-        sign = -sign
-        pw >>= 1
-        c = _exact_div(c * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
-    return Fraction(num, 1 << n)
-
-
 # -- two-square congruence families -------------------------------------------
 
 
@@ -284,12 +343,9 @@ def check_thm11(p: int) -> CheckResult:
     params = {"p": p}
     n = (p - 1) // 2
     chi = legendre_symbol(2, p)
-    r_plain = Fraction(R_values(n)[n])
-    r_neg2 = Fraction(_R_eval_int(n, -2))
-    r_half = _R_at_minus_half(n)
-    g16 = _central_square_power_sum(p, -16)
-    g8 = _central_square_power_sum(p, 8)
-    g32 = _central_square_power_sum(p, 32)
+    m = p * p
+    r_plain, r_neg2, r_half = _R_residues(n, (1, -2, -pow(2, -1, m)), m)
+    g16, g8, g32 = _central_square_power_sums(p, (-16, 8, 32))
     if p % 4 == 1:
         dec = two_square_decompose(p)
         x, y = dec.x, dec.y
@@ -359,48 +415,17 @@ def check_thm12(p: int) -> CheckResult:
         raise ValueError("check_thm12: p must be an odd prime")
     params = {"p": p}
     n = (p - 1) // 2
-    central, over = _central_rows(p - 1)
-    dmin = n % 2
-    acc = {d: 0 for d in range(dmin, n + 1, 2)}
-    denom = 8 ** (p - 1)
-    pw = denom
-    for k in range(p):
-        if k:
-            pw //= 8
-        if k < dmin:
-            continue
-        if dmin:
-            u = _exact_div(central[k] * (k - dmin + 1), k + dmin)
-        else:
-            u = central[k]
-        z = over[k] * pw
-        top = min(k, n)
-        d = dmin
-        while d <= top:
-            acc[d] += z * u
-            u = _exact_div(u * (k - d) * (k - d - 1), (k + d + 1) * (k + d + 2))
-            d += 2
-    for d in sorted(acc):
-        try:
-            residue = residue_of_rational(Fraction(acc[d], denom), p)
-        except DenominatorNotInvertible as exc:
-            return CheckResult(
-                "thm12",
-                params,
-                ILL_POSED,
-                modulus=str(p),
-                witness={"d": d},
-                note=str(exc),
-            )
-        if not residue.is_zero():
+    acc = _offset_pair_sums(p, range(n % 2, n + 1, 2))
+    for d, residue in acc.items():
+        if residue:
             return CheckResult(
                 "thm12",
                 params,
                 FAIL,
-                lhs=str(residue.value),
+                lhs=str(residue),
                 rhs="0",
                 modulus=str(p),
-                witness={"d": d, "residue": residue.value},
+                witness={"d": d, "residue": residue},
             )
     return CheckResult(
         "thm12",
@@ -1412,7 +1437,7 @@ def _conj51_run(p: int) -> CheckResult:
         "conj51",
         params,
         [
-            ("power sum", _central_square_power_sum(p, 8)),
+            ("power sum", _central_square_power_sums(p, (8,))[0]),
             ("closed form", -chi * Fraction((p + 1) * c, (1 << (p - 1)) + 1)),
         ],
         p,
@@ -1853,11 +1878,3 @@ def scan_run(selector: str, params: dict) -> CheckResult:
     if selector == "remark53":
         return _remark53_run(params["n"])
     raise ValueError("unknown scan selector %r" % (selector,))
-
-
-def scan_conjectures(
-    selector: str, range_params: Optional[dict] = None
-) -> list[CheckResult]:
-    """All instances of one conjecture scan at the given (or default) bounds."""
-    bounds = dict(range_params or {})
-    return [scan_run(selector, ps) for ps in scan_instances(selector, **bounds)]

@@ -4,6 +4,7 @@ The registry sweep is computed once per session and shared; the final
 criterion reruns everything through the CLI twice to pin byte determinism.
 """
 
+import hashlib
 import json
 from math import comb
 
@@ -40,6 +41,10 @@ S_POLY_GOLDEN = [
     (1, 96, 1080, 2240, 630),
     (1, 150, 3000, 14000, 15750, 2772),
 ]
+
+
+# sha256 of `verify --all --format json` at the default bounds
+GOLDEN_REPORT_SHA256 = "60494515b428bfb7976e5331686af2678bc20c9483ae6a718555638ff0635a09"
 
 
 @pytest.fixture(scope="session")
@@ -274,6 +279,7 @@ def test_c14_report_bytes_identical_across_worker_counts(cli, tmp_path):
     assert r8.returncode == 0
     payload = out1.read_bytes()
     assert payload == out8.read_bytes()
+    assert hashlib.sha256(payload).hexdigest() == GOLDEN_REPORT_SHA256
     report = json.loads(payload)
     assert report["summary"]["fail"] == 0
     assert report["summary"]["ill_posed"] == 0

@@ -1,11 +1,13 @@
 """Sequence generators against frozen terminal values and closed-form sums."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from congrkit import PASS
+from congrkit import PASS, sequences
 from congrkit.polynomials import Poly
 from congrkit.sequences import (
     R,
@@ -200,3 +202,35 @@ def test_integer_families_extend_cleanly():
     for f in (R, S, schroder, h, t_seq, T_seq, T_plus, T_minus, s_small, S_cplus, S_cminus):
         for n in range(301):
             assert isinstance(f(n), int)
+
+
+def test_memo_tables_stay_aligned_under_thread_races(monkeypatch):
+    # Cold tables, so every thread grows them; a check-then-append race
+    # leaves values at the wrong index.
+    monkeypatch.setattr(sequences, "_CENTRAL", [1])
+    monkeypatch.setattr(sequences, "_CENTRAL_OVER", [-1])
+    monkeypatch.setattr(sequences, "_R_CACHE", [])
+    results = [None] * 4
+
+    def work(i):
+        results[i] = R_values(300)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(sequences._R_CACHE) == 301
+    expected = [R(n) for n in range(301)]
+    assert results == [expected] * 4
+    central = sequences._CENTRAL
+    assert central == [math.comb(2 * k, k) for k in range(len(central))]
+    assert sequences._CENTRAL_OVER[1:] == [
+        c // (2 * k - 1) for k, c in enumerate(central) if k
+    ]

@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from congrkit import FAIL, ILL_POSED, PASS
+from congrkit import FAIL, ILL_POSED, PASS, verify
+from congrkit.exactnum import primes_up_to, residue_of_rational
 from congrkit.kernels import PAPER_KERNELS, KernelSpec, poly_kernel
 from congrkit.result import CheckResult, clip, summarize
-from congrkit.sequences import R, S, S_cminus, S_cplus, T_seq
+from congrkit.sequences import R, S, S_cminus, S_cplus, T_seq, _central_rows
 from congrkit.verify import (
     THM15_VARIANTS,
     check_cor11,
@@ -36,6 +37,13 @@ from congrkit.verify import (
     conj53_witness,
     scan_instances,
     scan_run,
+)
+from congrkit.verify import (
+    _R_eval_int,
+    _R_residues,
+    _central_offset_power_sum,
+    _central_square_power_sums,
+    _offset_pair_sums,
 )
 
 
@@ -329,3 +337,136 @@ def test_remaining_scans_pass_on_spot_instances():
 def test_scan_selector_validation():
     with pytest.raises(ValueError):
         scan_instances("nope")
+
+
+# -- exact oracles for the residue-first prime sums ----------------------------------
+#
+# These are the sums the prime checkers built before reducing mod p^e term by
+# term: exact integers over base^(p-1), reduced once at the end.
+
+
+def _exact_power_sum(p, base):
+    central, over = _central_rows(p - 1)
+    acc = 0
+    for k in range(p):
+        acc = acc * base + central[k] * over[k]
+    return Fraction(acc, base ** (p - 1))
+
+
+def _exact_offset_power_sum(p):
+    central, over = _central_rows(p - 1)
+    acc = 0
+    for k in range(p):
+        off = central[k] * k // (k + 1)
+        acc = acc * 8 + over[k] * off
+    return Fraction(acc, 8 ** (p - 1))
+
+
+def _exact_R_at_minus_half(n):
+    _, over = _central_rows(n)
+    num = 0
+    c = 1
+    sign = 1
+    pw = 1 << n
+    for k in range(n + 1):
+        num += c * over[k] * sign * pw
+        sign = -sign
+        pw >>= 1
+        c = c * (n + k + 1) * (n - k) // ((2 * k + 1) * (2 * k + 2))
+    return Fraction(num, 1 << n)
+
+
+def _exact_offset_pair_sums(p, dmin):
+    """sum_{k<p} binomial(2k,k) binomial(2k,k+d) / ((2k-1) 8^k) for d = dmin,
+    dmin + 2, ... <= (p-1)/2, each as an exact Fraction."""
+    n = (p - 1) // 2
+    central, over = _central_rows(p - 1)
+    acc = {d: 0 for d in range(dmin, n + 1, 2)}
+    denom = 8 ** (p - 1)
+    pw = denom
+    for k in range(p):
+        if k:
+            pw //= 8
+        if k < dmin:
+            continue
+        u = central[k] * (k - dmin + 1) // (k + dmin) if dmin else central[k]
+        z = over[k] * pw
+        d = dmin
+        while d <= min(k, n):
+            acc[d] += z * u
+            u = u * (k - d) * (k - d - 1) // ((k + d + 1) * (k + d + 2))
+            d += 2
+    return {d: Fraction(v, denom) for d, v in acc.items()}
+
+
+ODD_PRIMES_BELOW_100 = primes_up_to(99)[1:]
+
+
+def _mod(value, p, e):
+    return residue_of_rational(value, p, e).value
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100)
+def test_residue_sums_match_exact_oracle_mod_p_squared(p):
+    n = (p - 1) // 2
+    m = p * p
+    assert _R_residues(n, (1, -2, -pow(2, -1, m)), m) == [
+        R(n) % m,
+        _R_eval_int(n, -2) % m,
+        _mod(_exact_R_at_minus_half(n), p, 2),
+    ]
+    assert _central_square_power_sums(p, (-16, 8, 32)) == [
+        _mod(_exact_power_sum(p, base), p, 2) for base in (-16, 8, 32)
+    ]
+    assert _central_offset_power_sum(p) == _mod(_exact_offset_power_sum(p), p, 2)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100)
+def test_offset_pair_sums_match_exact_oracle_for_every_offset(p):
+    n = (p - 1) // 2
+    exact = {**_exact_offset_pair_sums(p, 0), **_exact_offset_pair_sums(p, 1)}
+    expected = {d: _mod(exact[d], p, 1) for d in range(n + 1)}
+    assert _offset_pair_sums(p, range(n + 1)) == expected
+    # the claimed parity vanishes; the other one must not, or this test
+    # would compare zeros with zeros
+    off_parity = [expected[d] for d in range(1 - n % 2, n + 1, 2)]
+    assert any(off_parity)
+
+
+# -- negative controls: falsified rows must make the prime checkers FAIL ----------
+
+
+@pytest.fixture
+def shifted_over(monkeypatch):
+    """Serve copies of the central rows with binomial(2,1)/1 raised by one."""
+
+    def rows(upto):
+        central, over = _central_rows(upto)
+        over = list(over)
+        over[1] += 1
+        return list(central), over
+
+    monkeypatch.setattr(verify, "_central_rows", rows)
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_thm11_fails_on_shifted_row(shifted_over, p):
+    r = check_thm11(p)
+    assert r.status == FAIL
+    assert r.witness["claim"] == "base -16"
+    assert r.lhs != r.rhs
+
+
+@pytest.mark.parametrize("p, d", ((7, 1), (13, 0)))
+def test_thm12_fails_on_shifted_row_and_names_offset(shifted_over, p, d):
+    r = check_thm12(p)
+    assert r.status == FAIL
+    assert r.witness["d"] == d
+    assert r.witness["residue"] == int(r.lhs) != 0
+
+
+def test_conj51_fails_on_shifted_row(shifted_over):
+    r = scan_run("conj51", {"p": 7})
+    assert r.status == FAIL
+    assert r.witness["claim"] == "base 8"
+    assert r.lhs != r.rhs
