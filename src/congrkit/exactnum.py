@@ -16,13 +16,21 @@ Conventions that matter downstream:
   the recurrence sum_{j<=m} binomial(m+1, j) * B(j) == 0 with B(0) == 1.
 * two_square_decompose(p) normalizes the odd part x of p = x**2 + y**2 to
   x == 1 (mod 4) (sign choice) and returns y even and positive.
+
+The package's grown-once list tables (here, in sequences, verify and
+qalgebra) grow through _memo_grow, or, for the paired central-binomial rows,
+by the same steps: missing entries are computed from the published prefix
+outside _MEMO_LOCK and appended under it, so threads that grow one table at
+the same time may repeat work but never store an entry at the wrong index;
+published entries are never changed.
 """
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -110,23 +118,43 @@ def legendre_symbol(a: int, p: int) -> int:
     return r - p if r == p - 1 else r
 
 
+_MEMO_LOCK = threading.Lock()  # guards every memo table's check-and-extend
+
+
+def _memo_grow(table: list, upto: int, grow: Callable[[int, int], list]) -> list:
+    """table, first extended through index upto.
+
+    grow(start, upto) returns the entries start..upto and may read only
+    table[:start], which no thread changes any more.
+    """
+    start = len(table)
+    if start <= upto:
+        fresh = grow(start, upto)
+        with _MEMO_LOCK:
+            table.extend(fresh[len(table) - start :])
+    return table
+
+
 _BERNOULLI: list[Fraction] = [Fraction(1)]
+
+
+def _bernoulli_grow(start: int, upto: int) -> list[Fraction]:
+    values = _BERNOULLI[:start]
+    for i in range(start, upto + 1):
+        # odd-index values beyond B(1) are zero, so skip them as addends
+        acc = Fraction(0)
+        for j, bj in enumerate(values):
+            if bj:
+                acc += math.comb(i + 1, j) * bj
+        values.append(-acc / (i + 1))
+    return values[start:]
 
 
 def bernoulli_number(m: int) -> Fraction:
     """B(m) with B(1) = -1/2, from sum_{j<=m} binomial(m+1, j) B(j) == 0."""
     if m < 0:
         raise ValueError("bernoulli_number: m must be >= 0, got %r" % (m,))
-    while len(_BERNOULLI) <= m:
-        i = len(_BERNOULLI)
-        # odd-index values beyond B(1) are zero, so skip them as addends
-        acc = Fraction(0)
-        for j in range(i):
-            bj = _BERNOULLI[j]
-            if bj:
-                acc += math.comb(i + 1, j) * bj
-        _BERNOULLI.append(-acc / (i + 1))
-    return _BERNOULLI[m]
+    return _memo_grow(_BERNOULLI, m, _bernoulli_grow)[m]
 
 
 def bernoulli_poly_eval(m: int, x: Rational) -> Fraction:

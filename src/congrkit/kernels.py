@@ -31,9 +31,7 @@ __all__ = [
     "delta",
     "central_times_kernel_in_Z",
     "central_times_kernel_in_kZ",
-    "kernel_k_divisible",
-    "kernel_k2_divisible",
-    "kernel_k3_divisible",
+    "kernel_power_divisible",
     "poly_kernel",
 ]
 
@@ -97,36 +95,17 @@ def bar(kernel: KernelSpec, k: int, m: int) -> Fraction:
 # Numeric precondition checks, run over 0 <= k <= upto.
 
 
-def kernel_k_divisible(kernel: KernelSpec, upto: int, m: Optional[int] = None) -> bool:
-    """f integer-valued with k | f(k)."""
+def kernel_power_divisible(
+    kernel: KernelSpec, upto: int, power: int, m: Optional[int] = None
+) -> bool:
+    """f integer-valued with k^power | f(k), so f(0) == 0."""
+    if power < 1:
+        raise ValueError("kernel_power_divisible: power must be >= 1")
     for k in range(upto + 1):
         v = kernel.value(k, m)
         if v.denominator != 1:
             return False
-        if k == 0:
-            if v != 0:
-                return False
-        elif v.numerator % k:
-            return False
-    return True
-
-
-def kernel_k2_divisible(kernel: KernelSpec, upto: int, m: Optional[int] = None) -> bool:
-    for k in range(upto + 1):
-        v = kernel.value(k, m)
-        if v.denominator != 1:
-            return False
-        if (v.numerator % (k * k) if k else v.numerator) != 0:
-            return False
-    return True
-
-
-def kernel_k3_divisible(kernel: KernelSpec, upto: int, m: Optional[int] = None) -> bool:
-    for k in range(upto + 1):
-        v = kernel.value(k, m)
-        if v.denominator != 1:
-            return False
-        if (v.numerator % (k * k * k) if k else v.numerator) != 0:
+        if (v.numerator % k**power if k else v.numerator) != 0:
             return False
     return True
 

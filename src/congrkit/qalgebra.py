@@ -1,24 +1,33 @@
 """q-analogue arithmetic: q-integers, Gaussian binomials, cyclotomic
 polynomials, rational functions in q, and the q-congruence checkers.
 
-Divisibility by the q-integer [n]_q = 1 + q + ... + q^(n-1) is decided by
-the fold trick: [n]_q divides A in Z[q] exactly when (q - 1) A vanishes
-modulo q^n - 1, and reduction mod q^n - 1 is a linear-time coefficient
-fold.  [n]_q is monic, so a zero remainder automatically has an integer
-quotient.  Divisibility by a cyclotomic Phi_d goes through the same fold
-followed by one small long division.
+Divisibility by the q-integer [n]_q = 1 + q + ... + q^(n-1) is decided on
+the fold of A modulo q^n - 1 = (q - 1) [n]_q, which sends coefficient i to
+slot i mod n.  With f that fold, A mod [n]_q = f mod [n]_q has coefficients
+f_i - f_(n-1) for i < n - 1, so [n]_q divides A exactly when all n folded
+coefficients are equal.  [n]_q is monic, so a zero remainder automatically
+has an integer quotient.  Reduction mod q^n - 1 is a ring homomorphism, so
+the [n]_q checkers fold every factor first and multiply cyclically at
+length n; a sum of degree in the hundreds is never built.  They report the
+residue A mod [n]_q as lhs.  Divisibility by a cyclotomic Phi_d goes
+through the same fold followed by one small long division.
 
 Laurent-monomial prefactors (negative powers of q) that appear in one of
 the alternating-sum families are cleared by multiplying the whole sum by
 q^(n-1); q is invertible modulo [n]_q (its constant term is 1), so the
 congruence is unchanged.  The cleared power is recorded on the result.
+
+The Gaussian-binomial rows and the s_q values are grown-once tables, grown
+by the memo pattern of exactnum.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, gcd, lcm
-from typing import Union
+from typing import Iterable, Sequence, Union
 
+from .exactnum import _memo_grow
 from .polynomials import Poly, poly_gcd
 from .result import CheckResult, FAIL, PASS
 
@@ -60,21 +69,25 @@ def q_int(n: int) -> Poly:
 _QBIN_ROWS: list[list[Poly]] = [[Poly((1,))]]
 
 
+def _qbinom_grow(start: int, upto: int) -> list[list[Poly]]:
+    rows, prev = [], _QBIN_ROWS[start - 1]
+    for m in range(start, upto + 1):
+        row = [Poly((1,))]
+        for j in range(1, m):
+            row.append(prev[j].shift(j) + prev[j - 1])
+        row.append(Poly((1,)))
+        rows.append(row)
+        prev = row
+    return rows
+
+
 def qbinom(n: int, k: int) -> Poly:
     """Gaussian binomial [n choose k]_q for n >= 0, from the q-Pascal rule."""
     if n < 0 or k < 0:
         raise ValueError("qbinom: need n >= 0 and k >= 0")
     if k > n:
         return Poly()
-    while len(_QBIN_ROWS) <= n:
-        m = len(_QBIN_ROWS)
-        prev = _QBIN_ROWS[-1]
-        row = [Poly((1,))]
-        for j in range(1, m):
-            row.append(prev[j].shift(j) + prev[j - 1])
-        row.append(Poly((1,)))
-        _QBIN_ROWS.append(row)
-    return _QBIN_ROWS[n][k]
+    return _memo_grow(_QBIN_ROWS, n, _qbinom_grow)[n][k]
 
 
 _CYCLO: dict[int, Poly] = {}
@@ -96,25 +109,51 @@ def cyclotomic(d: int) -> Poly:
     return got
 
 
+def _fold(coeffs: Sequence[Scalar], n: int) -> list[Scalar]:
+    """The n coefficients of a mod q^n - 1: coefficient i goes to slot i mod n."""
+    return [sum(coeffs[r::n]) for r in range(n)]
+
+
+def _cyclic_mul(a: list[int], b: list[int]) -> list[int]:
+    """The product of two folds of one length n, mod q^n - 1."""
+    out = [0] * len(a)
+    for i, c in enumerate(a):
+        if c:
+            # slot t takes c * b[t - i], indices mod n
+            out = [o + c * x for o, x in zip(out, _rotate(b, i))]
+    return out
+
+
+def _rotate(f: list[int], e: int) -> list[int]:
+    """The fold of q^e times the polynomial whose fold is f."""
+    e %= len(f)
+    return f[-e:] + f[:-e] if e else f
+
+
+def _folded_product(n: int, factors: Iterable[Poly]) -> list[int]:
+    """The fold mod q^n - 1 of the product, with every factor folded first."""
+    return reduce(_cyclic_mul, (_fold(p.coeffs, n) for p in factors))
+
+
+def _mod_q_int(f: list[int]) -> Poly:
+    """A mod [n]_q, from the fold f of A mod q^n - 1 (n = len(f))."""
+    return Poly([c - f[-1] for c in f[:-1]])
+
+
 def reduce_mod_qpow_minus_1(a: Poly, n: int) -> Poly:
     """a mod (q^n - 1): fold coefficient i into slot i mod n."""
     if n < 1:
         raise ValueError("modulus exponent must be >= 1")
     if a.degree < n:
         return a
-    out: list[Scalar] = [0] * n
-    for i, c in enumerate(a.coeffs):
-        out[i % n] += c
-    return Poly(out)
+    return Poly(_fold(a.coeffs, n))
 
 
 def q_int_divides(n: int, a: Poly) -> bool:
     """True iff [n]_q divides a in Z[q] (a integral; [n]_q is monic)."""
     if n < 1:
         raise ValueError("q_int_divides: n must be >= 1")
-    if n == 1:
-        return True
-    return reduce_mod_qpow_minus_1(a * Poly((-1, 1)), n).is_zero()
+    return _mod_q_int(_fold(a.coeffs, n)).is_zero()
 
 
 def cyclotomic_divides(d: int, a: Poly) -> bool:
@@ -286,17 +325,21 @@ def _central_q_over(k: int) -> Poly:
 _SQ_POLY: list[Poly] = []
 
 
+def _s_q_poly_grow(start: int, upto: int) -> list[Poly]:
+    out = []
+    for m in range(start, upto + 1):
+        total = Poly((0, -1))  # k = 0 term: q^0 / [-1]_q = -q
+        for k in range(1, m + 1):
+            total += (qbinom(m, k) ** 2 * _central_q_over(k)).shift(k)
+        out.append(total)
+    return out
+
+
 def s_q_poly(n: int) -> Poly:
     """Polynomial value of the q-analogue sum s_n(q); see s_q."""
     if n < 0:
         raise ValueError("s_q_poly: n must be >= 0")
-    while len(_SQ_POLY) <= n:
-        m = len(_SQ_POLY)
-        total = Poly((0, -1))  # k = 0 term: q^0 / [-1]_q = -q
-        for k in range(1, m + 1):
-            total += (qbinom(m, k) ** 2 * _central_q_over(k)).shift(k)
-        _SQ_POLY.append(total)
-    return _SQ_POLY[n]
+    return _memo_grow(_SQ_POLY, n, _s_q_poly_grow)[n]
 
 
 def s_q(n: int) -> QRationalFunction:
@@ -337,24 +380,6 @@ def _sum58(m: int, n: int, k: int) -> Poly:
     if got is None:
         got = _sum58(m, n - 1, k) + (qbinom(n - 1, k) ** m).shift(n - 1)
         _SUM58[(m, n, k)] = got
-    return got
-
-
-_PREF58: dict[tuple[int, int], Poly] = {}
-
-
-def _conj58_prefactor(m: int, k: int) -> Poly:
-    """prod_{j<=km+1} [j]_q / (prod_{j<=k} [j]_q)^m as an exact polynomial.
-
-    Uses the telescoping [km]_q! / ([k]_q!)^m = prod_{i=2..m} [ik choose k]_q,
-    so no polynomial division is needed.
-    """
-    got = _PREF58.get((m, k))
-    if got is None:
-        got = q_int(k * m + 1)
-        for i in range(2, m + 1):
-            got *= qbinom(i * k, k)
-        _PREF58[(m, k)] = got
     return got
 
 
@@ -405,13 +430,14 @@ def check_theorem31_q(n: int, k: int) -> CheckResult:
     """[n]_q divides [2k+1]_q [2k choose k]_q sum_{h<n} q^h [h choose k]_q^2."""
     if not 0 <= k < n:
         raise ValueError("check_theorem31_q: need 0 <= k < n")
-    total = q_int(2 * k + 1) * qbinom(2 * k, k) * _sum31(n, k)
-    ok = q_int_divides(n, total)
+    residue = _mod_q_int(
+        _folded_product(n, (q_int(2 * k + 1), qbinom(2 * k, k), _sum31(n, k)))
+    )
     return CheckResult(
         family="thm31q",
         params={"n": n, "k": k},
-        status=PASS if ok else FAIL,
-        lhs=_poly_note(total),
+        status=FAIL if residue else PASS,
+        lhs=_poly_note(residue),
         rhs="0",
         modulus="[%d]_q" % n,
     )
@@ -425,18 +451,19 @@ def check_theorem32_q(n: int, a: int, b: int, a_prime: int) -> CheckResult:
     """
     if n < 1 or a < 0 or b < 0 or a_prime not in (a, a - 1) or a_prime < 0:
         raise ValueError("check_theorem32_q: need n >= 1, a >= a' >= 0, a' in {a, a-1}")
-    total = Poly()
+    total = [0] * n
     for k in range(n):
-        base = qbinom(n - 1, k) ** a * qbinom(n + k, k) ** b * q_int(2 * k + 1)
+        factors = [q_int(2 * k + 1)] + [qbinom(n - 1, k)] * a + [qbinom(n + k, k)] * b
         e = (n - 1) + a_prime * k * (k + 1) // 2 - k
-        term = base.shift(e)
-        total = total - term if (a_prime * k) % 2 else total + term
-    ok = q_int_divides(n, total)
+        term = _rotate(_folded_product(n, factors), e)
+        sign = -1 if (a_prime * k) % 2 else 1
+        total = [t + sign * c for t, c in zip(total, term)]
+    residue = _mod_q_int(total)
     return CheckResult(
         family="thm32q",
         params={"n": n, "a": a, "b": b, "a_prime": a_prime},
-        status=PASS if ok else FAIL,
-        lhs=_poly_note(total),
+        status=FAIL if residue else PASS,
+        lhs=_poly_note(residue),
         rhs="0",
         modulus="[%d]_q" % n,
         note="sum cleared by q^%d" % (n - 1),
@@ -488,13 +515,16 @@ def check_conj58_q(m: int, n: int) -> CheckResult:
     if m < 1 or n < 1:
         raise ValueError("check_conj58_q: need m >= 1 and n >= 1")
     for k in range(n):
-        total = _conj58_prefactor(m, k) * _sum58(m, n, k)
-        if not q_int_divides(n, total):
+        # prod_{j<=km+1} [j]_q / (prod_{j<=k} [j]_q)^m
+        #   = [km+1]_q prod_{i=2..m} [ik choose k]_q, so nothing is divided
+        factors = [q_int(k * m + 1)] + [qbinom(i * k, k) for i in range(2, m + 1)]
+        residue = _mod_q_int(_folded_product(n, factors + [_sum58(m, n, k)]))
+        if residue:
             return CheckResult(
                 family="conj58q",
                 params={"m": m, "n": n},
                 status=FAIL,
-                lhs=_poly_note(total),
+                lhs=_poly_note(residue),
                 rhs="0",
                 modulus="[%d]_q" % n,
                 witness={"k": k},

@@ -7,19 +7,16 @@ are folded through binomial(2k, k) / (2k - 1), which is an integer for all
 k >= 0 (equal to -1 at k = 0), so those families stay in integer arithmetic
 from end to end.
 
-Module-level value caches grow monotonically.  Missing values are computed
-outside a module lock and published under it, so threads that grow one
-cache at the same time may repeat work but never store a value at the wrong
-index; published entries are never changed.
+Module-level value caches grow monotonically, by the memo pattern of
+exactnum (computed outside the package's one memo lock, published under it).
 """
 from __future__ import annotations
 
 import math
-import threading
 from fractions import Fraction
 from typing import Callable
 
-from .exactnum import central_binomial_over_2k_minus_1
+from .exactnum import _MEMO_LOCK, _memo_grow
 from .polynomials import Poly
 from .result import CheckResult, FAIL, PASS
 
@@ -49,8 +46,6 @@ __all__ = [
 ]
 
 # -- shared incremental rows ------------------------------------------------
-
-_MEMO_LOCK = threading.Lock()  # guards every length check-and-extend below
 
 _CENTRAL = [1]  # binomial(2k, k)
 _CENTRAL_OVER = [-1]  # binomial(2k, k) // (2k - 1)
@@ -291,12 +286,11 @@ _S_POLY_CACHE: list[Poly] = []
 
 def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list:
     """cache[: n_max + 1], first extending cache with make(i) where missing."""
-    start = len(cache)
-    if start <= n_max:
-        fresh = [make(i) for i in range(start, n_max + 1)]
-        with _MEMO_LOCK:
-            cache.extend(fresh[len(cache) - start :])
-    return cache[: n_max + 1]
+
+    def grow(start: int, upto: int) -> list:
+        return [make(i) for i in range(start, upto + 1)]
+
+    return _memo_grow(cache, n_max, grow)[: n_max + 1]
 
 
 def R_values(n_max: int) -> list[int]:

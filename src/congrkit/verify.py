@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction
 from functools import lru_cache
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .exactnum import (
     DenominatorNotInvertible,
     Rational,
+    _memo_grow,
     bernoulli_poly_eval,
     binomial,
     catalan,
@@ -48,9 +50,7 @@ from .kernels import (
     central_times_kernel_in_Z,
     central_times_kernel_in_kZ,
     delta,
-    kernel_k2_divisible,
-    kernel_k3_divisible,
-    kernel_k_divisible,
+    kernel_power_divisible,
 )
 from .polynomials import Poly
 from .result import FAIL, ILL_POSED, INCONCLUSIVE, PASS, CheckResult, clip
@@ -461,24 +461,43 @@ def check_remark11(n: int, d: int) -> CheckResult:
 
 # -- prefix sums of the two headline sequences ---------------------------------
 
+
+def _prefix_sum(
+    table: list, n: int, terms: Callable[[int, int], list], add=operator.add
+) -> object:
+    """table[n] of the memoized running sums table[j + 1] = add(table[j], term j).
+
+    terms(lo, hi) returns the terms lo..hi-1.
+    """
+
+    def grow(start: int, upto: int) -> list:
+        acc, out = table[start - 1], []
+        for term in terms(start - 1, upto):
+            acc = add(acc, term)
+            out.append(acc)
+        return out
+
+    return _memo_grow(table, n, grow)[n]
+
+
+def _add_coeffs(acc: list[int], poly: Poly) -> list[int]:
+    """Coefficient lists of a running polynomial sum, one slot longer per term."""
+    out = acc + [0]
+    for i, c in enumerate(poly.coeffs):
+        out[i] += c
+    return out
+
+
 _R_PREFIX = [0]  # _R_PREFIX[n] == sum of R_0..R_{n-1}
 _S_PREFIX = [0]
 
 
 def _r_prefix(n: int) -> int:
-    if len(_R_PREFIX) <= n:
-        vals = R_values(n - 1)
-        while len(_R_PREFIX) <= n:
-            _R_PREFIX.append(_R_PREFIX[-1] + vals[len(_R_PREFIX) - 1])
-    return _R_PREFIX[n]
+    return _prefix_sum(_R_PREFIX, n, lambda lo, hi: R_values(hi - 1)[lo:])
 
 
 def _s_prefix(n: int) -> int:
-    if len(_S_PREFIX) <= n:
-        vals = S_values(n - 1)
-        while len(_S_PREFIX) <= n:
-            _S_PREFIX.append(_S_PREFIX[-1] + vals[len(_S_PREFIX) - 1])
-    return _S_PREFIX[n]
+    return _prefix_sum(_S_PREFIX, n, lambda lo, hi: S_values(hi - 1)[lo:])
 
 
 def check_thm13(p: int) -> CheckResult:
@@ -545,13 +564,9 @@ _S_POLY_PREFIX: list[list[int]] = [[]]
 
 
 def _s_poly_prefix(n: int) -> list[int]:
-    while len(_S_POLY_PREFIX) <= n:
-        j = len(_S_POLY_PREFIX) - 1
-        nxt = list(_S_POLY_PREFIX[-1]) + [0]
-        for i, c in enumerate(S_polys(j)[j].coeffs):
-            nxt[i] += c
-        _S_POLY_PREFIX.append(nxt)
-    return _S_POLY_PREFIX[n]
+    return _prefix_sum(
+        _S_POLY_PREFIX, n, lambda lo, hi: S_polys(hi - 1)[lo:], _add_coeffs
+    )
 
 
 def check_thm14_i(n: int) -> CheckResult:
@@ -1023,12 +1038,12 @@ _COR11_PREFIX: dict[str, list[int]] = {k: [0] for k in _COR11_SEQ}
 
 
 def _cor11_prefix(kind: str, n: int) -> int:
-    cache = _COR11_PREFIX[kind]
     fn = _COR11_SEQ[kind]
-    while len(cache) <= n:
-        j = len(cache) - 1
-        cache.append(cache[-1] + (2 * j + 1) * fn(j))
-    return cache[n]
+    return _prefix_sum(
+        _COR11_PREFIX[kind],
+        n,
+        lambda lo, hi: [(2 * j + 1) * fn(j) for j in range(lo, hi)],
+    )
 
 
 def check_cor11(n: int) -> CheckResult:
@@ -1137,7 +1152,7 @@ def check_thm41(
         raise ValueError("check_thm41: need n >= 1 and matching parameter lists")
     if any(b < 0 for b in b_list):
         raise ValueError("check_thm41: shifts must be nonnegative")
-    if not kernel_k_divisible(kernel, n - 1, m):
+    if not kernel_power_divisible(kernel, n - 1, 1, m):
         raise ValueError("check_thm41: kernel must be integer-valued with k | f(k)")
     params = {
         "n": n,
@@ -1154,7 +1169,7 @@ def check_thm41(
     bars = _int_values([bar(kernel, k, m) for k in range(n)], "check_thm41: kernel")
     total = sum(bars[k] * rows[k] for k in range(n))
     claims = [("gcd congruence", total, d)]
-    if kernel_k2_divisible(kernel, n - 1, m):
+    if kernel_power_divisible(kernel, n - 1, 2, m):
         inner = sum(
             _exact_div(int(kernel.value(k, m)), k) * rows[k] for k in range(1, n)
         )
@@ -1209,7 +1224,7 @@ def check_thm42(n: int, kernel: KernelSpec, a_list: Sequence[int]) -> CheckResul
         raise ValueError("check_thm42: need n >= 1 and a nonempty a_list")
     if kernel.needs_m():
         raise ValueError("check_thm42: kernel sign must not depend on the factor count")
-    if not kernel_k3_divisible(kernel, n - 1):
+    if not kernel_power_divisible(kernel, n - 1, 3):
         raise ValueError("check_thm42: kernel must satisfy k^3 | f(k)")
     params = {"n": n, "kernel": kernel_descriptor(kernel), "a_list": list(a_list)}
     rows = _pair_rows(n, a_list, n)
@@ -1385,46 +1400,52 @@ _S_PLUS_PREFIX = [0]
 _S_MINUS_PREFIX = [0]
 
 
-def _extend_square_prefixes(n: int) -> None:
-    if len(_R_SQUARE_PREFIX) > n:
-        return
-    vals = R_values(n - 1)
-    while len(_R_SQUARE_PREFIX) <= n:
-        j = len(_R_SQUARE_PREFIX) - 1
-        sq = vals[j] * vals[j]
-        _R_SQUARE_PREFIX.append(_R_SQUARE_PREFIX[-1] + sq)
-        _R_SQUARE_ODD_PREFIX.append(_R_SQUARE_ODD_PREFIX[-1] + (2 * j + 1) * sq)
+def _r_square_prefixes(n: int) -> tuple[int, int]:
+    """Prefix sums of R_j^2 and of (2j + 1) R_j^2 over j < n."""
+
+    def squares(lo: int, hi: int) -> list[int]:
+        return [r * r for r in R_values(hi - 1)[lo:]]
+
+    def odd_squares(lo: int, hi: int) -> list[int]:
+        return [(2 * j + 1) * sq for j, sq in enumerate(squares(lo, hi), lo)]
+
+    return (
+        _prefix_sum(_R_SQUARE_PREFIX, n, squares),
+        _prefix_sum(_R_SQUARE_ODD_PREFIX, n, odd_squares),
+    )
 
 
-def _extend_weighted_s_prefix(n: int) -> None:
-    if len(_S_WEIGHTED_PREFIX) > n:
-        return
-    vals = S_values(n - 1)
-    while len(_S_WEIGHTED_PREFIX) <= n:
-        j = len(_S_WEIGHTED_PREFIX) - 1
-        _S_WEIGHTED_PREFIX.append(_S_WEIGHTED_PREFIX[-1] + j * vals[j])
+def _s_weighted_prefix(n: int) -> int:
+    """Prefix sum of j S_j over j < n."""
+    return _prefix_sum(
+        _S_WEIGHTED_PREFIX,
+        n,
+        lambda lo, hi: [j * s for j, s in enumerate(S_values(hi - 1)[lo:], lo)],
+    )
 
 
-def _extend_small_prefixes(n: int) -> None:
-    while len(_S_SMALL_PREFIX) <= n:
-        j = len(_S_SMALL_PREFIX) - 1
-        _S_SMALL_PREFIX.append(_S_SMALL_PREFIX[-1] + s_small(j))
-        _S_PLUS_PREFIX.append(_S_PLUS_PREFIX[-1] + S_cplus(j))
-        _S_MINUS_PREFIX.append(_S_MINUS_PREFIX[-1] + S_cminus(j))
+def _small_prefixes(n: int) -> tuple[int, int, int]:
+    """Prefix sums of s_small, S_cplus and S_cminus over j < n."""
+    return tuple(
+        _prefix_sum(table, n, lambda lo, hi: [fn(j) for j in range(lo, hi)])
+        for table, fn in (
+            (_S_SMALL_PREFIX, s_small),
+            (_S_PLUS_PREFIX, S_cplus),
+            (_S_MINUS_PREFIX, S_cminus),
+        )
+    )
 
 
 _S58_CUM: dict[int, list[list[int]]] = {}
 
 
 def _s58_prefix(m: int, n: int) -> list[int]:
-    cum = _S58_CUM.setdefault(m, [[]])
-    while len(cum) <= n:
-        j = len(cum) - 1
-        nxt = list(cum[-1]) + [0]
-        for i, c in enumerate(S_m_poly(m, j).coeffs):
-            nxt[i] += c
-        cum.append(nxt)
-    return cum[n]
+    return _prefix_sum(
+        _S58_CUM.setdefault(m, [[]]),
+        n,
+        lambda lo, hi: [S_m_poly(m, j) for j in range(lo, hi)],
+        _add_coeffs,
+    )
 
 
 def _conj51_run(p: int) -> CheckResult:
@@ -1523,25 +1544,25 @@ def _conj52_run(seq: str, claim: str, n: int) -> CheckResult:
 def _conj54_run(params: dict) -> CheckResult:
     if params.get("kind") == "divisibility":
         n = params["n"]
-        _extend_square_prefixes(n)
+        square, odd = _r_square_prefixes(n)
         return _divisibility(
             "conj54",
             params,
             [
-                ("tripled square prefix", 3 * _R_SQUARE_PREFIX[n], n),
-                ("odd-weighted square prefix", _R_SQUARE_ODD_PREFIX[n], n),
+                ("tripled square prefix", 3 * square, n),
+                ("odd-weighted square prefix", odd, n),
             ],
         )
     p = params["p"]
     if p < 3 or not is_prime(p):
         raise ValueError("conj54: p must be an odd prime")
-    _extend_square_prefixes(p)
+    square, odd = _r_square_prefixes(p)
     chi = legendre_symbol(-1, p)
     res = _chain(
         "conj54",
         params,
         [
-            ("square prefix", Fraction(_R_SQUARE_PREFIX[p])),
+            ("square prefix", Fraction(square)),
             ("closed form", Fraction(p, 3) * (11 - 4 * chi)),
         ],
         p,
@@ -1554,7 +1575,7 @@ def _conj54_run(params: dict) -> CheckResult:
         "conj54",
         params,
         [
-            ("odd-weighted prefix", Fraction(_R_SQUARE_ODD_PREFIX[p])),
+            ("odd-weighted prefix", Fraction(odd)),
             ("closed form", Fraction(4 * p * chi - p * p)),
         ],
         p,
@@ -1566,22 +1587,20 @@ def _conj54_run(params: dict) -> CheckResult:
 def _conj55_run(params: dict) -> CheckResult:
     if params.get("kind") == "divisibility":
         n = params["n"]
-        _extend_weighted_s_prefix(n)
         return _divisibility(
             "conj55",
             params,
-            [("quadrupled weighted prefix", 4 * _S_WEIGHTED_PREFIX[n], n * n)],
+            [("quadrupled weighted prefix", 4 * _s_weighted_prefix(n), n * n)],
         )
     p = params["p"]
     if not is_prime(p):
         raise ValueError("conj55: p must be prime")
-    _extend_weighted_s_prefix(p)
     target = Fraction(p * p, 8) * (5 - 9 * legendre_symbol(p, 3))
     return _chain(
         "conj55",
         params,
         [
-            ("weighted prefix", Fraction(_S_WEIGHTED_PREFIX[p])),
+            ("weighted prefix", Fraction(_s_weighted_prefix(p))),
             ("closed form", target),
         ],
         p,
@@ -1590,26 +1609,26 @@ def _conj55_run(params: dict) -> CheckResult:
 
 
 def _conj56_run(n: int) -> CheckResult:
-    _extend_small_prefixes(n)
+    plain, plus, minus = _small_prefixes(n)
     return _divisibility(
         "conj56",
         {"n": n},
         [
-            ("plain prefix", _S_SMALL_PREFIX[n], n * n),
-            ("plus prefix", _S_PLUS_PREFIX[n], n * n),
-            ("minus prefix", _S_MINUS_PREFIX[n], n * n),
+            ("plain prefix", plain, n * n),
+            ("plus prefix", plus, n * n),
+            ("minus prefix", minus, n * n),
         ],
     )
 
 
 def _remark53_run(n: int) -> CheckResult:
-    _extend_small_prefixes(n)
+    _, plus, minus = _small_prefixes(n)
     return _divisibility(
         "remark53",
         {"n": n},
         [
-            ("plus prefix", _S_PLUS_PREFIX[n], n),
-            ("minus prefix", _S_MINUS_PREFIX[n], n),
+            ("plus prefix", plus, n),
+            ("minus prefix", minus, n),
         ],
     )
 

@@ -6,6 +6,7 @@ interpreter's int-to-str guard once so assertion reprs never trip it.
 
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -23,5 +24,34 @@ def cli():
             capture_output=True,
             timeout=600,
         )
+
+    return run
+
+
+@pytest.fixture
+def race():
+    """Call fn from four threads at a 1 us switch interval; return the results.
+
+    A thread that raises leaves None in its slot.
+    """
+
+    def run(fn):
+        results = [None] * 4
+
+        def work(i: int) -> None:
+            results[i] = fn()
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        return results
 
     return run

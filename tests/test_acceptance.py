@@ -44,7 +44,7 @@ S_POLY_GOLDEN = [
 
 
 # sha256 of `verify --all --format json` at the default bounds
-GOLDEN_REPORT_SHA256 = "60494515b428bfb7976e5331686af2678bc20c9483ae6a718555638ff0635a09"
+GOLDEN_REPORT_SHA256 = "b0ec6fa1453db1e7d742dd642be91f941ba8cc339d2f4059576c7cff095a08d2"
 
 
 @pytest.fixture(scope="session")

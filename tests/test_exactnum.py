@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from congrkit import exactnum
 from congrkit.exactnum import (
     DenominatorNotInvertible,
     bernoulli_number,
@@ -182,3 +183,13 @@ def test_primes_up_to_and_is_prime_agree():
     marked = set(ps)
     for n in range(1001):
         assert is_prime(n) == (n in marked)
+
+
+def test_bernoulli_table_stays_aligned_under_thread_races(monkeypatch, race):
+    monkeypatch.setattr(exactnum, "_BERNOULLI", [Fraction(1)])
+    results = race(lambda: bernoulli_number(120))
+    table = exactnum._BERNOULLI
+    monkeypatch.setattr(exactnum, "_BERNOULLI", [Fraction(1)])
+    assert results == [bernoulli_number(120)] * 4
+    assert len(table) == 121
+    assert table == exactnum._BERNOULLI

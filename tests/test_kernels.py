@@ -11,9 +11,7 @@ from congrkit.kernels import (
     central_times_kernel_in_Z,
     central_times_kernel_in_kZ,
     delta,
-    kernel_k2_divisible,
-    kernel_k3_divisible,
-    kernel_k_divisible,
+    kernel_power_divisible,
     poly_kernel,
 )
 from congrkit.verify import kernel_descriptor, kernel_from_descriptor
@@ -59,13 +57,13 @@ def test_difference_operators():
 
 def test_divisibility_validators():
     lin = poly_kernel("lin", (0, 1))
-    assert kernel_k_divisible(lin, 20)
-    assert not kernel_k_divisible(poly_kernel("const", (2,)), 20)
+    assert kernel_power_divisible(lin, 20, 1)
+    assert not kernel_power_divisible(poly_kernel("const", (2,)), 20, 1)
     sq = poly_kernel("sq", (0, 0, 1))
-    assert kernel_k2_divisible(sq, 20)
-    assert not kernel_k3_divisible(sq, 20)
+    assert kernel_power_divisible(sq, 20, 2)
+    assert not kernel_power_divisible(sq, 20, 3)
     cube = poly_kernel("cube", (0, 0, 0, 1))
-    assert kernel_k3_divisible(cube, 20)
+    assert kernel_power_divisible(cube, 20, 3)
 
 
 def test_central_product_memberships():

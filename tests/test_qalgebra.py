@@ -1,8 +1,10 @@
 """q-polynomial algebra: Gaussian binomials, cyclotomics, division, q-checks."""
 
+import random
+
 import pytest
 
-from congrkit import PASS
+from congrkit import FAIL, PASS, qalgebra, registry
 from congrkit.exactnum import binomial
 from congrkit.polynomials import Poly
 from congrkit.qalgebra import (
@@ -26,6 +28,7 @@ from congrkit.qalgebra import (
     s_q,
     s_q_poly,
 )
+from congrkit.qalgebra import _cyclic_mul, _fold, _folded_product, _poly_note
 from congrkit.sequences import s_small
 
 
@@ -162,3 +165,157 @@ def test_half_weighted_prefix_sum_ring_split():
 def test_factorial_weighted_prefix_sums():
     for m, n in ((1, 2), (2, 6), (3, 4)):
         assert check_conj58_q(m, n).status == PASS
+
+
+# -- folded checkers against the full-degree sums -------------------------------
+#
+# The reference sums below build A at full degree in Z[q], without any fold.
+# They read qalgebra.qbinom at call time, so a monkeypatched qbinom falsifies
+# them and the checkers alike.
+
+
+def _power_sum(m, n, k):
+    """sum_{h=k}^{n-1} q^h [h choose k]_q^m at full degree."""
+    total = Poly()
+    for h in range(k, n):
+        total += (qalgebra.qbinom(h, k) ** m).shift(h)
+    return total
+
+
+def _exact_thm31(n, k):
+    return q_int(2 * k + 1) * qalgebra.qbinom(2 * k, k) * _power_sum(2, n, k)
+
+
+def _exact_thm32(n, a, b, a_prime):
+    total = Poly()
+    for k in range(n):
+        base = (
+            qalgebra.qbinom(n - 1, k) ** a
+            * qalgebra.qbinom(n + k, k) ** b
+            * q_int(2 * k + 1)
+        )
+        term = base.shift((n - 1) + a_prime * k * (k + 1) // 2 - k)
+        total = total - term if (a_prime * k) % 2 else total + term
+    return total
+
+
+def _exact_conj58(m, n, k):
+    prefactor = q_int(k * m + 1)
+    for i in range(2, m + 1):
+        prefactor *= qalgebra.qbinom(i * k, k)
+    return prefactor * _power_sum(m, n, k)
+
+
+def _residue_note(total, n):
+    return _poly_note(divmod(total, q_int(n))[1])
+
+
+def test_cyclic_product_matches_fold_of_full_product():
+    rng = random.Random(20140820)
+    for _ in range(300):
+        a = Poly([rng.randint(-50, 50) for _ in range(rng.randint(0, 40))])
+        b = Poly([rng.randint(-(10**30), 10**30) for _ in range(rng.randint(0, 40))])
+        n = rng.randint(1, 30)
+        folded = Poly(_cyclic_mul(_fold(a.coeffs, n), _fold(b.coeffs, n)))
+        assert folded == reduce_mod_qpow_minus_1(a * b, n)
+        assert Poly(_folded_product(n, (a, b, a))) == reduce_mod_qpow_minus_1(
+            a * b * a, n
+        )
+
+
+def test_thm31q_residue_matches_full_degree_oracle():
+    for n in range(1, 13):
+        for k in range(n):
+            r = check_theorem31_q(n, k)
+            assert r.lhs == _residue_note(_exact_thm31(n, k), n)
+            assert r.status == (PASS if r.lhs == "0" else FAIL)
+
+
+def test_thm32q_residue_matches_full_degree_oracle():
+    grid = registry._grid_thm32q({"max_n": 12})
+    assert len(grid) == 12 * 15
+    for p in grid:
+        r = check_theorem32_q(**p)
+        exact = _exact_thm32(p["n"], p["a"], p["b"], p["a_prime"])
+        assert r.lhs == _residue_note(exact, p["n"])
+        assert r.status == (PASS if r.lhs == "0" else FAIL)
+
+
+def test_conj58q_matches_full_degree_oracle_for_every_k():
+    for m in range(1, 4):
+        for n in range(1, 13):
+            r = check_conj58_q(m, n)
+            notes = [_residue_note(_exact_conj58(m, n, k), n) for k in range(n)]
+            failing = [k for k, note in enumerate(notes) if note != "0"]
+            if failing:
+                assert r.status == FAIL
+                assert r.witness == {"k": failing[0]}
+                assert r.lhs == notes[failing[0]]
+            else:
+                assert r.status == PASS
+                assert r.lhs == "all k < %d" % n
+
+
+@pytest.fixture
+def falsify_qbinom(monkeypatch):
+    """Make qalgebra.qbinom(n, k) one larger at a single (n, k).
+
+    The shared rows are left alone; the cumulative sums start empty, so the
+    falsified value is read, and the patched ones are dropped afterwards.
+    """
+
+    def patch(n0, k0):
+        true = qalgebra.qbinom
+
+        def qbinom(n, k):
+            value = true(n, k)
+            return value + 1 if (n, k) == (n0, k0) else value
+
+        monkeypatch.setattr(qalgebra, "qbinom", qbinom)
+        monkeypatch.setattr(qalgebra, "_SUM31", {})
+        monkeypatch.setattr(qalgebra, "_SUM58", {})
+
+    return patch
+
+
+def test_thm31q_fails_on_falsified_gaussian_binomial(falsify_qbinom):
+    falsify_qbinom(4, 2)
+    r = check_theorem31_q(7, 2)
+    assert r.status == FAIL
+    assert r.lhs not in ("0", "")
+    assert r.lhs == _residue_note(_exact_thm31(7, 2), 7)
+
+
+def test_thm32q_fails_on_falsified_gaussian_binomial(falsify_qbinom):
+    falsify_qbinom(6, 1)
+    r = check_theorem32_q(7, 1, 1, 1)
+    assert r.status == FAIL
+    assert r.lhs not in ("0", "")
+    assert r.lhs == _residue_note(_exact_thm32(7, 1, 1, 1), 7)
+
+
+def test_conj58q_fails_on_falsified_gaussian_binomial(falsify_qbinom):
+    falsify_qbinom(5, 2)
+    r = check_conj58_q(2, 7)
+    assert r.status == FAIL
+    assert r.witness == {"k": 2}
+    assert r.lhs not in ("0", "")
+    assert r.lhs == _residue_note(_exact_conj58(2, 7, 2), 7)
+
+
+def test_q_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
+    monkeypatch.setattr(qalgebra, "_QBIN_ROWS", [[Poly((1,))]])
+    results = race(lambda: qbinom(40, 20))
+    rows = qalgebra._QBIN_ROWS
+    monkeypatch.setattr(qalgebra, "_QBIN_ROWS", [[Poly((1,))]])
+    expected = qbinom(40, 20)
+    assert results == [expected] * 4
+    assert len(rows) == 41
+    assert rows == qalgebra._QBIN_ROWS
+
+    monkeypatch.setattr(qalgebra, "_SQ_POLY", [])
+    results = race(lambda: s_q_poly(12))
+    table = qalgebra._SQ_POLY
+    monkeypatch.setattr(qalgebra, "_SQ_POLY", [])
+    assert results == [s_q_poly(12)] * 4
+    assert table == qalgebra._SQ_POLY

@@ -1,8 +1,6 @@
 """Sequence generators against frozen terminal values and closed-form sums."""
 
 import math
-import sys
-import threading
 from fractions import Fraction
 
 import pytest
@@ -204,28 +202,13 @@ def test_integer_families_extend_cleanly():
             assert isinstance(f(n), int)
 
 
-def test_memo_tables_stay_aligned_under_thread_races(monkeypatch):
+def test_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
     # Cold tables, so every thread grows them; a check-then-append race
     # leaves values at the wrong index.
     monkeypatch.setattr(sequences, "_CENTRAL", [1])
     monkeypatch.setattr(sequences, "_CENTRAL_OVER", [-1])
     monkeypatch.setattr(sequences, "_R_CACHE", [])
-    results = [None] * 4
-
-    def work(i):
-        results[i] = R_values(300)
-
-    threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
+    results = race(lambda: R_values(300))
     assert len(sequences._R_CACHE) == 301
     expected = [R(n) for n in range(301)]
     assert results == [expected] * 4

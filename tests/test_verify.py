@@ -470,3 +470,24 @@ def test_conj51_fails_on_shifted_row(shifted_over):
     assert r.status == FAIL
     assert r.witness["claim"] == "base 8"
     assert r.lhs != r.rhs
+
+
+def test_prefix_tables_stay_aligned_under_thread_races(monkeypatch, race):
+    def cold():
+        monkeypatch.setattr(verify, "_R_PREFIX", [0])
+        monkeypatch.setattr(verify, "_S_PREFIX", [0])
+        monkeypatch.setattr(verify, "_S58_CUM", {})
+
+    def grow():
+        return verify._r_prefix(301), verify._s_prefix(301), verify._s58_prefix(2, 60)
+
+    def tables():
+        return verify._R_PREFIX, verify._S_PREFIX, verify._S58_CUM[2]
+
+    cold()
+    results = race(grow)
+    grown = tables()
+    cold()
+    assert results == [grow()] * 4
+    assert [len(t) for t in grown] == [302, 302, 61]
+    assert grown == tables()
