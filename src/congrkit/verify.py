@@ -15,6 +15,23 @@ sum of the term residues: the same lhs, rhs and witness that an exact sum
 reduced at the end gives.  thm12 also skips the terms that vanish mod p
 (Kummer's theorem) and takes binomial(p+1, j) mod p from Lucas's theorem.
 
+thm13 and thm14ii cost O(p) operations per prime through two identities.
+thm13 sums R_0..R_{p-1} with the order of summation swapped: the hockey
+stick sum_{m<p} binomial(m+j, 2j) = binomial(p+j, 2j+1) leaves one exact
+sum of p terms, the same integer as before.  thm14ii works mod p^2 and takes
+its Bernoulli value from a power sum.  With m = p - 2 and x = 1/3,
+
+    B_{m+1}(x+p) - B_{m+1}(x) = (m+1) sum_{j<p} (x+j)^m,
+
+where the left side is sum_{k>=1} binomial(m+1, k) B_{m+1-k}(x) p^k.  Its
+k = 1 term is (m+1) p B_m(x).  For k >= 2, B_{p-1-k}(1/3) is p-integral: by
+von Staudt-Clausen p divides the denominator of B_i only when p - 1 | i, and
+i <= p - 3 here.  So those terms vanish mod p^2, and dividing by the unit
+m + 1 gives p B_{p-2}(1/3) == sum_{j<p} ((3j+1)/3)^(p-2) mod p^2.
+The harmonic weights sum S_k / k and p sum S_k / k^2 are residues as well.
+Every denominator involved (2, 3 and k < p) is prime to p, so no instance
+of either family is ILL_POSED.
+
 Checkers that aggregate an inner parameter (the offset d of a ratio-sum
 family, the index k of a per-term divisibility) return a single
 CheckResult whose witness points at the first failing inner instance.
@@ -33,7 +50,6 @@ from .exactnum import (
     DenominatorNotInvertible,
     Rational,
     _memo_grow,
-    bernoulli_poly_eval,
     binomial,
     catalan,
     is_prime,
@@ -488,16 +504,24 @@ def _add_coeffs(acc: list[int], poly: Poly) -> list[int]:
     return out
 
 
-_R_PREFIX = [0]  # _R_PREFIX[n] == sum of R_0..R_{n-1}
-_S_PREFIX = [0]
-
-
-def _r_prefix(n: int) -> int:
-    return _prefix_sum(_R_PREFIX, n, lambda lo, hi: R_values(hi - 1)[lo:])
+_S_PREFIX = [0]  # _S_PREFIX[n] == sum of S_0..S_{n-1}
 
 
 def _s_prefix(n: int) -> int:
     return _prefix_sum(_S_PREFIX, n, lambda lo, hi: S_values(hi - 1)[lo:])
+
+
+def _R_prefix_sum(n: int) -> int:
+    """sum_{m<n} R_m exactly, as sum_{j<n} over[j] * binomial(n+j, 2j+1).
+
+    Summing binomial(m+j, 2j) over m < n first is the hockey stick."""
+    _, over = _central_rows(n - 1)
+    total = 0
+    c = n  # binomial(n + j, 2j + 1)
+    for j in range(n):
+        total += c * over[j]
+        c = _exact_div(c * (n + j + 1) * (n - j - 1), (2 * j + 2) * (2 * j + 3))
+    return total
 
 
 def check_thm13(p: int) -> CheckResult:
@@ -505,14 +529,10 @@ def check_thm13(p: int) -> CheckResult:
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm13: p must be an odd prime")
     params = {"p": p}
-    total = _r_prefix(p)
+    total = _R_prefix_sum(p)
     target = -p - legendre_symbol(-1, p)
     return _chain(
-        "thm13",
-        params,
-        [("prefix sum", Fraction(total)), ("closed form", Fraction(target))],
-        p,
-        2,
+        "thm13", params, [("prefix sum", total), ("closed form", target)], p, 2
     )
 
 
@@ -603,38 +623,39 @@ def check_thm14_i(n: int) -> CheckResult:
     )
 
 
+def _bernoulli_third_times_p(p: int) -> int:
+    """p * B_{p-2}(1/3) mod p^2, as sum_{j<p} ((3j+1)/3)^(p-2); p > 3 prime.
+
+    A term with p | 3j+1 is divisible by p^(p-2), so it is 0 here too."""
+    m = p * p
+    third = pow(3, -1, m)
+    return sum(pow((3 * j + 1) * third, p - 2, m) for j in range(p)) % m
+
+
+def _thm14ii_members(p: int) -> list[tuple[str, int]]:
+    """The three thm14ii values mod p^2: sum S_k / k, p * sum S_k / k^2 and
+    -(p/2) (p|3) B_{p-2}(1/3); every denominator is prime to p."""
+    m = p * p
+    vals = S_values(p - 1)
+    harmonic = 0
+    square_harmonic = 0  # only needed mod p: it is multiplied by p
+    for k in range(1, p):
+        w = vals[k] * pow(k, -1, m) % m
+        harmonic += w
+        square_harmonic += w * pow(k, -1, p)
+    closed = -legendre_symbol(p, 3) * pow(2, -1, m) * _bernoulli_third_times_p(p)
+    return [
+        ("harmonic weight", harmonic % m),
+        ("p times square-harmonic weight", p * (square_harmonic % p)),
+        ("Bernoulli closed form", closed % m),
+    ]
+
+
 def check_thm14_ii(p: int) -> CheckResult:
     """Harmonic-weighted S sums against the Bernoulli value at 1/3, mod p^2."""
     if p < 5 or not is_prime(p):
         raise ValueError("check_thm14_ii: p must be a prime > 3")
-    params = {"p": p}
-    vals = S_values(p - 1)
-    lcm = math.lcm(*range(1, p))
-    acc1 = 0
-    acc2 = 0
-    for k in range(1, p):
-        u = lcm // k
-        w = vals[k] * u
-        acc1 += w
-        acc2 += w * u
-    harmonic = Fraction(acc1, lcm)
-    square_harmonic = p * Fraction(acc2, lcm * lcm)
-    closed = (
-        -Fraction(p, 2)
-        * legendre_symbol(p, 3)
-        * bernoulli_poly_eval(p - 2, Fraction(1, 3))
-    )
-    return _chain(
-        "thm14ii",
-        params,
-        [
-            ("harmonic weight", harmonic),
-            ("p times square-harmonic weight", square_harmonic),
-            ("Bernoulli closed form", closed),
-        ],
-        p,
-        2,
-    )
+    return _chain("thm14ii", {"p": p}, _thm14ii_members(p), p, 2)
 
 
 # -- product-sum congruences with plain and paired rows -------------------------

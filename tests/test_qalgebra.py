@@ -303,6 +303,28 @@ def test_conj58q_fails_on_falsified_gaussian_binomial(falsify_qbinom):
     assert r.lhs == _residue_note(_exact_conj58(2, 7, 2), 7)
 
 
+def test_qlucas_status_matches_divisibility_of_the_difference():
+    grid = registry.instances_for("qlucas")
+    assert len(grid) == 4459
+    for params in grid:
+        a, b, s, t, d = (params[key] for key in "abstd")
+        lhs = qbinom(a * d + s, b * d + t)
+        rhs = binomial(a, b) * qbinom(s, t)
+        expected = PASS if cyclotomic_divides(d, lhs - rhs) else FAIL
+        assert check_q_lucas(a, b, s, t, d).status == expected
+
+
+def test_qlucas_fails_on_falsified_integer_binomial(monkeypatch):
+    # [s choose t]_q with t <= s < d is a nonzero residue mod Phi_d, so adding
+    # it once more to the right-hand side must break the congruence
+    monkeypatch.setattr(qalgebra, "comb", lambda a, b: binomial(a, b) + 1)
+    instances = ((2, 1, 1, 1, 2), (1, 0, 0, 0, 3), (3, 1, 2, 0, 3), (4, 2, 0, 0, 1))
+    for a, b, s, t, d in instances:
+        r = check_q_lucas(a, b, s, t, d)
+        assert r.status == FAIL
+        assert r.lhs != r.rhs
+
+
 def test_q_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
     monkeypatch.setattr(qalgebra, "_QBIN_ROWS", [[Poly((1,))]])
     results = race(lambda: qbinom(40, 20))

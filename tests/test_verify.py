@@ -6,10 +6,24 @@ from fractions import Fraction
 import pytest
 
 from congrkit import FAIL, ILL_POSED, PASS, verify
-from congrkit.exactnum import primes_up_to, residue_of_rational
+from congrkit.exactnum import (
+    bernoulli_poly_eval,
+    legendre_symbol,
+    primes_up_to,
+    residue_of_rational,
+)
 from congrkit.kernels import PAPER_KERNELS, KernelSpec, poly_kernel
 from congrkit.result import CheckResult, clip, summarize
-from congrkit.sequences import R, S, S_cminus, S_cplus, T_seq, _central_rows
+from congrkit.sequences import (
+    R,
+    R_values,
+    S,
+    S_cminus,
+    S_cplus,
+    S_values,
+    T_seq,
+    _central_rows,
+)
 from congrkit.verify import (
     THM15_VARIANTS,
     check_cor11,
@@ -40,10 +54,12 @@ from congrkit.verify import (
 )
 from congrkit.verify import (
     _R_eval_int,
+    _R_prefix_sum,
     _R_residues,
     _central_offset_power_sum,
     _central_square_power_sums,
     _offset_pair_sums,
+    _thm14ii_members,
 )
 
 
@@ -433,20 +449,63 @@ def test_offset_pair_sums_match_exact_oracle_for_every_offset(p):
     assert any(off_parity)
 
 
+# thm13 summed the exact R_values prefix; thm14ii weighted S over lcm(1..p-1)
+# and compared with an exact Bernoulli Fraction, reduced mod p^2 at the end.
+
+
+def _exact_thm14ii_members(p):
+    vals = S_values(p - 1)
+    lcm = math.lcm(*range(1, p))
+    acc1 = 0
+    acc2 = 0
+    for k in range(1, p):
+        u = lcm // k
+        w = vals[k] * u
+        acc1 += w
+        acc2 += w * u
+    closed = (
+        -Fraction(p, 2)
+        * legendre_symbol(p, 3)
+        * bernoulli_poly_eval(p - 2, Fraction(1, 3))
+    )
+    return [
+        ("harmonic weight", Fraction(acc1, lcm)),
+        ("p times square-harmonic weight", p * Fraction(acc2, lcm * lcm)),
+        ("Bernoulli closed form", closed),
+    ]
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100 + [997])
+def test_collapsed_R_prefix_sum_matches_exact_sum(p):
+    assert _R_prefix_sum(p) == sum(R_values(p - 1))
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100[1:])
+def test_thm14ii_residues_match_exact_oracle_mod_p_squared(p):
+    assert _thm14ii_members(p) == [
+        (label, _mod(value, p, 2)) for label, value in _exact_thm14ii_members(p)
+    ]
+
+
 # -- negative controls: falsified rows must make the prime checkers FAIL ----------
+
+
+def _serve_shifted_over(monkeypatch, index):
+    """Serve copies of the central rows with over[index] raised by one."""
+
+    def rows(upto):
+        central, over = _central_rows(upto)
+        over = list(over)
+        over[index] += 1
+        return list(central), over
+
+    monkeypatch.setattr(verify, "_central_rows", rows)
 
 
 @pytest.fixture
 def shifted_over(monkeypatch):
     """Serve copies of the central rows with binomial(2,1)/1 raised by one."""
-
-    def rows(upto):
-        central, over = _central_rows(upto)
-        over = list(over)
-        over[1] += 1
-        return list(central), over
-
-    monkeypatch.setattr(verify, "_central_rows", rows)
+    _serve_shifted_over(monkeypatch, 1)
 
 
 @pytest.mark.parametrize("p", (7, 13))
@@ -472,22 +531,49 @@ def test_conj51_fails_on_shifted_row(shifted_over):
     assert r.lhs != r.rhs
 
 
+@pytest.mark.parametrize("p", (7, 13))
+def test_thm13_fails_on_shifted_row(monkeypatch, p):
+    # over[0] + 1 moves the sum by binomial(p, 1) = p, nonzero mod p^2
+    _serve_shifted_over(monkeypatch, 0)
+    r = check_thm13(p)
+    assert r.status == FAIL
+    assert r.witness == {"left": "prefix sum", "right": "closed form"}
+    assert int(r.lhs) == (int(r.rhs) + p) % (p * p)
+
+
+@pytest.mark.parametrize("p", (7, 13))
+def test_thm14ii_fails_on_raised_S_value(monkeypatch, p):
+    def values(n_max):
+        vals = list(S_values(n_max))
+        vals[1] += 1
+        return vals
+
+    monkeypatch.setattr(verify, "S_values", values)
+    r = check_thm14_ii(p)
+    assert r.status == FAIL
+    assert r.witness == {
+        "left": "harmonic weight",
+        "right": "p times square-harmonic weight",
+    }
+    # S_1 / 1 moves the harmonic sum by 1 and the p-weighted one by p
+    assert (int(r.lhs) - int(r.rhs)) % (p * p) == (1 - p) % (p * p)
+
+
 def test_prefix_tables_stay_aligned_under_thread_races(monkeypatch, race):
     def cold():
-        monkeypatch.setattr(verify, "_R_PREFIX", [0])
         monkeypatch.setattr(verify, "_S_PREFIX", [0])
         monkeypatch.setattr(verify, "_S58_CUM", {})
 
     def grow():
-        return verify._r_prefix(301), verify._s_prefix(301), verify._s58_prefix(2, 60)
+        return verify._s_prefix(301), verify._s58_prefix(2, 60)
 
     def tables():
-        return verify._R_PREFIX, verify._S_PREFIX, verify._S58_CUM[2]
+        return verify._S_PREFIX, verify._S58_CUM[2]
 
     cold()
     results = race(grow)
     grown = tables()
     cold()
     assert results == [grow()] * 4
-    assert [len(t) for t in grown] == [302, 302, 61]
+    assert [len(t) for t in grown] == [302, 61]
     assert grown == tables()
