@@ -8,7 +8,10 @@ never on the worker count, and the timestamp field stays null unless
 ``--stamp`` is given.
 
 Exit codes: 0 when no instance FAILs or is ILL_POSED, 1 otherwise, 2 for
-usage errors.
+usage errors (a ValueError from the checker of an explicitly pinned instance
+included), 3 when a checker raises anything else: any exception on a grid
+instance, or one other than ValueError on a pinned instance.  A crash names
+its family and params on stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import io
 import json
 import multiprocessing
 import sys
+import traceback
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from typing import Optional
@@ -195,11 +199,25 @@ def _config(
     return config
 
 
+class _InstanceCrash(Exception):
+    """A checker raised.  args: family, params, the message of a ValueError
+    (None for any other exception) and the traceback, all picklable, so a
+    crash in a pool worker reaches the parent whole."""
+
+
+def _run_guarded(pair: tuple[str, dict]) -> CheckResult:
+    try:
+        return registry.run_pair(pair)
+    except Exception as exc:
+        message = str(exc) if isinstance(exc, ValueError) else None
+        raise _InstanceCrash(*pair, message, traceback.format_exc()) from None
+
+
 def _execute(pairs: list[tuple[str, dict]], jobs: int) -> list[CheckResult]:
     if jobs > 1 and len(pairs) > 1:
         with multiprocessing.Pool(processes=jobs) as pool:
-            return pool.map(registry.run_pair, pairs)
-    return [registry.run_pair(pair) for pair in pairs]
+            return pool.map(_run_guarded, pairs)
+    return [_run_guarded(pair) for pair in pairs]
 
 
 def _finish_checks(
@@ -207,11 +225,18 @@ def _finish_checks(
     parser: argparse.ArgumentParser,
     pairs: list[tuple[str, dict]],
     config: dict,
+    pinned: bool = False,
 ) -> int:
     try:
         results = _execute(pairs, args.jobs)
-    except (KeyError, ValueError) as exc:
-        parser.error(str(exc))
+    except _InstanceCrash as crash:
+        family, params, message, trace = crash.args
+        if pinned and message is not None:
+            parser.error(message)
+        sys.stderr.write(
+            "congrkit: checker crashed on %s %s\n%s" % (family, _compact(params), trace)
+        )
+        return 3
     report = Report(config=config, results=results, timestamp=_stamp(args))
     _write(emit_report(report, args.format), args.out)
     s = report.summary()
@@ -241,7 +266,7 @@ def _run_checks(
         config = _config(
             args, family="all" if multi else names[0], bounds=bounds
         )
-    return _finish_checks(args, parser, pairs, config)
+    return _finish_checks(args, parser, pairs, config, pinned=bool(pins))
 
 
 # -- subcommand handlers -------------------------------------------------------------

@@ -1,16 +1,23 @@
 """Catalogue of every registered check family.
 
-Each family bundles a display anchor, a generator for its default parameter
-grid, and a runner that executes one instance from a plain parameter
-dictionary.  Grids are deterministic, including the randomized framework
-sweeps, so repeated runs enumerate identical instances in identical order;
-``run_instance`` takes only picklable arguments and is safe to fan out
-across worker processes.
+``FAMILIES`` is the one declaration of each family: its name, group, anchor
+label, default grid, checker and explicit-parameter pins.  A grid maps a
+bounds dictionary to a list of parameter dictionaries, and the checker takes
+those parameters as keyword arguments: ``run_instance`` calls
+``check(**params)``, after decoding the two parameters whose JSON form
+differs from the checker's argument type (a kernel descriptor, and lemma42's
+``[num, den]`` pairs).  Every checker echoes its parameters in JSON form as
+``CheckResult.params``.  Grids are deterministic, including the randomized
+framework sweeps, so repeated runs enumerate identical instances in
+identical order; ``run_instance`` takes only picklable arguments and is safe
+to fan out across worker processes.
 
 Range overrides are passed as a bounds mapping with keys ``max_n``,
 ``max_p`` and ``max_m``.  Grids consume the bounds they understand and
 ignore the rest; the randomized framework sweeps are fixed and ignore
-overrides entirely.
+overrides entirely.  ``max_p`` is inclusive (p <= max_p) for every family
+except the conjecture scans conj51, conj54 and conj55, which read it as
+exclusive (p < max_p).
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional
 
 from . import qalgebra, sequences, verify
@@ -46,55 +54,45 @@ def _cap(bounds: dict, key: str, default: int) -> int:
     return default if value is None else value
 
 
-def _odd_primes(limit: int) -> list[int]:
-    return [p for p in primes_up_to(limit) if p % 2]
+def _primes(bounds: dict, default: int, least: int, below: bool = False) -> list[int]:
+    """Primes p >= least with p <= max_p, or p < max_p when below."""
+    top = _cap(bounds, "max_p", default)
+    return [p for p in primes_up_to(top - 1 if below else top) if p >= least]
 
 
-# -- sequence recurrences -------------------------------------------------------
+# -- grid builders shared by several families -------------------------------------
 
 
-def _grid_rec_r(bounds: dict) -> list[dict]:
-    return [{"n_max": _cap(bounds, "max_n", 200)}]
+def _n_grid(default: int, bounds: dict, start: int = 1) -> list[dict]:
+    """{"n": n} for start <= n <= max_n."""
+    return [{"n": n} for n in range(start, _cap(bounds, "max_n", default) + 1)]
 
 
-def _grid_rec_r_poly(bounds: dict) -> list[dict]:
-    return [{"n_max": _cap(bounds, "max_n", 100)}]
+def _p_grid(default: int, bounds: dict, least: int = 3) -> list[dict]:
+    """{"p": p} for the primes least <= p <= max_p."""
+    return [{"p": p} for p in _primes(bounds, default, least)]
 
 
-def _grid_rec_s(bounds: dict) -> list[dict]:
-    return [{"n_max": _cap(bounds, "max_n", 200)}]
+def _n_max_grid(default: int, bounds: dict) -> list[dict]:
+    """One instance checking indices up to max_n."""
+    return [{"n_max": _cap(bounds, "max_n", default)}]
+
+
+def _mn_grid(m_default: int, n_default: int, bounds: dict) -> list[dict]:
+    """{"m": m, "n": n} for 1 <= m <= max_m and 1 <= n <= max_n."""
+    return [
+        {"m": m, "n": n}
+        for m in range(1, _cap(bounds, "max_m", m_default) + 1)
+        for n in range(1, _cap(bounds, "max_n", n_default) + 1)
+    ]
 
 
 # -- fixed congruence and identity grids ----------------------------------------
 
 
-def _grid_thm11(bounds: dict) -> list[dict]:
-    return [{"p": p} for p in _odd_primes(_cap(bounds, "max_p", 1999))]
-
-
-def _grid_thm12(bounds: dict) -> list[dict]:
-    return [{"p": p} for p in _odd_primes(_cap(bounds, "max_p", 997))]
-
-
 def _grid_remark11(bounds: dict) -> list[dict]:
     top = _cap(bounds, "max_n", 20)
     return [{"n": n, "d": d} for n in range(top + 1) for d in range(n + 1)]
-
-
-def _grid_thm13(bounds: dict) -> list[dict]:
-    return [{"p": p} for p in _odd_primes(_cap(bounds, "max_p", 997))]
-
-
-def _grid_thm13ii(bounds: dict) -> list[dict]:
-    return [{"n": n} for n in range(1, _cap(bounds, "max_n", 500) + 1)]
-
-
-def _grid_thm14i(bounds: dict) -> list[dict]:
-    return [{"n": n} for n in range(1, _cap(bounds, "max_n", 300) + 1)]
-
-
-def _grid_thm14ii(bounds: dict) -> list[dict]:
-    return [{"p": p} for p in primes_up_to(_cap(bounds, "max_p", 499)) if p >= 5]
 
 
 def _grid_thm15i(bounds: dict) -> list[dict]:
@@ -117,18 +115,6 @@ def _grid_thm15ii(bounds: dict) -> list[dict]:
         for a in range(1, 4)
         for b in range(1, 4)
     ]
-
-
-def _grid_remark13(bounds: dict) -> list[dict]:
-    return [{"n": n} for n in range(1, _cap(bounds, "max_n", 100) + 1)]
-
-
-def _grid_cor11(bounds: dict) -> list[dict]:
-    return [{"n": n} for n in range(1, _cap(bounds, "max_n", 150) + 1)]
-
-
-def _grid_lemma22(bounds: dict) -> list[dict]:
-    return [{"n": n} for n in range(_cap(bounds, "max_n", 50) + 1)]
 
 
 def _grid_lemma23(bounds: dict) -> list[dict]:
@@ -318,198 +304,37 @@ def _grid_thm32q(bounds: dict) -> list[dict]:
     return out
 
 
-def _grid_conj57(bounds: dict) -> list[dict]:
-    return [{"n": n} for n in range(1, _cap(bounds, "max_n", 25) + 1)]
+# -- open-question scans ------------------------------------------------------------
 
 
-def _grid_conj58q(bounds: dict) -> list[dict]:
-    mtop = _cap(bounds, "max_m", 3)
-    ntop = _cap(bounds, "max_n", 20)
+def _grid_conj51(bounds: dict) -> list[dict]:
+    return [{"p": p} for p in _primes(bounds, 1000, 3, below=True) if p % 4 == 3]
+
+
+def _grid_conj52(bounds: dict) -> list[dict]:
+    top = _cap(bounds, "max_n", 1000)
     return [
-        {"m": m, "n": n}
-        for m in range(1, mtop + 1)
-        for n in range(1, ntop + 1)
+        {"seq": seq, "claim": claim, "n": n}
+        for seq in ("R", "S")
+        for claim in ("ratio_bound", "ratio_step", "root_step")
+        # ratio_step reads the term at n + 2, the others at n + 1: all stop at max_n
+        for n in range(
+            verify.CONJ52_START[(seq, claim)],
+            top - 1 if claim == "ratio_step" else top,
+        )
     ]
 
 
-# -- open-question scans: grids delegate to the scan planner ----------------------
-
-_SCAN_BOUND_KEYS = {
-    "conj51": ("p_max",),
-    "conj52": ("n_max",),
-    "conj53": ("n_max",),
-    "conj54": ("n_max", "p_max"),
-    "conj55": ("n_max", "p_max"),
-    "conj56": ("n_max",),
-    "conj58i": ("m_max", "n_max"),
-    "remark52": ("n_max",),
-    "remark53": ("n_max",),
-}
-
-_BOUND_ALIASES = {"n_max": "max_n", "p_max": "max_p", "m_max": "max_m"}
-
-
-def _scan_grid(selector: str) -> Callable[[dict], list[dict]]:
-    def grid(bounds: dict) -> list[dict]:
-        kwargs = {
-            key: bounds.get(_BOUND_ALIASES[key])
-            for key in _SCAN_BOUND_KEYS[selector]
-        }
-        return verify.scan_instances(selector, **kwargs)
-
-    return grid
-
-
-def _scan_runner(selector: str) -> Callable[[dict], CheckResult]:
-    def run(params: dict) -> CheckResult:
-        return verify.scan_run(selector, params)
-
-    return run
-
-
-# -- instance runners --------------------------------------------------------------
-
-
-def _run_rec_r(params: dict) -> CheckResult:
-    return sequences.check_recurrence_R(params["n_max"])
-
-
-def _run_rec_r_poly(params: dict) -> CheckResult:
-    return sequences.check_recurrence_R_poly(params["n_max"])
-
-
-def _run_rec_s(params: dict) -> CheckResult:
-    return sequences.check_recurrence_S(params["n_max"])
-
-
-def _run_thm11(params: dict) -> CheckResult:
-    return verify.check_thm11(params["p"])
-
-
-def _run_thm12(params: dict) -> CheckResult:
-    return verify.check_thm12(params["p"])
-
-
-def _run_remark11(params: dict) -> CheckResult:
-    return verify.check_remark11(params["n"], params["d"])
-
-
-def _run_thm13(params: dict) -> CheckResult:
-    return verify.check_thm13(params["p"])
-
-
-def _run_thm13ii(params: dict) -> CheckResult:
-    return verify.check_thm13_ii(params["n"])
-
-
-def _run_thm14i(params: dict) -> CheckResult:
-    return verify.check_thm14_i(params["n"])
-
-
-def _run_thm14ii(params: dict) -> CheckResult:
-    return verify.check_thm14_ii(params["p"])
-
-
-def _run_thm15i(params: dict) -> CheckResult:
-    return verify.check_thm15_i_grid(params["m"], params["n"], params["variant"])
-
-
-def _run_thm15ii(params: dict) -> CheckResult:
-    return verify.check_thm15_ii(params["n"], params["a"], params["b"])
-
-
-def _run_remark13(params: dict) -> CheckResult:
-    return verify.check_remark13(params["n"])
-
-
-def _run_xval15(params: dict) -> CheckResult:
-    return verify.check_xval15(params["n"], params["a"], params["b"])
-
-
-def _run_cor11(params: dict) -> CheckResult:
-    return verify.check_cor11(params["n"])
-
-
-def _run_lemma22(params: dict) -> CheckResult:
-    return verify.check_lemma22(params["n"])
-
-
-def _run_lemma23(params: dict) -> CheckResult:
-    return verify.check_lemma23(params["n"], params["k"])
-
-
-def _run_thm41(params: dict) -> CheckResult:
-    return verify.check_thm41(
-        params["n"],
-        kernel_from_descriptor(params["kernel"]),
-        params["a_list"],
-        params["b_list"],
+def _kind_grid(least: int, bounds: dict) -> list[dict]:
+    """Divisibility form for n <= max_n, then prime form for least <= p < max_p."""
+    out = [
+        {"kind": "divisibility", "n": n}
+        for n in range(1, _cap(bounds, "max_n", 200) + 1)
+    ]
+    out.extend(
+        {"kind": "prime", "p": p} for p in _primes(bounds, 300, least, below=True)
     )
-
-
-def _run_cor41(params: dict) -> CheckResult:
-    return verify.check_cor41(params["n"], params["a_list"], params["b_list"])
-
-
-def _run_thm42(params: dict) -> CheckResult:
-    return verify.check_thm42(
-        params["n"], kernel_from_descriptor(params["kernel"]), params["a_list"]
-    )
-
-
-def _run_thm43(params: dict) -> CheckResult:
-    return verify.check_thm43(
-        params["n"],
-        kernel_from_descriptor(params["kernel"]),
-        params["a_list"],
-        params["strength"],
-    )
-
-
-def _run_thm44(params: dict) -> CheckResult:
-    return verify.check_thm44(
-        params["n"],
-        params["a"],
-        params["b"],
-        kernel_from_descriptor(params["kernel"]),
-    )
-
-
-def _run_lemma42(params: dict) -> CheckResult:
-    seq = [Fraction(num, den) for num, den in params["a_seq"]]
-    return verify.check_lemma42(params["n"], seq)
-
-
-def _run_remark52(params: dict) -> CheckResult:
-    return verify.check_remark52(params["n"])
-
-
-def _run_qlucas(params: dict) -> CheckResult:
-    return qalgebra.check_q_lucas(
-        params["a"], params["b"], params["s"], params["t"], params["d"]
-    )
-
-
-def _run_lemma32(params: dict) -> CheckResult:
-    return qalgebra.check_lemma32(params["n"], params["k"])
-
-
-def _run_thm31q(params: dict) -> CheckResult:
-    return qalgebra.check_theorem31_q(params["n"], params["k"])
-
-
-def _run_thm32q(params: dict) -> CheckResult:
-    return qalgebra.check_theorem32_q(
-        params["n"], params["a"], params["b"], params["a_prime"]
-    )
-
-
-def _run_conj57(params: dict) -> CheckResult:
-    return qalgebra.check_conj57(params["n"])
-
-
-def _run_conj58q(params: dict) -> CheckResult:
-    return qalgebra.check_conj58_q(params["m"], params["n"])
+    return out
 
 
 def _pin_kind(pins: dict) -> dict:
@@ -523,13 +348,14 @@ def _pin_kind(pins: dict) -> dict:
 
 @dataclass(frozen=True)
 class Family:
-    """One registered check family: anchor label, default grid, runner."""
+    """One registered check family: anchor label, default grid, checker
+    (called as check(**params)) and the params the command line may pin."""
 
     name: str
     group: str
     anchor: str
     grid: Callable[[dict], list[dict]]
-    run: Callable[[dict], CheckResult]
+    check: Callable[..., CheckResult]
     pins: tuple[str, ...] = ()
     pin_build: Optional[Callable[[dict], dict]] = None
 
@@ -553,300 +379,321 @@ class Family:
         return {key: pins[key] for key in self.pins}
 
 
-def _fam(
-    name: str,
-    group: str,
-    anchor: str,
-    grid: Callable[[dict], list[dict]],
-    run: Callable[[dict], CheckResult],
-    pins: tuple[str, ...] = (),
-    pin_build: Optional[Callable[[dict], dict]] = None,
-) -> tuple[str, Family]:
-    return name, Family(name, group, anchor, grid, run, pins, pin_build)
-
-
-FAMILIES: dict[str, Family] = dict(
-    [
-        _fam("rec_r", "sequences", "Recurrence (1.3)", _grid_rec_r, _run_rec_r),
-        _fam(
+FAMILIES: dict[str, Family] = {
+    fam.name: fam
+    for fam in (
+        Family(
+            "rec_r",
+            "sequences",
+            "Recurrence (1.3)",
+            partial(_n_max_grid, 200),
+            sequences.check_recurrence_R,
+        ),
+        Family(
             "rec_r_poly",
             "sequences",
             "Recurrence (1.5)",
-            _grid_rec_r_poly,
-            _run_rec_r_poly,
+            partial(_n_max_grid, 100),
+            sequences.check_recurrence_R_poly,
         ),
-        _fam("rec_s", "sequences", "Recurrence (1.18)", _grid_rec_s, _run_rec_s),
-        _fam(
+        Family(
+            "rec_s",
+            "sequences",
+            "Recurrence (1.18)",
+            partial(_n_max_grid, 200),
+            sequences.check_recurrence_S,
+        ),
+        Family(
             "thm11",
             "congruences",
             "Theorem 1.1 (1.6)-(1.11)",
-            _grid_thm11,
-            _run_thm11,
+            partial(_p_grid, 1999),
+            verify.check_thm11,
             ("p",),
         ),
-        _fam(
+        Family(
             "thm12",
             "congruences",
             "Theorem 1.2 (1.12)",
-            _grid_thm12,
-            _run_thm12,
+            partial(_p_grid, 997),
+            verify.check_thm12,
             ("p",),
         ),
-        _fam(
+        Family(
             "remark11",
             "congruences",
             "Remark 1.1",
             _grid_remark11,
-            _run_remark11,
+            verify.check_remark11,
             ("n", "d"),
         ),
-        _fam(
+        Family(
             "thm13",
             "congruences",
             "Theorem 1.3 (1.13)",
-            _grid_thm13,
-            _run_thm13,
+            partial(_p_grid, 997),
+            verify.check_thm13,
             ("p",),
         ),
-        _fam(
+        Family(
             "thm13ii",
             "congruences",
             "Theorem 1.3 (1.14)/(1.15)",
-            _grid_thm13ii,
-            _run_thm13ii,
+            partial(_n_grid, 500),
+            verify.check_thm13_ii,
             ("n",),
         ),
-        _fam(
+        Family(
             "thm14i",
             "congruences",
             "Theorem 1.4 (1.19)/(1.20)",
-            _grid_thm14i,
-            _run_thm14i,
+            partial(_n_grid, 300),
+            verify.check_thm14_i,
             ("n",),
         ),
-        _fam(
+        Family(
             "thm14ii",
             "congruences",
             "Theorem 1.4(ii)",
-            _grid_thm14ii,
-            _run_thm14ii,
+            partial(_p_grid, 499, least=5),
+            verify.check_thm14_ii,
             ("p",),
         ),
-        _fam(
+        Family(
             "thm15i",
             "congruences",
             "Theorem 1.5(i) (1.21)-(1.26)",
             _grid_thm15i,
-            _run_thm15i,
+            verify.check_thm15_i_grid,
             ("n", "m", "variant"),
         ),
-        _fam(
+        Family(
             "thm15ii",
             "congruences",
             "Theorem 1.5(ii) (1.27)-(1.35)",
             _grid_thm15ii,
-            _run_thm15ii,
+            verify.check_thm15_ii,
             ("n", "a", "b"),
         ),
-        _fam(
+        Family(
             "remark13",
             "congruences",
             "Remark 1.3 (1.36)",
-            _grid_remark13,
-            _run_remark13,
+            partial(_n_grid, 100),
+            verify.check_remark13,
             ("n",),
         ),
-        _fam(
+        Family(
             "xval15",
             "congruences",
             "Theorem 1.5(ii) via Theorem 4.4 kernels",
             _grid_thm15ii,
-            _run_xval15,
+            verify.check_xval15,
             ("n", "a", "b"),
         ),
-        _fam(
+        Family(
             "cor11",
             "congruences",
             "Corollary 1.1 (1.37)/(1.38)",
-            _grid_cor11,
-            _run_cor11,
+            partial(_n_grid, 150),
+            verify.check_cor11,
             ("n",),
         ),
-        _fam(
+        Family(
             "lemma22",
             "congruences",
             "Lemma 2.2 (2.2)",
-            _grid_lemma22,
-            _run_lemma22,
+            partial(_n_grid, 50, start=0),
+            verify.check_lemma22,
             ("n",),
         ),
-        _fam(
+        Family(
             "lemma23",
             "congruences",
             "Lemma 2.3 (2.6)",
             _grid_lemma23,
-            _run_lemma23,
+            verify.check_lemma23,
             ("n", "k"),
         ),
-        _fam(
+        Family(
             "thm41",
             "framework",
             "Theorem 4.1 (4.1)/(4.2)",
             _grid_thm41,
-            _run_thm41,
+            verify.check_thm41,
         ),
-        _fam(
+        Family(
             "cor41",
             "framework",
             "Corollary 4.1 (4.4)-(4.8)",
             _grid_cor41,
-            _run_cor41,
+            verify.check_cor41,
         ),
-        _fam("thm42", "framework", "Theorem 4.2 (4.9)", _grid_thm42, _run_thm42),
-        _fam(
+        Family(
+            "thm42",
+            "framework",
+            "Theorem 4.2 (4.9)",
+            _grid_thm42,
+            verify.check_thm42,
+        ),
+        Family(
             "thm43",
             "framework",
             "Theorem 4.3 (4.10)-(4.12)",
             _grid_thm43,
-            _run_thm43,
+            verify.check_thm43,
         ),
-        _fam("thm44", "framework", "Theorem 4.4 (4.14)", _grid_thm44, _run_thm44),
-        _fam(
+        Family(
+            "thm44",
+            "framework",
+            "Theorem 4.4 (4.14)",
+            _grid_thm44,
+            verify.check_thm44,
+        ),
+        Family(
             "lemma42",
             "framework",
             "Lemma 4.2 (4.16)",
             _grid_lemma42,
-            _run_lemma42,
+            verify.check_lemma42,
         ),
-        _fam(
+        Family(
             "qlucas",
             "q-analogues",
             "Lemma 3.1 (3.1)",
             _grid_qlucas,
-            _run_qlucas,
+            qalgebra.check_q_lucas,
             ("a", "b", "s", "t", "d"),
         ),
-        _fam(
+        Family(
             "lemma32",
             "q-analogues",
             "Lemma 3.2 (3.2)",
             _grid_lemma32,
-            _run_lemma32,
+            qalgebra.check_lemma32,
             ("n", "k"),
         ),
-        _fam(
+        Family(
             "thm31q",
             "q-analogues",
             "Theorem 3.1 (3.3)/(3.4)",
             _grid_thm31q,
-            _run_thm31q,
+            qalgebra.check_theorem31_q,
             ("n", "k"),
         ),
-        _fam(
+        Family(
             "thm32q",
             "q-analogues",
             "Theorem 3.2 (3.7)/(3.8)",
             _grid_thm32q,
-            _run_thm32q,
+            qalgebra.check_theorem32_q,
             ("n", "a", "b", "a_prime"),
         ),
-        _fam(
+        Family(
             "conj57",
             "q-analogues",
             "Conjecture 5.7 (5.10)",
-            _grid_conj57,
-            _run_conj57,
+            partial(_n_grid, 25),
+            qalgebra.check_conj57,
             ("n",),
         ),
-        _fam(
+        Family(
             "conj58q",
             "q-analogues",
             "Conjecture 5.8(ii) (5.13)/(5.14)",
-            _grid_conj58q,
-            _run_conj58q,
+            partial(_mn_grid, 3, 20),
+            qalgebra.check_conj58_q,
             ("m", "n"),
         ),
-        _fam(
+        Family(
             "conj51",
             "conjectures",
             "Conjecture 5.1 (5.1)/(5.2)",
-            _scan_grid("conj51"),
-            _scan_runner("conj51"),
+            _grid_conj51,
+            verify.check_conj51,
             ("p",),
         ),
-        _fam(
+        Family(
             "conj52",
             "conjectures",
             "Conjecture 5.2 growth surrogates",
-            _scan_grid("conj52"),
-            _scan_runner("conj52"),
+            _grid_conj52,
+            verify.check_conj52,
         ),
-        _fam(
+        Family(
             "conj53",
             "conjectures",
             "Conjecture 5.3 irreducibility",
-            _scan_grid("conj53"),
-            _scan_runner("conj53"),
+            partial(_n_grid, 8),
+            verify.conj53_witness,
             ("n",),
         ),
-        _fam(
+        Family(
             "conj54",
             "conjectures",
             "Conjecture 5.4 (5.3)-(5.5)",
-            _scan_grid("conj54"),
-            _scan_runner("conj54"),
+            partial(_kind_grid, 3),
+            verify.check_conj54,
             ("n", "p"),
             _pin_kind,
         ),
-        _fam(
+        Family(
             "conj55",
             "conjectures",
             "Conjecture 5.5 (5.7)/(5.8)",
-            _scan_grid("conj55"),
-            _scan_runner("conj55"),
+            partial(_kind_grid, 2),
+            verify.check_conj55,
             ("n", "p"),
             _pin_kind,
         ),
-        _fam(
+        Family(
             "conj56",
             "conjectures",
             "Conjecture 5.6 (5.9)",
-            _scan_grid("conj56"),
-            _scan_runner("conj56"),
+            partial(_n_grid, 200),
+            verify.check_conj56,
             ("n",),
         ),
-        _fam(
+        Family(
             "remark52",
             "conjectures",
             "Remark 5.2 (5.6)",
-            _scan_grid("remark52"),
-            _scan_runner("remark52"),
+            partial(_n_grid, 50),
+            verify.check_remark52,
             ("n",),
         ),
-        _fam(
+        Family(
             "remark53",
             "conjectures",
             "Remark 5.3",
-            _scan_grid("remark53"),
-            _scan_runner("remark53"),
+            partial(_n_grid, 200),
+            verify.check_remark53,
             ("n",),
         ),
-        _fam(
+        Family(
             "conj58i",
             "conjectures",
             "Conjecture 5.8(i) (5.11)/(5.12)",
-            _scan_grid("conj58i"),
-            _scan_runner("conj58i"),
+            partial(_mn_grid, 4, 60),
+            verify.check_conj58i,
             ("m", "n"),
         ),
-    ]
-)
+    )
+}
 
 GROUPS = ("sequences", "congruences", "framework", "q-analogues", "conjectures")
 
-SCAN_SELECTORS = tuple(_SCAN_BOUND_KEYS)
+SCAN_SELECTORS = tuple(
+    name for name, fam in FAMILIES.items() if fam.group == "conjectures"
+)
 
-Q_FAMILIES = ("qlucas", "lemma32", "thm31q", "thm32q", "conj57", "conj58q")
+Q_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.group == "q-analogues")
+
+# Params whose JSON form differs from the checker's argument type.
+_DECODE: dict[str, Callable] = {
+    "kernel": kernel_from_descriptor,
+    "a_seq": lambda pairs: [Fraction(num, den) for num, den in pairs],
+}
 
 
 def family_names() -> list[str]:
@@ -866,8 +713,12 @@ def instances_for(name: str, bounds: Optional[dict] = None) -> list[dict]:
 
 
 def run_instance(name: str, params: dict) -> CheckResult:
-    """Execute a single instance; everything involved is picklable."""
-    return get_family(name).run(params)
+    """Execute one instance as check(**params); everything involved pickles."""
+    args = {
+        key: _DECODE[key](value) if key in _DECODE else value
+        for key, value in params.items()
+    }
+    return get_family(name).check(**args)
 
 
 def run_pair(pair: tuple[str, dict]) -> CheckResult:

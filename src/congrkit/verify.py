@@ -32,6 +32,10 @@ The harmonic weights sum S_k / k and p sum S_k / k^2 are residues as well.
 Every denominator involved (2, 3 and k < p) is prime to p, so no instance
 of either family is ILL_POSED.
 
+Each checker, the conjecture scans included, takes its registry grid keys
+as keyword arguments and echoes them in JSON form as CheckResult.params;
+``registry.run_instance`` calls it as ``check(**params)``.
+
 Checkers that aggregate an inner parameter (the offset d of a ratio-sum
 family, the index k of a per-term divisibility) return a single
 CheckResult whose witness points at the first failing inner instance.
@@ -111,10 +115,15 @@ __all__ = [
     "check_lemma42",
     "check_remark52",
     "conj53_witness",
+    "check_conj51",
+    "check_conj52",
+    "check_conj54",
+    "check_conj55",
+    "check_conj56",
+    "check_remark53",
+    "check_conj58i",
     "kernel_from_descriptor",
     "kernel_descriptor",
-    "scan_instances",
-    "scan_run",
 ]
 
 
@@ -1469,7 +1478,8 @@ def _s58_prefix(m: int, n: int) -> list[int]:
     )
 
 
-def _conj51_run(p: int) -> CheckResult:
+def check_conj51(p: int) -> CheckResult:
+    """Base-8 central square power sums over primes 3 mod 4, mod p^2."""
     if p % 4 != 3 or not is_prime(p):
         raise ValueError("conj51: p must be a prime congruent to 3 mod 4")
     params = {"p": p}
@@ -1501,7 +1511,7 @@ def _conj51_run(p: int) -> CheckResult:
     )
 
 
-_CONJ52_START = {
+CONJ52_START = {
     ("R", "ratio_step"): 3,
     ("R", "ratio_bound"): 3,
     ("R", "root_step"): 5,
@@ -1511,10 +1521,11 @@ _CONJ52_START = {
 }
 
 
-def _conj52_run(seq: str, claim: str, n: int) -> CheckResult:
-    if seq not in ("R", "S") or (seq, claim) not in _CONJ52_START:
+def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
+    """Exact surrogates for the growth of consecutive terms of R or S."""
+    if seq not in ("R", "S") or (seq, claim) not in CONJ52_START:
         raise ValueError("conj52: unknown sequence or claim")
-    if n < _CONJ52_START[(seq, claim)]:
+    if n < CONJ52_START[(seq, claim)]:
         raise ValueError("conj52: index below the conjectured range")
     params = {"seq": seq, "claim": claim, "n": n}
     vals = R_values(n + 2) if seq == "R" else S_values(n + 2)
@@ -1562,9 +1573,12 @@ def _conj52_run(seq: str, claim: str, n: int) -> CheckResult:
     )
 
 
-def _conj54_run(params: dict) -> CheckResult:
-    if params.get("kind") == "divisibility":
-        n = params["n"]
+def check_conj54(
+    kind: str, n: Optional[int] = None, p: Optional[int] = None
+) -> CheckResult:
+    """Square prefix sums of R: divisible by n, or closed forms mod p^2, p^3."""
+    if kind == "divisibility":
+        params = {"kind": kind, "n": n}
         square, odd = _r_square_prefixes(n)
         return _divisibility(
             "conj54",
@@ -1574,7 +1588,7 @@ def _conj54_run(params: dict) -> CheckResult:
                 ("odd-weighted square prefix", odd, n),
             ],
         )
-    p = params["p"]
+    params = {"kind": kind, "p": p}
     if p < 3 or not is_prime(p):
         raise ValueError("conj54: p must be an odd prime")
     square, odd = _r_square_prefixes(p)
@@ -1605,15 +1619,18 @@ def _conj54_run(params: dict) -> CheckResult:
     )
 
 
-def _conj55_run(params: dict) -> CheckResult:
-    if params.get("kind") == "divisibility":
-        n = params["n"]
+def check_conj55(
+    kind: str, n: Optional[int] = None, p: Optional[int] = None
+) -> CheckResult:
+    """Weighted prefix sums of S: divisible by n^2, or a closed form mod p^3."""
+    if kind == "divisibility":
+        params = {"kind": kind, "n": n}
         return _divisibility(
             "conj55",
             params,
             [("quadrupled weighted prefix", 4 * _s_weighted_prefix(n), n * n)],
         )
-    p = params["p"]
+    params = {"kind": kind, "p": p}
     if not is_prime(p):
         raise ValueError("conj55: p must be prime")
     target = Fraction(p * p, 8) * (5 - 9 * legendre_symbol(p, 3))
@@ -1629,7 +1646,8 @@ def _conj55_run(params: dict) -> CheckResult:
     )
 
 
-def _conj56_run(n: int) -> CheckResult:
+def check_conj56(n: int) -> CheckResult:
+    """Prefix sums of s, S^+ and S^- are divisible by n^2."""
     plain, plus, minus = _small_prefixes(n)
     return _divisibility(
         "conj56",
@@ -1642,7 +1660,8 @@ def _conj56_run(n: int) -> CheckResult:
     )
 
 
-def _remark53_run(n: int) -> CheckResult:
+def check_remark53(n: int) -> CheckResult:
+    """Prefix sums of S^+ and S^- are divisible by n."""
     _, plus, minus = _small_prefixes(n)
     return _divisibility(
         "remark53",
@@ -1654,7 +1673,8 @@ def _remark53_run(n: int) -> CheckResult:
     )
 
 
-def _conj58i_run(m: int, n: int) -> CheckResult:
+def check_conj58i(m: int, n: int) -> CheckResult:
+    """Coefficients of the prefix sum of the S_m polynomials are divisible by n."""
     params = {"m": m, "n": n}
     coeffs = _s58_prefix(m, n)
     for k, c in enumerate(coeffs):
@@ -1675,10 +1695,6 @@ def _conj58i_run(m: int, n: int) -> CheckResult:
         modulus=str(n),
         note="coefficient form; covers the per-index tail sums",
     )
-
-
-def _remark52_run(n: int) -> CheckResult:
-    return check_remark52(n)
 
 
 # -- irreducibility witness search over prime fields -----------------------------
@@ -1821,100 +1837,3 @@ def conj53_witness(
             )
         notes.append("%s: irreducible mod %d" % (label, hit))
     return CheckResult("conj53", params, PASS, note="; ".join(notes))
-
-
-# -- scan plumbing ----------------------------------------------------------------
-
-_SCAN_DEFAULTS: dict[str, dict[str, int]] = {
-    "conj51": {"p_max": 1000},
-    "conj52": {"n_max": 1000},
-    "conj53": {"n_max": 8},
-    "conj54": {"n_max": 200, "p_max": 300},
-    "conj55": {"n_max": 200, "p_max": 300},
-    "conj56": {"n_max": 200},
-    "conj58i": {"m_max": 4, "n_max": 60},
-    "remark52": {"n_max": 50},
-    "remark53": {"n_max": 200},
-}
-
-
-def scan_instances(selector: str, **bounds: Optional[int]) -> list[dict]:
-    """Parameter dictionaries for one conjecture scan, in canonical order."""
-    if selector not in _SCAN_DEFAULTS:
-        raise ValueError("unknown scan selector %r" % (selector,))
-    limits = dict(_SCAN_DEFAULTS[selector])
-    for key, value in bounds.items():
-        if value is None:
-            continue
-        if key not in limits:
-            raise ValueError("selector %s takes no bound %r" % (selector, key))
-        limits[key] = value
-    out: list[dict] = []
-    if selector == "conj51":
-        out = [
-            {"p": p}
-            for p in primes_up_to(limits["p_max"] - 1)
-            if p % 4 == 3
-        ]
-    elif selector == "conj52":
-        top = limits["n_max"]
-        for seq in ("R", "S"):
-            for claim in ("ratio_bound", "ratio_step", "root_step"):
-                start = _CONJ52_START[(seq, claim)]
-                stop = top - 2 if claim == "ratio_step" else top - 1
-                out.extend(
-                    {"seq": seq, "claim": claim, "n": n}
-                    for n in range(start, stop + 1)
-                )
-    elif selector == "conj53":
-        out = [{"n": n} for n in range(1, limits["n_max"] + 1)]
-    elif selector == "conj54":
-        out = [
-            {"kind": "divisibility", "n": n}
-            for n in range(1, limits["n_max"] + 1)
-        ]
-        out.extend(
-            {"kind": "prime", "p": p}
-            for p in primes_up_to(limits["p_max"] - 1)
-            if p > 2
-        )
-    elif selector == "conj55":
-        out = [
-            {"kind": "divisibility", "n": n}
-            for n in range(1, limits["n_max"] + 1)
-        ]
-        out.extend(
-            {"kind": "prime", "p": p} for p in primes_up_to(limits["p_max"] - 1)
-        )
-    elif selector in ("conj56", "remark52", "remark53"):
-        out = [{"n": n} for n in range(1, limits["n_max"] + 1)]
-    elif selector == "conj58i":
-        out = [
-            {"m": m, "n": n}
-            for m in range(1, limits["m_max"] + 1)
-            for n in range(1, limits["n_max"] + 1)
-        ]
-    return out
-
-
-def scan_run(selector: str, params: dict) -> CheckResult:
-    """Run one scan instance; params as produced by scan_instances."""
-    if selector == "conj51":
-        return _conj51_run(params["p"])
-    if selector == "conj52":
-        return _conj52_run(params["seq"], params["claim"], params["n"])
-    if selector == "conj53":
-        return conj53_witness(params["n"], params.get("p_candidates"))
-    if selector == "conj54":
-        return _conj54_run(params)
-    if selector == "conj55":
-        return _conj55_run(params)
-    if selector == "conj56":
-        return _conj56_run(params["n"])
-    if selector == "conj58i":
-        return _conj58i_run(params["m"], params["n"])
-    if selector == "remark52":
-        return _remark52_run(params["n"])
-    if selector == "remark53":
-        return _remark53_run(params["n"])
-    raise ValueError("unknown scan selector %r" % (selector,))

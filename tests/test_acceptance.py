@@ -46,6 +46,9 @@ S_POLY_GOLDEN = [
 # sha256 of `verify --all --format json` at the default bounds
 GOLDEN_REPORT_SHA256 = "b0ec6fa1453db1e7d742dd642be91f941ba8cc339d2f4059576c7cff095a08d2"
 
+# sha256 of `congrkit list`
+GOLDEN_LIST_SHA256 = "eb34482d4b7649d82166f4865d443dda7c0d8621b93ba7edcc40966f80c4c682"
+
 
 @pytest.fixture(scope="session")
 def sweep():
@@ -284,3 +287,30 @@ def test_c14_report_bytes_identical_across_worker_counts(cli, tmp_path):
     assert report["summary"]["fail"] == 0
     assert report["summary"]["ill_posed"] == 0
     assert len(report["results"]) == len(registry.all_jobs())
+
+
+def _dump(params):
+    return json.dumps(params, sort_keys=True)
+
+
+def test_results_echo_their_family_and_grid_params(sweep):
+    # perfbench/gate.py matches report rows to registry.all_jobs by this echo
+    for name, rows in sweep.items():
+        for params, r in rows:
+            assert r.family == name
+            assert _dump(r.params) == _dump(params)
+        fam = registry.FAMILIES[name]
+        if fam.pins:
+            first = rows[0][0]
+            pins = {key: val for key, val in first.items() if key in fam.pins}
+            params = fam.instance_from_pins(pins)
+            assert _dump(params) == _dump(first)
+            r = registry.run_instance(name, params)
+            assert r.family == name
+            assert _dump(r.params) == _dump(first)
+
+
+def test_list_output_is_pinned(cli):
+    run = cli("list")
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == GOLDEN_LIST_SHA256

@@ -1,7 +1,12 @@
 """Command line surface: formats, determinism, exit codes."""
 
+import dataclasses
 import json
 
+import pytest
+
+from congrkit import cli as cli_module
+from congrkit import registry
 from congrkit.sequences import t_seq
 
 
@@ -135,3 +140,40 @@ def test_version_flag(cli):
     run = cli("--version")
     assert run.returncode == 0
     assert b"0.1.0" in run.stdout
+
+
+def _crash_thm13_at_7(monkeypatch, error):
+    """Make the registered thm13 checker raise error at p = 7 (fork copies it)."""
+    fam = registry.FAMILIES["thm13"]
+
+    def check(p):
+        if p == 7:
+            raise error("checker broke")
+        return fam.check(p)
+
+    monkeypatch.setitem(
+        registry.FAMILIES, "thm13", dataclasses.replace(fam, check=check)
+    )
+
+
+@pytest.mark.parametrize("jobs", ("1", "2"))
+@pytest.mark.parametrize("error", (ValueError, ZeroDivisionError))
+def test_checker_crash_on_grid_instance_exits_3(monkeypatch, capsys, jobs, error):
+    _crash_thm13_at_7(monkeypatch, error)
+    argv = ["verify", "thm13", "--max-p", "13", "--jobs", jobs, "--format", "json"]
+    assert cli_module.main(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert 'crashed on thm13 {"p":7}' in err
+    assert "%s: checker broke" % error.__name__ in err
+
+
+def test_checker_crash_on_pinned_instance(monkeypatch, capsys):
+    _crash_thm13_at_7(monkeypatch, ValueError)
+    with pytest.raises(SystemExit) as stop:
+        cli_module.main(["verify", "thm13", "--p", "7"])
+    assert stop.value.code == 2
+    assert "checker broke" in capsys.readouterr().err
+    _crash_thm13_at_7(monkeypatch, ZeroDivisionError)
+    assert cli_module.main(["verify", "thm13", "--p", "7"]) == 3
+    assert 'crashed on thm13 {"p":7}' in capsys.readouterr().err

@@ -232,7 +232,7 @@ def test_thm31q_residue_matches_full_degree_oracle():
 
 
 def test_thm32q_residue_matches_full_degree_oracle():
-    grid = registry._grid_thm32q({"max_n": 12})
+    grid = registry.instances_for("thm32q", {"max_n": 12})
     assert len(grid) == 12 * 15
     for p in grid:
         r = check_theorem32_q(**p)

@@ -24,6 +24,7 @@ from congrkit.sequences import (
     T_seq,
     _central_rows,
 )
+from congrkit.registry import instances_for, run_instance
 from congrkit.verify import (
     THM15_VARIANTS,
     check_cor11,
@@ -49,8 +50,6 @@ from congrkit.verify import (
     check_thm44,
     check_xval15,
     conj53_witness,
-    scan_instances,
-    scan_run,
 )
 from congrkit.verify import (
     _R_eval_int,
@@ -300,14 +299,14 @@ def test_half_value_square_congruence():
 
 
 def test_prime_scan_instances_and_run():
-    ins = scan_instances("conj51", p_max=20)
+    ins = instances_for("conj51", {"max_p": 20})
     assert ins == [{"p": 3}, {"p": 7}, {"p": 11}, {"p": 19}]
-    assert scan_run("conj51", {"p": 3}).status == PASS
+    assert run_instance("conj51", {"p": 3}).status == PASS
 
 
 def test_growth_scan_run():
-    ins = scan_instances("conj52", n_max=5)
-    assert all(scan_run("conj52", params).status == PASS for params in ins)
+    ins = instances_for("conj52", {"max_n": 5})
+    assert all(run_instance("conj52", params).status == PASS for params in ins)
     # the surrogate order at n = 4: products of neighbours beat the square
     assert R(6) * R(4) > R(5) ** 2
 
@@ -323,36 +322,47 @@ def test_irreducibility_verdicts_never_fail():
 
 
 def test_square_sum_scan():
-    ins = scan_instances("conj54", n_max=50, p_max=0)
+    ins = instances_for("conj54", {"max_n": 50, "max_p": 0})
     assert len(ins) == 50
-    r = scan_run("conj54", {"kind": "divisibility", "n": 3})
+    r = run_instance("conj54", {"kind": "divisibility", "n": 3})
     assert r.status == PASS
     assert sum(R(k) ** 2 for k in range(3)) == 51
     assert 51 % 3 == 0
-    prime = scan_run("conj54", {"kind": "prime", "p": 13})
+    prime = run_instance("conj54", {"kind": "prime", "p": 13})
     assert prime.status == PASS
 
 
 def test_weighted_sum_scan():
-    r = scan_run("conj55", {"kind": "divisibility", "n": 2})
+    r = run_instance("conj55", {"kind": "divisibility", "n": 2})
     assert r.status == PASS
     assert 4 * sum(k * S(k) for k in range(2)) == 28
     assert 28 % 4 == 0
-    assert scan_run("conj55", {"kind": "prime", "p": 2}).status == PASS
+    assert run_instance("conj55", {"kind": "prime", "p": 2}).status == PASS
 
 
 def test_remaining_scans_pass_on_spot_instances():
-    assert scan_run("conj56", {"n": 7}).status == PASS
-    assert scan_run("remark52", {"n": 4}).status == PASS
-    assert scan_run("remark53", {"n": 9}).status == PASS
+    assert run_instance("conj56", {"n": 7}).status == PASS
+    assert run_instance("remark52", {"n": 4}).status == PASS
+    assert run_instance("remark53", {"n": 9}).status == PASS
     assert sum(S_cplus(k) for k in range(9)) % 9 == 0
     assert sum(S_cminus(k) for k in range(9)) % 9 == 0
-    assert scan_run("conj58i", {"m": 2, "n": 5}).status == PASS
+    assert run_instance("conj58i", {"m": 2, "n": 5}).status == PASS
 
 
 def test_scan_selector_validation():
     with pytest.raises(ValueError):
-        scan_instances("nope")
+        instances_for("nope")
+
+
+def test_max_p_is_exclusive_for_scans_and_inclusive_elsewhere():
+    def top_prime(name, bounds):
+        return instances_for(name, bounds)[-1]["p"]
+
+    assert top_prime("conj51", {"max_p": 19}) == 11
+    assert top_prime("conj54", {"max_n": 0, "max_p": 19}) == 17
+    assert top_prime("conj55", {"max_n": 0, "max_p": 19}) == 17
+    assert top_prime("thm11", {"max_p": 19}) == 19
+    assert top_prime("thm14ii", {"max_p": 19}) == 19
 
 
 # -- exact oracles for the residue-first prime sums ----------------------------------
@@ -525,7 +535,7 @@ def test_thm12_fails_on_shifted_row_and_names_offset(shifted_over, p, d):
 
 
 def test_conj51_fails_on_shifted_row(shifted_over):
-    r = scan_run("conj51", {"p": 7})
+    r = run_instance("conj51", {"p": 7})
     assert r.status == FAIL
     assert r.witness["claim"] == "base 8"
     assert r.lhs != r.rhs
@@ -577,3 +587,90 @@ def test_prefix_tables_stay_aligned_under_thread_races(monkeypatch, race):
     assert results == [grow()] * 4
     assert [len(t) for t in grown] == [302, 61]
     assert grown == tables()
+
+
+# -- negative controls for the divisibility scans --------------------------------
+#
+# Each control serves one value source with its entry at index 1 raised by one,
+# from cold prefix tables (monkeypatched, so the shared tables stay untouched).
+
+
+def _raise_listed_value(monkeypatch, source, tables):
+    """Serve verify.<source>(n_max) copies with entry 1 raised by one."""
+    original = getattr(verify, source)
+
+    def values(n_max):
+        vals = list(original(n_max))
+        vals[1] += 1
+        return vals
+
+    monkeypatch.setattr(verify, source, values)
+    for table in tables:
+        monkeypatch.setattr(verify, table, [0])
+
+
+def _raise_value(monkeypatch, source):
+    """Serve verify.<source>(j) raised by one at j = 1, from cold small prefixes."""
+    original = getattr(verify, source)
+    monkeypatch.setattr(verify, source, lambda j: original(j) + (j == 1))
+    for table in ("_S_SMALL_PREFIX", "_S_PLUS_PREFIX", "_S_MINUS_PREFIX"):
+        monkeypatch.setattr(verify, table, [0])
+
+
+_R_SQUARE_TABLES = ("_R_SQUARE_PREFIX", "_R_SQUARE_ODD_PREFIX")
+
+
+def test_conj54_divisibility_fails_on_raised_R_value(monkeypatch):
+    # R_1^2 goes from 1 to 4: the tripled square prefix up to n = 4 is 2037
+    _raise_listed_value(monkeypatch, "R_values", _R_SQUARE_TABLES)
+    r = run_instance("conj54", {"kind": "divisibility", "n": 4})
+    assert r.status == FAIL
+    assert r.witness == {"claim": "tripled square prefix", "residue": 1}
+    assert r.lhs == "2037"
+
+
+def test_conj54_prime_fails_on_raised_R_value(monkeypatch):
+    _raise_listed_value(monkeypatch, "R_values", _R_SQUARE_TABLES)
+    r = run_instance("conj54", {"kind": "prime", "p": 13})
+    assert r.status == FAIL
+    assert r.witness == {
+        "left": "square prefix",
+        "right": "closed form",
+        "claim": "plain",
+    }
+    assert (int(r.lhs) - int(r.rhs)) % 169 == 3
+
+
+@pytest.mark.parametrize(
+    "params, witness",
+    (
+        (
+            {"kind": "divisibility", "n": 3},
+            {"claim": "quadrupled weighted prefix", "residue": 4},
+        ),
+        (
+            {"kind": "prime", "p": 5},
+            {"left": "weighted prefix", "right": "closed form"},
+        ),
+    ),
+)
+def test_conj55_fails_on_raised_S_value(monkeypatch, params, witness):
+    # 1 * S_1 moves the weighted prefix by 1 from n = 2 on
+    _raise_listed_value(monkeypatch, "S_values", ("_S_WEIGHTED_PREFIX",))
+    r = run_instance("conj55", params)
+    assert r.status == FAIL
+    assert r.witness == witness
+
+
+def test_conj56_fails_on_raised_small_value(monkeypatch):
+    _raise_value(monkeypatch, "s_small")
+    r = run_instance("conj56", {"n": 2})
+    assert r.status == FAIL
+    assert r.witness == {"claim": "plain prefix", "residue": 1}
+
+
+def test_remark53_fails_on_raised_plus_value(monkeypatch):
+    _raise_value(monkeypatch, "S_cplus")
+    r = run_instance("remark53", {"n": 2})
+    assert r.status == FAIL
+    assert r.witness == {"claim": "plus prefix", "residue": 1}
