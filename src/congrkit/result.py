@@ -16,7 +16,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Optional
 
-__all__ = ["CheckResult", "PASS", "FAIL", "ILL_POSED", "INCONCLUSIVE", "summarize"]
+__all__ = [
+    "CheckResult",
+    "PASS",
+    "FAIL",
+    "ILL_POSED",
+    "INCONCLUSIVE",
+    "clip",
+    "summarize",
+]
 
 PASS = "PASS"
 FAIL = "FAIL"

@@ -1,11 +1,13 @@
 """Integer sequence and polynomial families built from binomial sums.
 
-Every generator is a direct summation in exact arithmetic; the three-term
-recurrences exposed at the bottom are *cross-checks* on the summations,
-never the production path.  Sums whose terms contain a 2k - 1 denominator
-are folded through binomial(2k, k) / (2k - 1), which is an integer for all
-k >= 0 (equal to -1 at k = 0), so those families stay in integer arithmetic
-from end to end.
+Every generator is a direct summation in exact arithmetic over the rows
+built here, the package's single source of binomial rows: _binom_row
+(binomial(top, k), any integer top), _diag_row (binomial(n + k, 2k)) and
+_central_rows (binomial(2k, k) and its quotient by 2k - 1).  The recurrences
+at the bottom are *cross-checks* on the summations, never the production path.
+Sums whose terms contain a 2k - 1 denominator are folded through
+binomial(2k, k) / (2k - 1), which is an integer for all k >= 0 (equal to -1
+at k = 0), so those families stay in integer arithmetic from end to end.
 
 Module-level value caches grow monotonically, by the memo pattern of
 exactnum (computed outside the package's one memo lock, published under it).
@@ -13,8 +15,9 @@ exactnum (computed outside the package's one memo lock, published under it).
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterator
 
 from .exactnum import _MEMO_LOCK, _memo_grow
 from .polynomials import Poly
@@ -77,59 +80,68 @@ def _exact_div(a: int, b: int) -> int:
     return q
 
 
+def _binom_row(top: int, count: int) -> list[int]:
+    """[binomial(top, k) for k in range(count)], valid for any integer top."""
+    row = [1]
+    for k in range(1, count):
+        row.append(_exact_div(row[-1] * (top - k + 1), k))
+    return row
+
+
+def _diag_row(n: int) -> list[int]:
+    """[binomial(n + k, 2k) for k in range(n + 1)]."""
+    row = [1]
+    for k in range(n):
+        c = row[-1] * (n + k + 1) * (n - k)
+        row.append(_exact_div(c, (2 * k + 1) * (2 * k + 2)))
+    return row
+
+
 # -- the two headline families ---------------------------------------------
+
+
+def _R_coeffs(n: int) -> Iterator[int]:
+    """x^k coefficients of R_poly(n).  R(n) sums them directly: going through
+    Poly would add its per-coefficient normalization, about 30% of R(n)."""
+    _, over = _central_rows(n)
+    return map(operator.mul, _diag_row(n), over)
+
+
+def _S_coeffs(n: int) -> list[int]:
+    """x^k coefficients of S_poly(n), summed by S(n) and, with one more weight
+    2k + 1, by S_cplus and S_cminus."""
+    central, _ = _central_rows(n)
+    return [
+        c * c * central[k] * (2 * k + 1) for k, c in enumerate(_binom_row(n, n + 1))
+    ]
 
 
 def R(n: int) -> int:
     """sum_k binomial(n,k) binomial(n+k,k) / (2k - 1) as an exact integer."""
     if n < 0:
         raise ValueError("R: n must be >= 0")
-    _, over = _central_rows(n)
-    total = 0
-    c = 1  # binomial(n + k, 2k)
-    for k in range(n + 1):
-        total += c * over[k]
-        c = _exact_div(c * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
-    return total
+    return sum(_R_coeffs(n))
 
 
 def R_poly(n: int) -> Poly:
     """The polynomial with x^k coefficient binomial(n+k,2k) binomial(2k,k)/(2k-1)."""
     if n < 0:
         raise ValueError("R_poly: n must be >= 0")
-    _, over = _central_rows(n)
-    coeffs = []
-    c = 1
-    for k in range(n + 1):
-        coeffs.append(c * over[k])
-        c = _exact_div(c * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
-    return Poly(coeffs)
+    return Poly(_R_coeffs(n))
 
 
 def S(n: int) -> int:
     """sum_k binomial(n,k)^2 binomial(2k,k) (2k+1)."""
     if n < 0:
         raise ValueError("S: n must be >= 0")
-    central, _ = _central_rows(n)
-    total = 0
-    c = 1  # binomial(n, k)
-    for k in range(n + 1):
-        total += c * c * central[k] * (2 * k + 1)
-        c = _exact_div(c * (n - k), k + 1)
-    return total
+    return sum(_S_coeffs(n))
 
 
 def S_poly(n: int) -> Poly:
     """The polynomial with x^k coefficient binomial(n,k)^2 binomial(2k,k) (2k+1)."""
     if n < 0:
         raise ValueError("S_poly: n must be >= 0")
-    central, _ = _central_rows(n)
-    coeffs = []
-    c = 1
-    for k in range(n + 1):
-        coeffs.append(c * c * central[k] * (2 * k + 1))
-        c = _exact_div(c * (n - k), k + 1)
-    return Poly(coeffs)
+    return Poly(_S_coeffs(n))
 
 
 def S_m_poly(m: int, n: int) -> Poly:
@@ -137,15 +149,10 @@ def S_m_poly(m: int, n: int) -> Poly:
     if m < 1 or n < 0:
         raise ValueError("S_m_poly: need m >= 1 and n >= 0")
     coeffs = []
-    c = 1  # binomial(n, k)
     f = 1  # (km + 1)! / (k!)^m
-    for k in range(n + 1):
+    for k, c in enumerate(_binom_row(n, n + 1)):
         coeffs.append(c**m * f)
-        c = _exact_div(c * (n - k), k + 1)
-        step = 1
-        for j in range(k * m + 2, k * m + m + 2):
-            step *= j
-        f = _exact_div(f * step, (k + 1) ** m)
+        f = _exact_div(f * math.prod(range(k * m + 2, k * m + m + 2)), (k + 1) ** m)
     return Poly(coeffs)
 
 
@@ -157,12 +164,7 @@ def schroder(n: int) -> int:
     if n < 0:
         raise ValueError("schroder: n must be >= 0")
     central, _ = _central_rows(n)
-    total = 0
-    c = 1
-    for k in range(n + 1):
-        total += c * (central[k] // (k + 1))
-        c = _exact_div(c * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
-    return total
+    return sum(c * (central[k] // (k + 1)) for k, c in enumerate(_diag_row(n)))
 
 
 def h(n: int) -> int:
@@ -170,12 +172,9 @@ def h(n: int) -> int:
     if n < 0:
         raise ValueError("h: n must be >= 0")
     central, _ = _central_rows(n)
-    total = 0
-    c = 1
-    for k in range(n + 1):
-        total += c * c * (central[k] // (k + 1))
-        c = _exact_div(c * (n - k), k + 1)
-    return total
+    return sum(
+        c * c * (central[k] // (k + 1)) for k, c in enumerate(_binom_row(n, n + 1))
+    )
 
 
 def ratio_sum(n: int, d: int, m: int) -> Fraction:
@@ -193,32 +192,19 @@ def ratio_sum(n: int, d: int, m: int) -> Fraction:
 
 
 def t_seq(n: int) -> int:
-    """sum_k binomial(n,k)^2 binomial(n+k,k)^2 / (2k-1); each term is integral."""
+    """sum_k binomial(n,k)^2 binomial(n+k,k)^2 / (2k-1); each term is integral.
+
+    Here and in the T families binomial(n,k) binomial(n+k,k) is read as
+    binomial(n+k,2k) binomial(2k,k), from the diagonal and central rows."""
     if n < 0:
         raise ValueError("t_seq: n must be >= 0")
-    _, over = _central_rows(n)
-    total = 0
-    bnk = 1  # binomial(n, k)
-    bnpk = 1  # binomial(n + k, k)
-    b2 = 1  # binomial(n + k, 2k)
-    for k in range(n + 1):
-        total += bnk * bnpk * b2 * over[k]
-        bnk = _exact_div(bnk * (n - k), k + 1)
-        bnpk = _exact_div(bnpk * (n + k + 1), k + 1)
-        b2 = _exact_div(b2 * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
-    return total
+    central, over = _central_rows(n)
+    return sum(c * c * central[k] * over[k] for k, c in enumerate(_diag_row(n)))
 
 
 def _weighted_tt(n: int, weight: Callable[[int], int]) -> int:
-    total = 0
-    bnk = 1
-    bnpk = 1
-    for k in range(n + 1):
-        sq = bnk * bnpk
-        total += weight(k) * sq * sq
-        bnk = _exact_div(bnk * (n - k), k + 1)
-        bnpk = _exact_div(bnpk * (n + k + 1), k + 1)
-    return total
+    central, _ = _central_rows(n)
+    return sum(weight(k) * (c * central[k]) ** 2 for k, c in enumerate(_diag_row(n)))
 
 
 def T_seq(n: int) -> int:
@@ -242,37 +228,27 @@ def T_minus(n: int) -> int:
     return _weighted_tt(n, lambda k: (2 * k + 1) ** 2 * (-1 if k % 2 else 1))
 
 
-def _weighted_central(n: int, weight: Callable[[int], int], over: bool) -> int:
-    central, over_row = _central_rows(n)
-    row = over_row if over else central
-    total = 0
-    c = 1
-    for k in range(n + 1):
-        total += weight(k) * c * c * row[k]
-        c = _exact_div(c * (n - k), k + 1)
-    return total
-
-
 def s_small(n: int) -> int:
     """sum_k binomial(n,k)^2 binomial(2k,k) / (2k-1); each term is integral."""
     if n < 0:
         raise ValueError("s_small: n must be >= 0")
-    return _weighted_central(n, lambda k: 1, over=True)
+    _, over = _central_rows(n)
+    return sum(c * c * over[k] for k, c in enumerate(_binom_row(n, n + 1)))
 
 
 def S_cplus(n: int) -> int:
     """sum_k binomial(n,k)^2 binomial(2k,k) (2k+1)^2."""
     if n < 0:
         raise ValueError("S_cplus: n must be >= 0")
-    return _weighted_central(n, lambda k: (2 * k + 1) ** 2, over=False)
+    return sum((2 * k + 1) * c for k, c in enumerate(_S_coeffs(n)))
 
 
 def S_cminus(n: int) -> int:
     """sum_k (-1)^k binomial(n,k)^2 binomial(2k,k) (2k+1)^2."""
     if n < 0:
         raise ValueError("S_cminus: n must be >= 0")
-    return _weighted_central(
-        n, lambda k: (2 * k + 1) ** 2 * (-1 if k % 2 else 1), over=False
+    return sum(
+        (-1 if k % 2 else 1) * (2 * k + 1) * c for k, c in enumerate(_S_coeffs(n))
     )
 
 

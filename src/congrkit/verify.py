@@ -47,8 +47,8 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
-from typing import Callable, Optional, Sequence, Union
+from functools import lru_cache, reduce
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exactnum import (
     DenominatorNotInvertible,
@@ -75,6 +75,7 @@ from .kernels import (
 from .polynomials import Poly
 from .result import FAIL, ILL_POSED, INCONCLUSIVE, PASS, CheckResult, clip
 from .sequences import (
+    R_poly,
     R_polys,
     R_values,
     S_cminus,
@@ -90,7 +91,7 @@ from .sequences import (
     T_plus,
     T_seq,
 )
-from .sequences import _central_rows, _exact_div
+from .sequences import _binom_row, _central_rows, _diag_row, _exact_div
 
 __all__ = [
     "check_thm11",
@@ -101,6 +102,7 @@ __all__ = [
     "check_thm14_i",
     "check_thm14_ii",
     "check_thm15_i",
+    "check_thm15_i_grid",
     "check_thm15_ii",
     "check_remark13",
     "check_xval15",
@@ -128,37 +130,19 @@ __all__ = [
 
 
 # -- small exact helpers ------------------------------------------------------
+# Binomial rows come from sequences (_binom_row, _diag_row, _central_rows).
 
 
-def _binom_row(top: int, count: int) -> list[int]:
-    """[binomial(top, k) for k in range(count)], valid for any integer top."""
-    row = [1]
-    c = 1
-    for k in range(1, count):
-        c = _exact_div(c * (top - k + 1), k)
-        row.append(c)
-    return row
+def _row_product(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Termwise product of equal-length rows; at least one row."""
+    return list(reduce(lambda x, y: map(operator.mul, x, y), rows))
 
 
-def _pair_rows(n: int, a_list: Sequence[int], count: int) -> list[int]:
-    """Products binomial(a*n-1, k) * binomial(-a*n-1, k) over the list."""
-    rows = [1] * count
-    for a in a_list:
-        for k, v in enumerate(_binom_row(a * n - 1, count)):
-            rows[k] *= v
-        for k, v in enumerate(_binom_row(-a * n - 1, count)):
-            rows[k] *= v
-    return rows
-
-
-def _shifted_row(a: int, b: int, count: int) -> list[int]:
-    """[binomial(a - 1, b + k) for k in range(count)]."""
-    row = [binomial(a - 1, b)]
-    c = row[0]
-    for j in range(b, b + count - 1):
-        c = _exact_div(c * (a - 1 - j), j + 1)
-        row.append(c)
-    return row
+def _pair_rows(n: int, a_list: Sequence[int]) -> list[int]:
+    """Products binomial(a*n-1, k) * binomial(-a*n-1, k) over the list, k < n."""
+    return _row_product(
+        _binom_row(sign * a * n - 1, n) for a in a_list for sign in (1, -1)
+    )
 
 
 def _triangle(k: int) -> int:
@@ -344,19 +328,6 @@ def _offset_pair_sums(p: int, offsets: range) -> dict[int, int]:
     return {d: v % p for d, v in acc.items()}
 
 
-def _R_eval_int(n: int, x: int) -> int:
-    """R-type polynomial value at an integer point, summed directly."""
-    _, over = _central_rows(n)
-    total = 0
-    c = 1  # binomial(n + k, 2k)
-    pw = 1
-    for k in range(n + 1):
-        total += c * over[k] * pw
-        pw *= x
-        c = _exact_div(c * (n + k + 1) * (n - k), (2 * k + 1) * (2 * k + 2))
-    return total
-
-
 # -- two-square congruence families -------------------------------------------
 
 
@@ -523,14 +494,11 @@ def _s_prefix(n: int) -> int:
 def _R_prefix_sum(n: int) -> int:
     """sum_{m<n} R_m exactly, as sum_{j<n} over[j] * binomial(n+j, 2j+1).
 
-    Summing binomial(m+j, 2j) over m < n first is the hockey stick."""
-    _, over = _central_rows(n - 1)
-    total = 0
-    c = n  # binomial(n + j, 2j + 1)
-    for j in range(n):
-        total += c * over[j]
-        c = _exact_div(c * (n + j + 1) * (n - j - 1), (2 * j + 2) * (2 * j + 3))
-    return total
+    Summing binomial(m+j, 2j) over m < n first is the hockey stick; then
+    binomial(n+j, 2j+1) = binomial(n+j, 2j) (n-j) / (2j+1) reads the diagonal."""
+    _, over = _central_rows(n)
+    diag = _diag_row(n)
+    return sum(diag[j] * (n - j) // (2 * j + 1) * over[j] for j in range(n))
 
 
 def check_thm13(p: int) -> CheckResult:
@@ -550,7 +518,7 @@ def check_thm13_ii(n: int) -> CheckResult:
     if n < 1:
         raise ValueError("check_thm13_ii: need n >= 1")
     params = {"n": n}
-    at_minus_one = _R_eval_int(n, -1)
+    at_minus_one = R_poly(n)(-1)
     if at_minus_one != -(2 * n + 1):
         return CheckResult(
             "thm13ii",
@@ -561,13 +529,8 @@ def check_thm13_ii(n: int) -> CheckResult:
             witness={"claim": "value at -1"},
         )
     lcm = math.lcm(*range(1, 2 * n, 2))
-    acc = 0
-    c1 = 1  # binomial(n, k)
-    c2 = 1  # binomial(-n, k)
-    for k in range(n + 1):
-        acc += c1 * c2 * (lcm // (2 * k - 1))
-        c1 = _exact_div(c1 * (n - k), k + 1)
-        c2 = _exact_div(c2 * (-n - k), k + 1)
+    pairs = _row_product((_binom_row(n, n + 1), _binom_row(-n, n + 1)))
+    acc = sum(c * (lcm // (2 * k - 1)) for k, c in enumerate(pairs))
     if acc != -2 * n * lcm:
         return CheckResult(
             "thm13ii",
@@ -685,15 +648,10 @@ _GRID_VALUES = tuple(a for a in range(-3, 4) if a)
 def _grid_products(m: int, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
     """Row products over every sign pattern of the +-3 grid, keyed by tuple."""
     base = {a: _binom_row(a * n - 1, n) for a in _GRID_VALUES}
-    out = {}
-    for tup in itertools.product(_GRID_VALUES, repeat=m):
-        rows = [1] * n
-        for a in tup:
-            row = base[a]
-            for k in range(n):
-                rows[k] *= row[k]
-        out[tup] = tuple(rows)
-    return out
+    return {
+        tup: tuple(_row_product(base[a] for a in tup))
+        for tup in itertools.product(_GRID_VALUES, repeat=m)
+    }
 
 
 def _thm15_claims(
@@ -745,18 +703,8 @@ def check_thm15_i(n: int, a_list: Sequence[int], variant: str) -> CheckResult:
     if n < 1 or not a_list:
         raise ValueError("check_thm15_i: need n >= 1 and a nonempty a_list")
     params = {"n": n, "a_list": list(a_list), "variant": variant}
-    plain = [1] * n
-    for a in a_list:
-        for k, v in enumerate(_binom_row(a * n - 1, n)):
-            plain[k] *= v
-    paired = None
-    if variant in ("cubic_paired", "stepcube_paired"):
-        neg = [1] * n
-        for a in a_list:
-            for k, v in enumerate(_binom_row(-a * n - 1, n)):
-                neg[k] *= v
-        paired = [neg[k] * plain[k] for k in range(n)]
-    claims = _thm15_claims(variant, n, a_list, plain, paired)
+    plain = _row_product(_binom_row(a * n - 1, n) for a in a_list)
+    claims = _thm15_claims(variant, n, a_list, plain, _pair_rows(n, a_list))
     return _divisibility("thm15i", params, claims)
 
 
@@ -768,8 +716,7 @@ def check_thm15_i_grid(m: int, n: int, variant: str) -> CheckResult:
     for tup, plain in products.items():
         paired = None
         if paired_needed:
-            neg = products[tuple(-a for a in tup)]
-            paired = [plain[k] * neg[k] for k in range(n)]
+            paired = _row_product((plain, products[tuple(-a for a in tup)]))
         for label, value, modulus in _thm15_claims(variant, n, tup, plain, paired):
             if value % modulus:
                 return CheckResult(
@@ -920,17 +867,11 @@ def check_remark13(n: int) -> CheckResult:
     if n < 1:
         raise ValueError("check_remark13: need n >= 1")
     params = {"n": n}
-    pos = _binom_row(n - 1, n)
-    neg = _binom_row(-n - 1, n)
-    first = sum(Fraction(pos[k] * neg[k], 4 * k * k - 1) for k in range(n))
-    c1 = 1
-    c2 = 1
-    second = Fraction(0)
-    for k in range(n + 1):
-        second += Fraction(c1 * c2, 2 * k - 1)
-        c1 = _exact_div(c1 * (n - k), k + 1)
-        c2 = _exact_div(c2 * (-n - k), k + 1)
-    second /= 2
+    first = sum(
+        Fraction(c, 4 * k * k - 1) for k, c in enumerate(_pair_rows(n, (1,)))
+    )
+    pairs = _row_product((_binom_row(n, n + 1), _binom_row(-n, n + 1)))
+    second = sum(Fraction(c, 2 * k - 1) for k, c in enumerate(pairs)) / 2
     note = "summed from k = 0; the k = 0 term is -1"
     ok = first == second == -n
     return CheckResult(
@@ -1191,11 +1132,7 @@ def check_thm41(
         "b_list": list(b_list),
     }
     d = math.gcd(n, *a_list, *b_list)
-    rows = [1] * n
-    for a, b in zip(a_list, b_list):
-        row = _shifted_row(a, b, n)
-        for k in range(n):
-            rows[k] *= row[k]
+    rows = _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
     bars = _int_values([bar(kernel, k, m) for k in range(n)], "check_thm41: kernel")
     total = sum(bars[k] * rows[k] for k in range(n))
     claims = [("gcd congruence", total, d)]
@@ -1219,11 +1156,7 @@ def check_cor41(
         raise ValueError("check_cor41: shifts must be nonnegative")
     params = {"n": n, "a_list": list(a_list), "b_list": list(b_list)}
     d = math.gcd(n, *a_list, *b_list)
-    rows = [1] * n
-    for a, b in zip(a_list, b_list):
-        row = _shifted_row(a, b, n)
-        for k in range(n):
-            rows[k] *= row[k]
+    rows = _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
 
     def alt(e: int, k: int) -> int:
         return -1 if (k * e) % 2 else 1
@@ -1257,7 +1190,7 @@ def check_thm42(n: int, kernel: KernelSpec, a_list: Sequence[int]) -> CheckResul
     if not kernel_power_divisible(kernel, n - 1, 3):
         raise ValueError("check_thm42: kernel must satisfy k^3 | f(k)")
     params = {"n": n, "kernel": kernel_descriptor(kernel), "a_list": list(a_list)}
-    rows = _pair_rows(n, a_list, n)
+    rows = _pair_rows(n, a_list)
     deltas = _int_values([delta(kernel, k) for k in range(n)], "check_thm42: kernel")
     lhs = sum(deltas[k] * rows[k] for k in range(n))
     inner = sum(
@@ -1297,10 +1230,9 @@ def check_thm43(
         "a_list": list(a_list),
         "strength": strength,
     }
-    for k in range(n + 1):
-        ratio = Fraction(
-            k * binomial(n, k) * binomial(-n, k), binomial(2 * k - 1, k)
-        )
+    pairs = _row_product((_binom_row(n, n + 1), _binom_row(-n, n + 1)))
+    for k, c in enumerate(pairs):
+        ratio = Fraction(k * c, binomial(2 * k - 1, k))
         if ratio.denominator != 1 or ratio.numerator % n:
             return CheckResult(
                 "thm43",
@@ -1311,7 +1243,7 @@ def check_thm43(
                 modulus=str(n),
                 witness={"claim": "pair ratio divisibility", "k": k},
             )
-    rows = _pair_rows(n, a_list, n)
+    rows = _pair_rows(n, a_list)
     total = sum(delta(kernel, k) * rows[k] for k in range(n))
     if total.denominator != 1:
         return CheckResult(
@@ -1578,6 +1510,8 @@ def check_conj54(
 ) -> CheckResult:
     """Square prefix sums of R: divisible by n, or closed forms mod p^2, p^3."""
     if kind == "divisibility":
+        if n < 1:
+            raise ValueError("conj54: need n >= 1")
         params = {"kind": kind, "n": n}
         square, odd = _r_square_prefixes(n)
         return _divisibility(
@@ -1624,6 +1558,8 @@ def check_conj55(
 ) -> CheckResult:
     """Weighted prefix sums of S: divisible by n^2, or a closed form mod p^3."""
     if kind == "divisibility":
+        if n < 1:
+            raise ValueError("conj55: need n >= 1")
         params = {"kind": kind, "n": n}
         return _divisibility(
             "conj55",
@@ -1648,6 +1584,8 @@ def check_conj55(
 
 def check_conj56(n: int) -> CheckResult:
     """Prefix sums of s, S^+ and S^- are divisible by n^2."""
+    if n < 1:
+        raise ValueError("conj56: need n >= 1")
     plain, plus, minus = _small_prefixes(n)
     return _divisibility(
         "conj56",
@@ -1662,6 +1600,8 @@ def check_conj56(n: int) -> CheckResult:
 
 def check_remark53(n: int) -> CheckResult:
     """Prefix sums of S^+ and S^- are divisible by n."""
+    if n < 1:
+        raise ValueError("remark53: need n >= 1")
     _, plus, minus = _small_prefixes(n)
     return _divisibility(
         "remark53",
@@ -1675,6 +1615,8 @@ def check_remark53(n: int) -> CheckResult:
 
 def check_conj58i(m: int, n: int) -> CheckResult:
     """Coefficients of the prefix sum of the S_m polynomials are divisible by n."""
+    if n < 1:
+        raise ValueError("conj58i: need n >= 1")
     params = {"m": m, "n": n}
     coeffs = _s58_prefix(m, n)
     for k, c in enumerate(coeffs):

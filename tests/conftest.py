@@ -55,3 +55,22 @@ def race():
         return results
 
     return run
+
+
+@pytest.fixture
+def raise_row(monkeypatch):
+    """Serve module.<seam>(top, ...) as copies with one entry raised by one
+    on the row of a single top; every other row is served unchanged."""
+
+    def serve(module, seam: str, top: int, index: int = 0) -> None:
+        original = getattr(module, seam)
+
+        def row(n, *rest):
+            out = list(original(n, *rest))
+            if n == top:
+                out[index] += 1
+            return out
+
+        monkeypatch.setattr(module, seam, row)
+
+    return serve

@@ -177,3 +177,20 @@ def test_checker_crash_on_pinned_instance(monkeypatch, capsys):
     _crash_thm13_at_7(monkeypatch, ZeroDivisionError)
     assert cli_module.main(["verify", "thm13", "--p", "7"]) == 3
     assert 'crashed on thm13 {"p":7}' in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "pins",
+    (
+        "conj54 --n 0",
+        "conj55 --n 0",
+        "conj56 --n 0",
+        "remark53 --n 0",
+        "conj58i --n 0 --m 2",
+    ),
+)
+def test_scan_rejects_pinned_n_zero(capsys, pins):
+    with pytest.raises(SystemExit) as stop:
+        cli_module.main(["verify", *pins.split()])
+    assert stop.value.code == 2
+    assert "need n >= 1" in capsys.readouterr().err

@@ -1,4 +1,5 @@
-"""Every module-level private function, class or constant is used."""
+"""Every module-level private function, class or constant is used, and every
+module's __all__ lists exactly what it defines for export."""
 
 import ast
 import pathlib
@@ -8,7 +9,7 @@ import congrkit
 PACKAGE = pathlib.Path(congrkit.__file__).parent
 
 
-def _private_definitions(tree: ast.Module) -> list[str]:
+def _definitions(tree: ast.Module) -> list[str]:
     names = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -17,7 +18,30 @@ def _private_definitions(tree: ast.Module) -> list[str]:
             names.extend(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> list[str]:
+    names = _definitions(tree)
     return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def _imported_names(tree: ast.Module) -> set[str]:
+    return {
+        (alias.asname or alias.name).split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+
+
+def _exports(tree: ast.Module) -> "list[str] | None":
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return None
 
 
 def _references(tree: ast.Module) -> set[str]:
@@ -33,11 +57,15 @@ def _references(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_private_module_names_are_referenced_in_the_package():
-    trees = {
+def _trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(), str(path))
         for path in sorted(PACKAGE.glob("*.py"))
     }
+
+
+def test_private_module_names_are_referenced_in_the_package():
+    trees = _trees()
     used = set().union(*(_references(tree) for tree in trees.values()))
     unused = [
         "%s:%s" % (module, name)
@@ -46,3 +74,23 @@ def test_private_module_names_are_referenced_in_the_package():
         if name not in used
     ]
     assert not unused, "unreferenced private names: %s" % ", ".join(unused)
+
+
+def test_all_lists_every_public_definition_and_nothing_undefined():
+    problems = []
+    for module, tree in _trees().items():
+        exports = _exports(tree)
+        if exports is None:
+            continue
+        defined = set(_definitions(tree)) | _imported_names(tree)
+        problems += [
+            "%s: %s undefined" % (module, n) for n in exports if n not in defined
+        ]
+        problems += [
+            "%s: %s not in __all__" % (module, node.name)
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")
+            and node.name not in exports
+        ]
+    assert not problems, "; ".join(problems)

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from congrkit import PASS, sequences
+from congrkit import FAIL, PASS, sequences
+from congrkit.exactnum import binomial
 from congrkit.polynomials import Poly
 from congrkit.sequences import (
     R,
@@ -24,6 +25,7 @@ from congrkit.sequences import (
     check_recurrence_R,
     check_recurrence_R_poly,
     check_recurrence_S,
+    _binom_row,
     h,
     ratio_sum,
     s_small,
@@ -141,6 +143,32 @@ def test_mixed_power_polynomials():
         assert S_m_poly(2, n) == S_poly(n)
 
 
+def test_S_family_matches_definitional_sums():
+    # S, S_poly and S_m_poly(2, .) read one shared row, so comparing them with
+    # each other cannot catch a row fault; compare each with math.comb instead.
+    for n in range(101):
+        coeffs = [
+            math.comb(n, k) ** 2 * math.comb(2 * k, k) * (2 * k + 1)
+            for k in range(n + 1)
+        ]
+        assert S(n) == sum(coeffs)
+        assert S_poly(n) == Poly(coeffs)
+        for m in range(1, 5):
+            assert S_m_poly(m, n) == Poly(
+                math.comb(n, k) ** m
+                * math.factorial(k * m + 1)
+                // math.factorial(k) ** m
+                for k in range(n + 1)
+            )
+
+
+def test_binom_row_matches_generalized_binomial():
+    # negative tops feed thm41, thm42, thm15 and remark13
+    for top in range(-40, 41):
+        assert _binom_row(top, 50) == [binomial(top, k) for k in range(50)]
+    assert _binom_row(7, 1) == [1]
+
+
 def test_ratio_sum_values():
     assert ratio_sum(1, 1, 16) == Fraction(1, 8)
     assert ratio_sum(0, 0, 8) == -1
@@ -194,6 +222,31 @@ def test_recurrences_hold_at_depth():
     assert check_recurrence_R(200).status == PASS
     assert check_recurrence_R_poly(100).status == PASS
     assert check_recurrence_S(200).status == PASS
+
+
+# Negative controls: one raised row entry, from a cold value cache, must make
+# each recurrence cross-check FAIL at the first window that reads it.
+
+
+@pytest.mark.parametrize(
+    "seam, cache, check, lhs",
+    (
+        ("_diag_row", "_R_CACHE", check_recurrence_R, "4"),
+        ("_diag_row", "_R_POLY_CACHE", check_recurrence_R_poly, "4"),
+        ("_binom_row", "_S_CACHE", check_recurrence_S, "-48"),
+    ),
+)
+def test_recurrence_checks_fail_on_raised_row(
+    monkeypatch, raise_row, seam, cache, check, lhs
+):
+    # the k = 0 entry of the n = 4 row moves R_4 by -1 and S_4 by 3; the
+    # window at n = 1 weighs the fourth value by -(n + 3) or -(n + 3)^2
+    raise_row(sequences, seam, 4)
+    monkeypatch.setattr(sequences, cache, [])
+    r = check(10)
+    assert r.status == FAIL
+    assert r.witness == {"n": 1}
+    assert r.lhs == lhs
 
 
 def test_integer_families_extend_cleanly():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from congrkit import FAIL, ILL_POSED, PASS, verify
+from congrkit import FAIL, ILL_POSED, PASS, sequences, verify
 from congrkit.exactnum import (
     bernoulli_poly_eval,
     legendre_symbol,
@@ -16,6 +16,7 @@ from congrkit.kernels import PAPER_KERNELS, KernelSpec, poly_kernel
 from congrkit.result import CheckResult, clip, summarize
 from congrkit.sequences import (
     R,
+    R_poly,
     R_values,
     S,
     S_cminus,
@@ -52,7 +53,6 @@ from congrkit.verify import (
     conj53_witness,
 )
 from congrkit.verify import (
-    _R_eval_int,
     _R_prefix_sum,
     _R_residues,
     _central_offset_power_sum,
@@ -438,7 +438,7 @@ def test_residue_sums_match_exact_oracle_mod_p_squared(p):
     m = p * p
     assert _R_residues(n, (1, -2, -pow(2, -1, m)), m) == [
         R(n) % m,
-        _R_eval_int(n, -2) % m,
+        R_poly(n)(-2) % m,
         _mod(_exact_R_at_minus_half(n), p, 2),
     ]
     assert _central_square_power_sums(p, (-16, 8, 32)) == [
@@ -567,6 +567,60 @@ def test_thm14ii_fails_on_raised_S_value(monkeypatch, p):
     }
     # S_1 / 1 moves the harmonic sum by 1 and the p-weighted one by p
     assert (int(r.lhs) - int(r.rhs)) % (p * p) == (1 - p) % (p * p)
+
+
+# -- negative controls: a raised binomial-row entry must make the row readers FAIL
+#
+# raise_row serves copies of one row with one entry raised by one; the value
+# and prefix tables those rows feed are swapped for cold ones.
+
+
+@pytest.mark.parametrize(
+    "module, top, index, witness, lhs",
+    (
+        # the k = 0 coefficient of R_poly(3) goes from -1 to -2
+        (sequences, 3, 0, {"claim": "value at -1"}, "-8"),
+        # binomial(-3, 1) goes from -3 to -2
+        (verify, -3, 1, {"claim": "reciprocal odd-weight sum"}, "-3"),
+    ),
+)
+def test_thm13ii_fails_on_raised_row(raise_row, module, top, index, witness, lhs):
+    raise_row(module, "_diag_row" if module is sequences else "_binom_row", top, index)
+    r = check_thm13_ii(3)
+    assert r.status == FAIL
+    assert r.witness == witness
+    assert r.lhs == lhs
+
+
+def test_remark13_fails_on_raised_row(raise_row):
+    # binomial(3, 1) goes from 3 to 4 in the second half only
+    raise_row(verify, "_binom_row", 3, 1)
+    r = check_remark13(3)
+    assert r.status == FAIL
+    assert r.witness == {"halved sum": "-9/2"}
+    assert r.lhs == "-3"
+
+
+def test_cor11_fails_on_raised_row(monkeypatch, raise_row):
+    # binomial(2, 0) goes from 1 to 2 in the n = 1 diagonal row: t_1 drops to 0
+    raise_row(sequences, "_diag_row", 1)
+    monkeypatch.setattr(verify, "_COR11_PREFIX", {k: [0] for k in verify._COR11_SEQ})
+    r = check_cor11(2)
+    assert r.status == FAIL
+    assert r.witness == {"claim": "t", "residue": 7}
+
+
+def test_thm14i_fails_on_raised_row(monkeypatch, raise_row):
+    # binomial(1, 0) goes from 1 to 2: S_1 rises by 3, h(2) is untouched
+    raise_row(sequences, "_binom_row", 1)
+    monkeypatch.setattr(sequences, "_S_CACHE", [])
+    monkeypatch.setattr(sequences, "_S_POLY_CACHE", [])
+    monkeypatch.setattr(verify, "_S_PREFIX", [0])
+    monkeypatch.setattr(verify, "_S_POLY_PREFIX", [[]])
+    r = check_thm14_i(3)
+    assert r.status == FAIL
+    assert r.witness == {"claim": "scalar prefix sum"}
+    assert (r.lhs, r.rhs) == ("66", "63")
 
 
 def test_prefix_tables_stay_aligned_under_thread_races(monkeypatch, race):
