@@ -46,6 +46,9 @@ _SEQUENCES = {
     "Sminus": sequences.S_cminus,
 }
 
+# linear-time prefixes for the two sequences that have them
+_PREFIXES = {"R": sequences.R_values, "S": sequences.S_values}
+
 _QVERIFY_ALIASES = {"thm31": "thm31q", "thm32": "thm32q", "conj58": "conj58q"}
 
 _PIN_KEYS = ("n", "p", "d", "k", "a", "b", "m", "s", "t", "a_prime", "variant")
@@ -285,8 +288,11 @@ def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    fn = _SEQUENCES[args.name]
-    values = [fn(n) for n in range(args.max + 1)]
+    if args.name in _PREFIXES:
+        values = _PREFIXES[args.name](args.max)
+    else:
+        fn = _SEQUENCES[args.name]
+        values = [fn(n) for n in range(args.max + 1)]
     config = {
         "command": "seq",
         "name": args.name,

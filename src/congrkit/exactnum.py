@@ -234,30 +234,59 @@ def residues_congruent(a: Rational, b: Rational, p: int, e: int = 1) -> bool:
     return residue_of_rational(Fraction(a) - Fraction(b), p, e).is_zero()
 
 
-def pow_compare(a: int, ea: int, b: int, eb: int) -> int:
-    """Compare a**ea with b**eb for positive ints, returning -1, 0 or 1.
+def _pow_bracket(a: int, e: int, bits: int) -> tuple[int, int, int]:
+    """(lo, hi, shift) with lo * 2**shift <= a**e <= hi * 2**shift, a >= 1.
 
-    Uses exact truncated-mantissa interval bounds so that astronomically
-    large powers are almost never materialized; falls back to the full
-    exact powers only when the brackets overlap.
+    Square-and-multiply on the interval [lo, hi]: after every step both ends
+    are cut back to about bits bits, lo rounded down and hi rounded up, so
+    the invariant survives each step and no product outgrows 3 * bits bits.
+    """
+    cut = max(a.bit_length() - bits, 0)
+    base_lo = a >> cut
+    base_hi = base_lo + (cut > 0)
+    lo = hi = 1
+    shift = 0
+    for bit in bin(e)[2:]:
+        lo, hi, shift = lo * lo, hi * hi, 2 * shift
+        if bit == "1":
+            lo, hi, shift = lo * base_lo, hi * base_hi, shift + cut
+        drop = hi.bit_length() - bits
+        if drop > 0:
+            lo >>= drop
+            hi = -(-hi >> drop)
+            shift += drop
+    return lo, hi, shift
+
+
+def _scaled_less(x: int, sx: int, y: int, sy: int) -> bool:
+    """x * 2**sx < y * 2**sy for x, y >= 0, without building either side."""
+    if not x or not y:
+        return x < y
+    tx, ty = x.bit_length() + sx, y.bit_length() + sy
+    if tx != ty:
+        return tx < ty
+    # equal top bit positions, so the shifts differ by less than the longer length
+    return x << (sx - sy) < y if sx >= sy else x < y << (sy - sx)
+
+
+def pow_compare(a: int, ea: int, b: int, eb: int) -> int:
+    """Compare a**ea with b**eb (a, b > 0; ea, eb >= 0), returning -1, 0 or 1.
+
+    Each power is first bracketed as lo * 2**shift <= a**ea <= hi * 2**shift
+    by _pow_bracket, with lo and hi held to a fixed width of 128 bits, then
+    512 bits; disjoint brackets decide the order.  Only brackets that still
+    overlap, as exact ties always do, fall back to the exact powers.
     """
     if a <= 0 or b <= 0:
         raise ValueError("pow_compare expects positive bases")
-    for bits in (64, 256, 1024):
-        sa = max(a.bit_length() - bits, 0)
-        sb = max(b.bit_length() - bits, 0)
-        lo_a, hi_a = (a >> sa) ** ea, ((a >> sa) + 1) ** ea
-        lo_b, hi_b = (b >> sb) ** eb, ((b >> sb) + 1) ** eb
-        pa, pb = sa * ea, sb * eb
-        if pa >= pb:
-            lo_a <<= pa - pb
-            hi_a <<= pa - pb
-        else:
-            lo_b <<= pb - pa
-            hi_b <<= pb - pa
-        if lo_a > hi_b:
+    if ea < 0 or eb < 0:
+        raise ValueError("pow_compare expects exponents >= 0")
+    for bits in (128, 512):
+        lo_a, hi_a, sa = _pow_bracket(a, ea, bits)
+        lo_b, hi_b, sb = _pow_bracket(b, eb, bits)
+        if _scaled_less(hi_b, sb, lo_a, sa):
             return 1
-        if hi_a < lo_b:
+        if _scaled_less(hi_a, sa, lo_b, sb):
             return -1
     x, y = a**ea, b**eb
     return (x > y) - (x < y)

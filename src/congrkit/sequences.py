@@ -3,11 +3,18 @@
 Every generator is a direct summation in exact arithmetic over the rows
 built here, the package's single source of binomial rows: _binom_row
 (binomial(top, k), any integer top), _diag_row (binomial(n + k, 2k)) and
-_central_rows (binomial(2k, k) and its quotient by 2k - 1).  The recurrences
-at the bottom are *cross-checks* on the summations, never the production path.
-Sums whose terms contain a 2k - 1 denominator are folded through
-binomial(2k, k) / (2k - 1), which is an integer for all k >= 0 (equal to -1
-at k = 0), so those families stay in integer arithmetic from end to end.
+_central_rows (binomial(2k, k) and its quotient by 2k - 1).  Sums whose
+terms contain a 2k - 1 denominator are folded through binomial(2k, k) /
+(2k - 1), which is an integer for all k >= 0 (equal to -1 at k = 0), so
+those families stay in integer arithmetic from end to end.
+
+The value prefixes R_values and S_values are the one exception: past three
+seed terms from the defining sums they grow by the third-order recurrences
+(1.3) and (1.18), one exact division by the leading coefficient per term, so
+a prefix costs O(n) big-int steps instead of O(n^2).  A remainder in that
+division raises ArithmeticError.  The recurrence families at the bottom and
+the polynomial caches read the defining sums, never the recurrence prefixes,
+so that the recurrence checks stay an independent test of the sums.
 
 Module-level value caches grow monotonically, by the memo pattern of
 exactnum (computed outside the package's one memo lock, published under it).
@@ -252,6 +259,27 @@ def S_cminus(n: int) -> int:
     )
 
 
+# -- the recurrences (1.3) and (1.18) ------------------------------------------
+
+# n -> (c0, c1, c2, c3), the coefficients of a third-order recurrence at n
+_Recurrence = Callable[[int], tuple[int, int, int, int]]
+
+
+def _R_rec(n: int) -> tuple[int, int, int, int]:
+    """c with c0 R(n) + c1 R(n+1) + c2 R(n+2) + c3 R(n+3) = 0."""
+    return n + 1, -(7 * n + 15), 7 * n + 13, -(n + 3)
+
+
+def _S_rec(n: int) -> tuple[int, int, int, int]:
+    """c with c0 S(n) + c1 S(n+1) + c2 S(n+2) + c3 S(n+3) = 0."""
+    return (
+        9 * (n + 1) ** 2,
+        -(19 * n * n + 74 * n + 87),
+        (n + 3) * (11 * n + 29),
+        -((n + 3) ** 2),
+    )
+
+
 # -- grown-once value caches --------------------------------------------------
 
 _R_CACHE: list[int] = []
@@ -269,13 +297,38 @@ def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list
     return _memo_grow(cache, n_max, grow)[: n_max + 1]
 
 
+def _recurrence_prefix(
+    cache: list[int],
+    n_max: int,
+    seed: Callable[[int], int],
+    rec: _Recurrence,
+) -> list[int]:
+    """cache[: n_max + 1], extending cache with seed(i) for i < 3 and beyond
+    that with the term the coefficients rec(i - 3) force, divided exactly."""
+
+    def grow(start: int, upto: int) -> list[int]:
+        vals = cache[max(start - 3, 0) : start]
+        head = len(vals)
+        for i in range(start, upto + 1):
+            if i < 3:
+                vals.append(seed(i))
+            else:
+                c0, c1, c2, c3 = rec(i - 3)
+                top = c0 * vals[-3] + c1 * vals[-2] + c2 * vals[-1]
+                vals.append(_exact_div(top, -c3))
+        return vals[head:]
+
+    return _memo_grow(cache, n_max, grow)[: n_max + 1]
+
+
 def R_values(n_max: int) -> list[int]:
-    """[R(0), ..., R(n_max)], served from a monotone cache."""
-    return _memo_prefix(_R_CACHE, n_max, R)
+    """[R(0), ..., R(n_max)], grown by recurrence (1.3) into a monotone cache."""
+    return _recurrence_prefix(_R_CACHE, n_max, R, _R_rec)
 
 
 def S_values(n_max: int) -> list[int]:
-    return _memo_prefix(_S_CACHE, n_max, S)
+    """[S(0), ..., S(n_max)], grown by recurrence (1.18) into a monotone cache."""
+    return _recurrence_prefix(_S_CACHE, n_max, S, _S_rec)
 
 
 def R_polys(n_max: int) -> list[Poly]:
@@ -287,30 +340,32 @@ def S_polys(n_max: int) -> list[Poly]:
 
 
 # -- recurrence cross-checks ---------------------------------------------------
+#
+# These read the defining sums R(n) and S(n), not the recurrence prefixes: a
+# check of the recurrence against values it generated could never fail.
 
 
-def check_recurrence_R(n_max: int) -> CheckResult:
-    """Third-order recurrence satisfied by the R numbers, checked on [0, n_max-3]."""
-    r = R_values(n_max)
+def _check_recurrence(
+    family: str, n_max: int, vals: list[int], rec: _Recurrence
+) -> CheckResult:
+    params = {"n_max": n_max}
     for n in range(n_max - 2):
-        lhs = (
-            (n + 1) * r[n]
-            - (7 * n + 15) * r[n + 1]
-            + (7 * n + 13) * r[n + 2]
-            - (n + 3) * r[n + 3]
-        )
+        lhs = sum(c * v for c, v in zip(rec(n), vals[n : n + 4]))
         if lhs != 0:
             return CheckResult(
-                family="rec_r",
-                params={"n_max": n_max},
+                family=family,
+                params=params,
                 status=FAIL,
                 lhs=str(lhs),
                 rhs="0",
                 witness={"n": n},
             )
-    return CheckResult(
-        family="rec_r", params={"n_max": n_max}, status=PASS, lhs="0", rhs="0"
-    )
+    return CheckResult(family=family, params=params, status=PASS, lhs="0", rhs="0")
+
+
+def check_recurrence_R(n_max: int) -> CheckResult:
+    """Recurrence (1.3) of the R numbers, checked on [0, n_max-3]."""
+    return _check_recurrence("rec_r", n_max, [R(i) for i in range(n_max + 1)], _R_rec)
 
 
 def check_recurrence_R_poly(n_max: int) -> CheckResult:
@@ -338,24 +393,5 @@ def check_recurrence_R_poly(n_max: int) -> CheckResult:
 
 
 def check_recurrence_S(n_max: int) -> CheckResult:
-    """Third-order recurrence satisfied by the S numbers, checked on [0, n_max-3]."""
-    s = S_values(n_max)
-    for n in range(n_max - 2):
-        lhs = (
-            9 * (n + 1) ** 2 * s[n]
-            - (19 * n * n + 74 * n + 87) * s[n + 1]
-            + (n + 3) * (11 * n + 29) * s[n + 2]
-            - (n + 3) ** 2 * s[n + 3]
-        )
-        if lhs != 0:
-            return CheckResult(
-                family="rec_s",
-                params={"n_max": n_max},
-                status=FAIL,
-                lhs=str(lhs),
-                rhs="0",
-                witness={"n": n},
-            )
-    return CheckResult(
-        family="rec_s", params={"n_max": n_max}, status=PASS, lhs="0", rhs="0"
-    )
+    """Recurrence (1.18) of the S numbers, checked on [0, n_max-3]."""
+    return _check_recurrence("rec_s", n_max, [S(i) for i in range(n_max + 1)], _S_rec)

@@ -21,6 +21,7 @@ from congrkit.exactnum import (
     residues_congruent,
     two_square_decompose,
 )
+from congrkit.sequences import R_values, S_values
 
 
 def test_binomial_basic_values():
@@ -173,6 +174,71 @@ def test_pow_compare_matches_exact_on_small_grid():
                 for eb in range(6):
                     want = (a**ea > b**eb) - (a**ea < b**eb)
                     assert pow_compare(a, ea, b, eb) == want
+
+
+# -- pow_compare against the exact powers -----------------------------------------
+
+
+def _exact_order(a, ea, b, eb):
+    x, y = a**ea, b**eb
+    return (x > y) - (x < y)
+
+
+def test_pow_compare_matches_exact_on_random_wide_bases():
+    rng = random.Random("pow_compare")
+    for _ in range(400):
+        a, b = (rng.getrandbits(rng.randint(1, 300)) | 1 for _ in "ab")
+        ea, eb = rng.randint(0, 60), rng.randint(0, 60)
+        assert pow_compare(a, ea, b, eb) == _exact_order(a, ea, b, eb)
+
+
+def test_pow_compare_on_bases_narrower_than_the_bracket():
+    rng = random.Random("narrow")
+    for _ in range(400):
+        a, b = (rng.getrandbits(rng.randint(1, 100)) | 1 for _ in "ab")
+        ea, eb = rng.randint(0, 60), rng.randint(0, 60)
+        assert pow_compare(a, ea, b, eb) == _exact_order(a, ea, b, eb)
+
+
+def test_pow_compare_decides_near_ties_and_exact_ties():
+    assert pow_compare(8, 100, 2, 300) == 0
+    assert pow_compare(27, 40, 3, 120) == 0
+    rng = random.Random("ties")
+    for _ in range(40):
+        a = rng.getrandbits(rng.randint(2, 300)) | 1
+        e = rng.randint(2, 60)
+        assert pow_compare(a, e, a, e) == 0
+        assert pow_compare(a**2, e, a, 2 * e) == 0
+        # one unit away from a power whose bracket is cut at every step
+        for d in (-1, 0, 1):
+            assert pow_compare(a, e, a**e + d, 1) == -d
+            assert pow_compare(a**e + d, 1, a, e) == d
+
+
+@pytest.mark.parametrize("values", (R_values, S_values))
+def test_pow_compare_on_every_conj52_root_step_pair(values):
+    vals = values(301)
+    for n in range(1, 301):
+        want = _exact_order(vals[n + 1], n, vals[n], n + 1)
+        assert pow_compare(vals[n + 1], n, vals[n], n + 1) == want
+
+
+def test_pow_bracket_encloses_the_power():
+    rng = random.Random("bracket")
+    for _ in range(300):
+        a = rng.getrandbits(rng.randint(1, 300)) or 1
+        e = rng.randint(0, 60)
+        for bits in (8, 128):
+            lo, hi, shift = exactnum._pow_bracket(a, e, bits)
+            assert lo << shift <= a**e <= hi << shift
+            # rounding hi up may carry into one more bit
+            assert hi.bit_length() <= bits + 1
+
+
+def test_pow_compare_rejects_bad_arguments():
+    for args in ((0, 1, 2, 1), (2, 1, -3, 1), (2, -1, 2, 1), (2, 1, 2, -1)):
+        with pytest.raises(ValueError):
+            pow_compare(*args)
 
 
 def test_primes_up_to_and_is_prime_agree():

@@ -249,6 +249,22 @@ def test_recurrence_checks_fail_on_raised_row(
     assert r.lhs == lhs
 
 
+def test_recurrence_prefixes_match_the_defining_sums(monkeypatch):
+    monkeypatch.setattr(sequences, "_R_CACHE", [])
+    monkeypatch.setattr(sequences, "_S_CACHE", [])
+    assert R_values(300) == [R(n) for n in range(301)]
+    assert S_values(300) == [S(n) for n in range(301)]
+
+
+def test_recurrence_prefix_raises_on_a_moved_seed(monkeypatch, raise_row):
+    # binomial(1, 0) goes from 1 to 2 in the n = 1 diagonal row: R_1 drops
+    # from 1 to 0, and the recurrence leaves a remainder by R_4 at the latest
+    raise_row(sequences, "_diag_row", 1)
+    monkeypatch.setattr(sequences, "_R_CACHE", [])
+    with pytest.raises(ArithmeticError):
+        R_values(10)
+
+
 def test_integer_families_extend_cleanly():
     for f in (R, S, schroder, h, t_seq, T_seq, T_plus, T_minus, s_small, S_cplus, S_cminus):
         for n in range(301):
@@ -261,9 +277,13 @@ def test_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
     monkeypatch.setattr(sequences, "_CENTRAL", [1])
     monkeypatch.setattr(sequences, "_CENTRAL_OVER", [-1])
     monkeypatch.setattr(sequences, "_R_CACHE", [])
-    results = race(lambda: R_values(300))
+    monkeypatch.setattr(sequences, "_S_CACHE", [])
+    # the recurrence prefixes read the central rows only through their seeds;
+    # R(300) grows those rows to full length from every thread
+    results = race(lambda: (R_values(300), S_values(300), R(300)))
     assert len(sequences._R_CACHE) == 301
-    expected = [R(n) for n in range(301)]
+    assert len(sequences._S_CACHE) == 301
+    expected = [R(n) for n in range(301)], [S(n) for n in range(301)], R(300)
     assert results == [expected] * 4
     central = sequences._CENTRAL
     assert central == [math.comb(2 * k, k) for k in range(len(central))]

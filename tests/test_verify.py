@@ -311,6 +311,36 @@ def test_growth_scan_run():
     assert R(6) * R(4) > R(5) ** 2
 
 
+@pytest.mark.parametrize(
+    "seq, claim, at, factor",
+    (
+        # term(n + 1) := term(n): term(n)^n < term(n)^(n + 1), root ratio below 1
+        ("R", "root_step", 1, 1),
+        ("S", "root_step", 1, 1),
+        # term(n + 2) := term(n + 1): the consecutive ratio drops to 1
+        ("R", "ratio_step", 2, 1),
+        ("S", "ratio_step", 2, 1),
+        # the ratio moved onto 6 > 3 + sqrt(8) and onto 9
+        ("R", "ratio_bound", 1, 6),
+        ("S", "ratio_bound", 1, 9),
+    ),
+)
+@pytest.mark.parametrize("n", (5, 40))
+def test_conj52_fails_on_moved_term(monkeypatch, seq, claim, at, factor, n):
+    """Serve term(n + at) := factor * term(n + at - 1), which breaks the claim."""
+    source = "R_values" if seq == "R" else "S_values"
+    original = getattr(verify, source)
+
+    def values(n_max):
+        vals = list(original(n_max))
+        vals[n + at] = factor * vals[n + at - 1]
+        return vals
+
+    monkeypatch.setattr(verify, source, values)
+    r = run_instance("conj52", {"seq": seq, "claim": claim, "n": n})
+    assert r.status == FAIL
+
+
 def test_irreducibility_verdicts_never_fail():
     assert conj53_witness(1).status == PASS
     two = conj53_witness(2)
