@@ -32,6 +32,21 @@ The harmonic weights sum S_k / k and p sum S_k / k^2 are residues as well.
 Every denominator involved (2, 3 and k < p) is prime to p, so no instance
 of either family is ILL_POSED.
 
+The display families of Theorem 1.5 are decided fraction-free.  thm15ii
+and xval15 read each of the ten display weights w[k] as integers
+D_n w[k], where D_n is the lcm of the weight denominators for k < n; the
+table is cached per (n, m mod 2), because the weights read m only through
+its parity.  A display sum with integer numerator N is integral exactly
+when D_n n | N for the four displays scaled by 1/n, and D_n | N for the
+other six.  xval15 matches each weight with its kernel difference once per
+(k, m mod 2), then compares the two sums as integer numerators over D_n.
+thm15i asks for divisibility by n, n^2 or n^3, all divisors of n^3, so its
+pattern rows are reduced mod n^3 before they are multiplied, and each
+multiset of grid values is decided once, since reordering a pattern
+changes none of its claims; a FAIL recomputes the failing pattern's claims
+from exact rows, so the report shows the exact value.  Only a FAIL row
+builds Fractions.
+
 Each checker, the conjecture scans included, takes its registry grid keys
 as keyword arguments and echoes them in JSON form as CheckResult.params;
 ``registry.run_instance`` calls it as ``check(**params)``.
@@ -143,6 +158,31 @@ def _pair_rows(n: int, a_list: Sequence[int]) -> list[int]:
     return _row_product(
         _binom_row(sign * a * n - 1, n) for a in a_list for sign in (1, -1)
     )
+
+
+def _dot(weights: Iterable[int], row: Iterable[int]) -> int:
+    """sum_k weights[k] * row[k] over the shorter of the two."""
+    return sum(map(operator.mul, weights, row))
+
+
+_WEIGHTS = {
+    "unit": lambda k: 1,
+    "odd": lambda k: 2 * k + 1,
+    "cubic": lambda k: 4 * k**3 - 1,
+    "stepcube": lambda k: 3 * k * k + 3 * k + 1,
+}
+
+
+@lru_cache(maxsize=None)
+def _weight_row(name: str, n: int, signed: int) -> tuple[int, ...]:
+    """The named weight at k < n, times (-1)^k when signed."""
+    w = _WEIGHTS[name]
+    return tuple(-w(k) if signed and k % 2 else w(k) for k in range(n))
+
+
+def _weighted(row: Sequence[int], name: str, signed: int = 0) -> int:
+    """sum_k w(k) row[k] for the named weight, times (-1)^k when signed."""
+    return _dot(_weight_row(name, len(row), signed), row)
 
 
 def _triangle(k: int) -> int:
@@ -645,13 +685,28 @@ _GRID_VALUES = tuple(a for a in range(-3, 4) if a)
 
 
 @lru_cache(maxsize=4)
-def _grid_products(m: int, n: int) -> dict[tuple[int, ...], tuple[int, ...]]:
-    """Row products over every sign pattern of the +-3 grid, keyed by tuple."""
-    base = {a: _binom_row(a * n - 1, n) for a in _GRID_VALUES}
-    return {
-        tup: tuple(_row_product(base[a] for a in tup))
-        for tup in itertools.product(_GRID_VALUES, repeat=m)
-    }
+def _grid_products(
+    m: int, n: int
+) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
+    """Per multiset of m values from the +-3 grid, in the order of its first
+    sign pattern: that pattern, its row product, and that times the row
+    product of the negated pattern; both rows mod n^3.
+
+    A claim reads a pattern only through these rows, sum(a_list) and m, so
+    every reordering of a pattern makes the same claims."""
+    cube = n**3
+    base = {a: [c % cube for c in _binom_row(a * n - 1, n)] for a in _GRID_VALUES}
+    plain = {}
+    for tup in itertools.product(_GRID_VALUES, repeat=m):
+        key = tuple(sorted(tup))
+        if key not in plain:
+            row = [c % cube for c in _row_product(base[a] for a in key)]
+            plain[key] = (tup, row)
+    out = []
+    for key, (tup, row) in plain.items():
+        negated = plain[tuple(-a for a in reversed(key))][1]
+        out.append((tup, row, [x * y % cube for x, y in zip(row, negated)]))
+    return out
 
 
 def _thm15_claims(
@@ -659,43 +714,39 @@ def _thm15_claims(
     n: int,
     a_list: Sequence[int],
     plain: Sequence[int],
-    paired: Optional[Sequence[int]],
+    paired: Sequence[int],
 ) -> list[tuple[str, int, int]]:
-    m = len(a_list)
+    """(label, value, modulus) per claim, from exact rows or rows mod n^3."""
+    twist = len(a_list) % 2  # (-1)^(km) is (-1)^k for odd m
     if variant == "odd_plain":
-        plus = sum((2 * k + 1) * plain[k] for k in range(n))
-        minus = sum(
-            (-(2 * k + 1) if k % 2 else 2 * k + 1) * plain[k] for k in range(n)
-        )
-        return [("plus sign", plus, n), ("minus sign", minus, n)]
+        return [
+            ("plus sign", _weighted(plain, "odd"), n),
+            ("minus sign", _weighted(plain, "odd", 1), n),
+        ]
     if variant == "cubic_plain":
-        plus = sum((4 * k**3 - 1) * plain[k] for k in range(n))
-        minus = sum(
-            (1 - 4 * k**3 if k % 2 else 4 * k**3 - 1) * plain[k] for k in range(n)
-        )
-        return [("plus sign", plus, n), ("minus sign", minus, n)]
+        return [
+            ("plus sign", _weighted(plain, "cubic"), n),
+            ("minus sign", _weighted(plain, "cubic", 1), n),
+        ]
     if variant == "odd_signed":
         factor = math.gcd(sum(a_list) - 1, 2)
-        total = sum(
-            (-1 if (k * m) % 2 else 1) * (2 * k + 1) * plain[k] for k in range(n)
-        )
-        return [("gcd-weighted", factor * total, n * n)]
+        return [("gcd-weighted", factor * _weighted(plain, "odd", twist), n * n)]
     if variant == "stepcube_signed":
-        total = sum(
-            (-1 if (k * m) % 2 else 1) * (3 * k * k + 3 * k + 1) * plain[k]
-            for k in range(n)
-        )
-        return [("six-fold", 6 * total, n * n)]
+        return [("six-fold", 6 * _weighted(plain, "stepcube", twist), n * n)]
     if variant == "cubic_paired":
-        total = sum(
-            (1 - 4 * k**3 if k % 2 else 4 * k**3 - 1) * paired[k] for k in range(n)
-        )
-        return [("alternating", total, n * n)]
+        return [("alternating", _weighted(paired, "cubic", 1), n * n)]
     if variant == "stepcube_paired":
         factor = math.gcd(sum(a_list) - 1, 2)
-        total = sum((3 * k * k + 3 * k + 1) * paired[k] for k in range(n))
-        return [("gcd-weighted", factor * total, n**3)]
+        return [("gcd-weighted", factor * _weighted(paired, "stepcube"), n**3)]
     raise ValueError("check_thm15_i: unknown variant %r" % (variant,))
+
+
+def _thm15_exact_claims(
+    variant: str, n: int, a_list: Sequence[int]
+) -> list[tuple[str, int, int]]:
+    """The claims from exact rows, as check_thm15_i makes them."""
+    plain = _row_product(_binom_row(a * n - 1, n) for a in a_list)
+    return _thm15_claims(variant, n, a_list, plain, _pair_rows(n, a_list))
 
 
 def check_thm15_i(n: int, a_list: Sequence[int], variant: str) -> CheckResult:
@@ -703,27 +754,23 @@ def check_thm15_i(n: int, a_list: Sequence[int], variant: str) -> CheckResult:
     if n < 1 or not a_list:
         raise ValueError("check_thm15_i: need n >= 1 and a nonempty a_list")
     params = {"n": n, "a_list": list(a_list), "variant": variant}
-    plain = _row_product(_binom_row(a * n - 1, n) for a in a_list)
-    claims = _thm15_claims(variant, n, a_list, plain, _pair_rows(n, a_list))
-    return _divisibility("thm15i", params, claims)
+    return _divisibility("thm15i", params, _thm15_exact_claims(variant, n, a_list))
 
 
 def check_thm15_i_grid(m: int, n: int, variant: str) -> CheckResult:
     """Aggregate over every sign pattern of the +-3 coefficient grid."""
+    if m < 1 or n < 1:
+        raise ValueError("check_thm15_i_grid: need m, n >= 1")
     params = {"m": m, "n": n, "variant": variant}
-    products = _grid_products(m, n)
-    paired_needed = variant in ("cubic_paired", "stepcube_paired")
-    for tup, plain in products.items():
-        paired = None
-        if paired_needed:
-            paired = _row_product((plain, products[tuple(-a for a in tup)]))
+    for tup, plain, paired in _grid_products(m, n):
         for label, value, modulus in _thm15_claims(variant, n, tup, plain, paired):
             if value % modulus:
+                exact = dict(c[:2] for c in _thm15_exact_claims(variant, n, tup))
                 return CheckResult(
                     "thm15i",
                     params,
                     FAIL,
-                    lhs=clip(value),
+                    lhs=clip(exact[label]),
                     rhs="0",
                     modulus=str(modulus),
                     witness={"a_list": list(tup), "claim": label},
@@ -734,7 +781,7 @@ def check_thm15_i_grid(m: int, n: int, variant: str) -> CheckResult:
         PASS,
         lhs="0",
         rhs="0",
-        note="patterns checked: %d" % len(products),
+        note="patterns checked: %d" % len(_GRID_VALUES) ** m,
     )
 
 
@@ -744,80 +791,89 @@ def _mixed_row(n: int, a: int, b: int) -> list[int]:
     return [pos[k] ** a * neg[k] ** b for k in range(n)]
 
 
-def _display_sums(n: int, a: int, b: int) -> list[tuple[str, Fraction, bool]]:
-    """The ten integral-sum displays; flag marks the ones scaled by 1/n."""
-    central, _ = _central_rows(n)
-    same = _mixed_row(n, a, a)
-    mixed = _mixed_row(n, a, b)
-    m = a + b
-    sums: list[tuple[str, Fraction, bool]] = []
-    q1 = sum(Fraction(same[k], 4 * k * k - 1) for k in range(n))
-    q2 = sum(Fraction(same[k], _triangle(k)) for k in range(n))
-    q3 = sum(
-        (-1) ** k * (1 + Fraction(2 * k, 4 * k * k - 1)) * same[k] for k in range(n)
-    )
-    q4 = sum(
-        (-1) ** k * (4 - Fraction(2 * k + 3, _triangle(k))) * same[k] for k in range(n)
-    )
-    sums.append(("quarter weight", q1 / n, True))
-    sums.append(("triangle weight", q2 / n, True))
-    sums.append(("alternating quarter weight", q3 / n, True))
-    sums.append(("alternating triangle weight", q4 / n, True))
-    def sg(k: int, e: int) -> int:
-        return -1 if (k * e) % 2 else 1
+@lru_cache(maxsize=None)
+def _xval_plans(odd: int) -> tuple[tuple[str, str, bool, Fraction, int], ...]:
+    """(label, kernel name, uses the signed difference, constant c, k = 0
+    correction) per display, for m of parity odd.
 
-    sums.append(
-        (
-            "mixed quarter weight",
-            sum(Fraction(sg(k, m) * mixed[k], 4 * k * k - 1) for k in range(n)),
-            False,
-        )
+    A display on the signed difference sums the mixed row; the other four
+    sum the row with b = a and are scaled by 1/n in thm15ii."""
+    sign = 1 if odd else -1
+    return (
+        ("quarter weight", "f1", False, Fraction(-1), 0),
+        ("triangle weight", "f3", False, Fraction(1), 0),
+        ("alternating quarter weight", "f2", False, Fraction(-1), 0),
+        ("alternating triangle weight", "f4", False, Fraction(-1), 0),
+        ("mixed quarter weight", "f5", True, Fraction(sign, 2), 0),
+        ("mixed quarter k-weight", "f6", True, Fraction(sign, 4), 0),
+        ("mixed triangle weight", "f7", True, Fraction(sign), 0),
+        ("mixed triangle odd-weight", "f8", True, Fraction(sign), 0),
+        ("mixed central weight", "f9", True, Fraction(sign), 1),
+        ("mixed central odd-weight", "f10", True, Fraction(sign), 1),
     )
-    sums.append(
-        (
-            "mixed quarter k-weight",
-            sum(Fraction(sg(k, m - 1) * k * mixed[k], 4 * k * k - 1) for k in range(n)),
-            False,
-        )
+
+
+@lru_cache(maxsize=None)
+def _xval_weights(k: int, odd: int) -> tuple[Fraction, ...]:
+    """The ten display weights at index k, for m of parity odd."""
+    alt = -1 if k % 2 else 1  # (-1)^k
+    sm = alt if odd else 1  # (-1)^(km)
+    sm1 = 1 if odd else alt  # (-1)^(k(m-1))
+    quarter = 4 * k * k - 1
+    tri = _triangle(k)
+    central = (2 * k + 1) * _central_rows(k)[0][k]
+    return (
+        Fraction(1, quarter),
+        Fraction(1, tri),
+        alt * (1 + Fraction(2 * k, quarter)),
+        alt * (4 - Fraction(2 * k + 3, tri)),
+        Fraction(sm, quarter),
+        Fraction(sm1 * k, quarter),
+        Fraction(sm, tri),
+        Fraction(sm1 * (2 * k + 3), tri),
+        Fraction(sm * (3 * k + 1), central),
+        Fraction(sm1 * (5 * k + 3), central),
     )
-    sums.append(
-        (
-            "mixed triangle weight",
-            sum(Fraction(sg(k, m) * mixed[k], _triangle(k)) for k in range(n)),
-            False,
-        )
+
+
+@lru_cache(maxsize=4)
+def _display_weights(n: int, odd: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """D_n, the lcm of every display weight denominator at k < n, and per
+    display its integer weights D_n w[k]."""
+    columns = list(zip(*(_xval_weights(k, odd) for k in range(n))))
+    d = math.lcm(*(w.denominator for col in columns for w in col))
+    return d, tuple(
+        tuple(d // w.denominator * w.numerator for w in col) for col in columns
     )
-    sums.append(
-        (
-            "mixed triangle odd-weight",
-            sum(
-                Fraction(sg(k, m - 1) * (2 * k + 3) * mixed[k], _triangle(k))
-                for k in range(n)
-            ),
-            False,
-        )
+
+
+@lru_cache(maxsize=None)
+def _xval_terms(k: int, odd: int) -> tuple[tuple[Fraction, bool], ...]:
+    """Per display at index k: the kernel difference, and whether the display
+    weight equals c times it plus the k = 0 correction."""
+    m = 2 + odd  # kernels read the factor count only through its parity
+    out = []
+    for (_, kname, signed, c, correction), w in zip(
+        _xval_plans(odd), _xval_weights(k, odd)
+    ):
+        kern = PAPER_KERNELS[kname]
+        kval = bar(kern, k, m) if signed else delta(kern, k)
+        out.append((kval, w == c * kval + (correction if k == 0 else 0)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=4)
+def _xval_kernel_rows(n: int, odd: int) -> tuple[Optional[tuple[int, ...]], ...]:
+    """Per display, D_n times its kernel differences at k < n; None when the
+    termwise match fails at some k < n.  Where it holds, each difference is
+    (w[k] - correction) / c with c = +-1, +-1/2 or +-1/4, so D_n clears it."""
+    d, _ = _display_weights(n, odd)
+    return tuple(
+        tuple(_exact_div(d * v.numerator, v.denominator) for v, _ in col)
+        if all(ok for _, ok in col)
+        else None
+        for col in zip(*(_xval_terms(k, odd) for k in range(n)))
     )
-    sums.append(
-        (
-            "mixed central weight",
-            sum(
-                Fraction(sg(k, m) * (3 * k + 1) * mixed[k], (2 * k + 1) * central[k])
-                for k in range(n)
-            ),
-            False,
-        )
-    )
-    sums.append(
-        (
-            "mixed central odd-weight",
-            sum(
-                Fraction(sg(k, m - 1) * (5 * k + 3) * mixed[k], (2 * k + 1) * central[k])
-                for k in range(n)
-            ),
-            False,
-        )
-    )
-    return sums
 
 
 def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
@@ -825,22 +881,23 @@ def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
     if n < 1 or a < 1 or b < 1:
         raise ValueError("check_thm15_ii: need n, a, b >= 1")
     params = {"n": n, "a": a, "b": b}
-    for label, value, _ in _display_sums(n, a, b):
-        if value.denominator != 1:
+    m = a + b
+    mixed = _mixed_row(n, a, b)
+    same = mixed if a == b else _mixed_row(n, a, a)
+    d, weights = _display_weights(n, m % 2)
+    for (label, _, signed, _, _), w in zip(_xval_plans(m % 2), weights):
+        scale = d if signed else d * n
+        total = _dot(w, mixed if signed else same)
+        if total % scale:
             return CheckResult(
                 "thm15ii",
                 params,
                 FAIL,
-                lhs=_fraction_str(value),
+                lhs=_fraction_str(Fraction(total, scale)),
                 rhs="integer",
                 witness={"claim": label},
             )
-    m = a + b
-    mixed = _mixed_row(n, a, b)
-    factor = math.gcd(a + b - 1, 2)
-    total = factor * sum(
-        (-1 if (k * m) % 2 else 1) * (2 * k + 1) * mixed[k] for k in range(n)
-    )
+    total = math.gcd(m - 1, 2) * _weighted(mixed, "odd", m % 2)
     if total % (n * n):
         return CheckResult(
             "thm15ii",
@@ -887,64 +944,6 @@ def check_remark13(n: int) -> CheckResult:
 
 # -- display weights versus the kernel catalogue --------------------------------
 
-# (label, kernel name, uses the signed difference, constant, k=0 correction)
-# The constant exponent e means c = base / (-1)^(e*m) read off below.
-
-
-def _xval_plans(n: int, m: int) -> list[tuple[str, str, bool, Fraction, int]]:
-    odd = m % 2
-    return [
-        ("quarter weight", "f1", False, Fraction(-1), 0),
-        ("triangle weight", "f3", False, Fraction(1), 0),
-        ("alternating quarter weight", "f2", False, Fraction(-1), 0),
-        ("alternating triangle weight", "f4", False, Fraction(-1), 0),
-        ("mixed quarter weight", "f5", True, Fraction(1 if odd else -1, 2), 0),
-        ("mixed quarter k-weight", "f6", True, Fraction(1 if odd else -1, 4), 0),
-        ("mixed triangle weight", "f7", True, Fraction(1 if odd else -1), 0),
-        ("mixed triangle odd-weight", "f8", True, Fraction(1 if odd else -1), 0),
-        ("mixed central weight", "f9", True, Fraction(1 if odd else -1), 1),
-        ("mixed central odd-weight", "f10", True, Fraction(1 if odd else -1), 1),
-    ]
-
-
-def _xval_weights(n: int, m: int) -> dict[str, list[Fraction]]:
-    central, _ = _central_rows(n)
-
-    def sg(k: int, e: int) -> int:
-        return -1 if (k * e) % 2 else 1
-
-    out = {
-        "quarter weight": [Fraction(1, 4 * k * k - 1) for k in range(n)],
-        "triangle weight": [Fraction(1, _triangle(k)) for k in range(n)],
-        "alternating quarter weight": [
-            sg(k, 1) * (1 + Fraction(2 * k, 4 * k * k - 1)) for k in range(n)
-        ],
-        "alternating triangle weight": [
-            sg(k, 1) * (4 - Fraction(2 * k + 3, _triangle(k))) for k in range(n)
-        ],
-        "mixed quarter weight": [
-            Fraction(sg(k, m), 4 * k * k - 1) for k in range(n)
-        ],
-        "mixed quarter k-weight": [
-            Fraction(sg(k, m - 1) * k, 4 * k * k - 1) for k in range(n)
-        ],
-        "mixed triangle weight": [
-            Fraction(sg(k, m), _triangle(k)) for k in range(n)
-        ],
-        "mixed triangle odd-weight": [
-            Fraction(sg(k, m - 1) * (2 * k + 3), _triangle(k)) for k in range(n)
-        ],
-        "mixed central weight": [
-            Fraction(sg(k, m) * (3 * k + 1), (2 * k + 1) * central[k])
-            for k in range(n)
-        ],
-        "mixed central odd-weight": [
-            Fraction(sg(k, m - 1) * (5 * k + 3), (2 * k + 1) * central[k])
-            for k in range(n)
-        ],
-    }
-    return out
-
 
 def check_xval15(n: int, a: int, b: int) -> CheckResult:
     """Every display weight equals a constant multiple of the difference form
@@ -958,39 +957,36 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
     if n < 1 or a < 1 or b < 1:
         raise ValueError("check_xval15: need n, a, b >= 1")
     params = {"n": n, "a": a, "b": b}
-    m = a + b
-    same = _mixed_row(n, a, a)
+    odd = (a + b) % 2
     mixed = _mixed_row(n, a, b)
-    weights = _xval_weights(n, m)
-    for label, kname, signed, c, correction in _xval_plans(n, m):
-        kern = PAPER_KERNELS[kname]
-        if signed:
-            kvals = [bar(kern, k, m) for k in range(n)]
-            row = mixed
-        else:
-            kvals = [delta(kern, k) for k in range(n)]
-            row = same
-        w = weights[label]
-        for k in range(n):
-            expected = c * kvals[k] + (correction if k == 0 else 0)
-            if w[k] != expected:
-                return CheckResult(
-                    "xval15",
-                    params,
-                    FAIL,
-                    lhs=_fraction_str(w[k]),
-                    rhs=_fraction_str(expected),
-                    witness={"display": label, "k": k},
-                )
-        display_total = sum(w[k] * row[k] for k in range(n))
-        kernel_total = sum(kvals[k] * row[k] for k in range(n))
-        if display_total != c * kernel_total + correction * row[0]:
+    same = mixed if a == b else _mixed_row(n, a, a)
+    d, weights = _display_weights(n, odd)
+    kernel_rows = _xval_kernel_rows(n, odd)
+    for i, (label, _, signed, c, correction) in enumerate(_xval_plans(odd)):
+        if kernel_rows[i] is None:
+            k = next(k for k in range(n) if not _xval_terms(k, odd)[i][1])
+            expected = c * _xval_terms(k, odd)[i][0] + (correction if k == 0 else 0)
             return CheckResult(
                 "xval15",
                 params,
                 FAIL,
-                lhs=_fraction_str(display_total),
-                rhs=_fraction_str(c * kernel_total + correction * row[0]),
+                lhs=_fraction_str(_xval_weights(k, odd)[i]),
+                rhs=_fraction_str(expected),
+                witness={"display": label, "k": k},
+            )
+        row = mixed if signed else same
+        display_total = _dot(weights[i], row)
+        kernel_total = _dot(kernel_rows[i], row)
+        lhs = c.denominator * (display_total - d * correction * row[0])
+        if lhs != c.numerator * kernel_total:
+            return CheckResult(
+                "xval15",
+                params,
+                FAIL,
+                lhs=_fraction_str(Fraction(display_total, d)),
+                rhs=_fraction_str(
+                    c * Fraction(kernel_total, d) + correction * row[0]
+                ),
                 witness={"display": label, "claim": "sum"},
             )
     return CheckResult(
@@ -1158,25 +1154,16 @@ def check_cor41(
     d = math.gcd(n, *a_list, *b_list)
     rows = _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
 
-    def alt(e: int, k: int) -> int:
-        return -1 if (k * e) % 2 else 1
-
-    s44 = sum(alt(m, k) * rows[k] for k in range(n))
-    s45p = sum((2 * k + 1) * rows[k] for k in range(n))
-    s45m = sum(alt(1, k) * (2 * k + 1) * rows[k] for k in range(n))
-    s46p = sum((4 * k**3 - 1) * rows[k] for k in range(n))
-    s46m = sum(alt(1, k) * (4 * k**3 - 1) * rows[k] for k in range(n))
+    twist = m % 2  # (-1)^(km) is (-1)^k for odd m
     factor = math.gcd(sum(a_list) // d - 1, 2)
-    s47 = factor * sum(alt(m, k) * (2 * k + 1) * rows[k] for k in range(n))
-    s48 = 6 * sum(alt(m, k) * (3 * k * k + 3 * k + 1) * rows[k] for k in range(n))
     claims = [
-        ("plain alternating", s44, d),
-        ("odd weight, plus", s45p, d),
-        ("odd weight, minus", s45m, d),
-        ("cubic weight, plus", s46p, d),
-        ("cubic weight, minus", s46m, d),
-        ("gcd-weighted odd", s47, d * d),
-        ("six-fold stepped cube", s48, d * d),
+        ("plain alternating", _weighted(rows, "unit", twist), d),
+        ("odd weight, plus", _weighted(rows, "odd"), d),
+        ("odd weight, minus", _weighted(rows, "odd", 1), d),
+        ("cubic weight, plus", _weighted(rows, "cubic"), d),
+        ("cubic weight, minus", _weighted(rows, "cubic", 1), d),
+        ("gcd-weighted odd", factor * _weighted(rows, "odd", twist), d * d),
+        ("six-fold stepped cube", 6 * _weighted(rows, "stepcube", twist), d * d),
     ]
     return _divisibility("cor41", params, claims)
 

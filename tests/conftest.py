@@ -10,6 +10,8 @@ import threading
 
 import pytest
 
+from congrkit import verify
+
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
@@ -74,3 +76,15 @@ def raise_row(monkeypatch):
         monkeypatch.setattr(module, seam, row)
 
     return serve
+
+
+@pytest.fixture
+def cold_caches():
+    """Clear every lru_cache in congrkit.verify before and after the test, so
+    a falsified value source is read from cold tables and leaves none behind."""
+    caches = [f for f in vars(verify).values() if hasattr(f, "cache_clear")]
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()

@@ -194,3 +194,11 @@ def test_scan_rejects_pinned_n_zero(capsys, pins):
         cli_module.main(["verify", *pins.split()])
     assert stop.value.code == 2
     assert "need n >= 1" in capsys.readouterr().err
+
+
+def test_thm15i_rejects_pinned_n_zero(capsys):
+    argv = ["verify", "thm15i", "--m", "1", "--n", "0", "--variant", "odd_plain"]
+    with pytest.raises(SystemExit) as stop:
+        cli_module.main(argv)
+    assert stop.value.code == 2
+    assert "need m, n >= 1" in capsys.readouterr().err

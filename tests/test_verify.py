@@ -1,5 +1,6 @@
 """Congruence checkers: frozen instances, independent mini-oracles, scans."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -191,6 +192,9 @@ def test_product_weight_single_instances():
 def test_product_weight_full_grids():
     for variant in THM15_VARIANTS:
         assert check_thm15_i_grid(2, 6, variant).status == PASS
+    for m, n in ((1, 0), (0, 3)):
+        with pytest.raises(ValueError):
+            check_thm15_i_grid(m, n, "odd_plain")
 
 
 def test_mixed_weight_instances():
@@ -758,3 +762,313 @@ def test_remark53_fails_on_raised_plus_value(monkeypatch):
     r = run_instance("remark53", {"n": 2})
     assert r.status == FAIL
     assert r.witness == {"claim": "plus prefix", "residue": 1}
+
+
+# -- the display families against their exact Fraction oracles --------------------
+#
+# thm15ii and xval15 sum integer numerators over one denominator D_n and
+# thm15i reduces its rows mod n^3; each must give the same CheckResult as
+# these exact Fraction references.  check_thm15_i is the exact thm15i one.
+
+
+def _display_sums(n, a, b):
+    """The ten integral-sum displays; flag marks the ones scaled by 1/n."""
+    central, _ = _central_rows(n)
+    same = verify._mixed_row(n, a, a)
+    mixed = verify._mixed_row(n, a, b)
+    tri = verify._triangle
+    m = a + b
+    sums = []
+    q1 = sum(Fraction(same[k], 4 * k * k - 1) for k in range(n))
+    q2 = sum(Fraction(same[k], tri(k)) for k in range(n))
+    q3 = sum(
+        (-1) ** k * (1 + Fraction(2 * k, 4 * k * k - 1)) * same[k] for k in range(n)
+    )
+    q4 = sum(
+        (-1) ** k * (4 - Fraction(2 * k + 3, tri(k))) * same[k] for k in range(n)
+    )
+    sums.append(("quarter weight", q1 / n, True))
+    sums.append(("triangle weight", q2 / n, True))
+    sums.append(("alternating quarter weight", q3 / n, True))
+    sums.append(("alternating triangle weight", q4 / n, True))
+
+    def sg(k, e):
+        return -1 if (k * e) % 2 else 1
+
+    sums.append(
+        (
+            "mixed quarter weight",
+            sum(Fraction(sg(k, m) * mixed[k], 4 * k * k - 1) for k in range(n)),
+            False,
+        )
+    )
+    sums.append(
+        (
+            "mixed quarter k-weight",
+            sum(Fraction(sg(k, m - 1) * k * mixed[k], 4 * k * k - 1) for k in range(n)),
+            False,
+        )
+    )
+    sums.append(
+        (
+            "mixed triangle weight",
+            sum(Fraction(sg(k, m) * mixed[k], tri(k)) for k in range(n)),
+            False,
+        )
+    )
+    sums.append(
+        (
+            "mixed triangle odd-weight",
+            sum(
+                Fraction(sg(k, m - 1) * (2 * k + 3) * mixed[k], tri(k))
+                for k in range(n)
+            ),
+            False,
+        )
+    )
+    sums.append(
+        (
+            "mixed central weight",
+            sum(
+                Fraction(sg(k, m) * (3 * k + 1) * mixed[k], (2 * k + 1) * central[k])
+                for k in range(n)
+            ),
+            False,
+        )
+    )
+    sums.append(
+        (
+            "mixed central odd-weight",
+            sum(
+                Fraction(sg(k, m - 1) * (5 * k + 3) * mixed[k], (2 * k + 1) * central[k])
+                for k in range(n)
+            ),
+            False,
+        )
+    )
+    return sums
+
+
+def _reference_thm15_ii(n, a, b):
+    params = {"n": n, "a": a, "b": b}
+    for label, value, _ in _display_sums(n, a, b):
+        if value.denominator != 1:
+            return CheckResult(
+                "thm15ii",
+                params,
+                FAIL,
+                lhs=verify._fraction_str(value),
+                rhs="integer",
+                witness={"claim": label},
+            )
+    m = a + b
+    mixed = verify._mixed_row(n, a, b)
+    factor = math.gcd(a + b - 1, 2)
+    total = factor * sum(
+        (-1 if (k * m) % 2 else 1) * (2 * k + 1) * mixed[k] for k in range(n)
+    )
+    if total % (n * n):
+        return CheckResult(
+            "thm15ii",
+            params,
+            FAIL,
+            lhs=clip(total),
+            rhs="0",
+            modulus="%d^2" % n,
+            witness={"claim": "gcd-weighted odd sum"},
+        )
+    return CheckResult(
+        "thm15ii",
+        params,
+        PASS,
+        lhs="0",
+        rhs="0",
+        modulus="%d^2" % n,
+        note="ten integral sums and one congruence",
+    )
+
+
+def _reference_xval15(n, a, b):
+    params = {"n": n, "a": a, "b": b}
+    m = a + b
+    same = verify._mixed_row(n, a, a)
+    mixed = verify._mixed_row(n, a, b)
+    plans = verify._xval_plans(m % 2)
+    for i, (label, kname, signed, c, correction) in enumerate(plans):
+        kern = verify.PAPER_KERNELS[kname]
+        if signed:
+            kvals = [verify.bar(kern, k, m) for k in range(n)]
+            row = mixed
+        else:
+            kvals = [verify.delta(kern, k) for k in range(n)]
+            row = same
+        w = [verify._xval_weights(k, m % 2)[i] for k in range(n)]
+        for k in range(n):
+            expected = c * kvals[k] + (correction if k == 0 else 0)
+            if w[k] != expected:
+                return CheckResult(
+                    "xval15",
+                    params,
+                    FAIL,
+                    lhs=verify._fraction_str(w[k]),
+                    rhs=verify._fraction_str(expected),
+                    witness={"display": label, "k": k},
+                )
+        display_total = sum(w[k] * row[k] for k in range(n))
+        kernel_total = sum(kvals[k] * row[k] for k in range(n))
+        if display_total != c * kernel_total + correction * row[0]:
+            return CheckResult(
+                "xval15",
+                params,
+                FAIL,
+                lhs=verify._fraction_str(display_total),
+                rhs=verify._fraction_str(c * kernel_total + correction * row[0]),
+                witness={"display": label, "claim": "sum"},
+            )
+    return CheckResult(
+        "xval15",
+        params,
+        PASS,
+        note="ten weight families matched against the kernel catalogue",
+    )
+
+
+def _reference_thm15_i_grid(m, n, variant):
+    """The grid verdict from check_thm15_i on every pattern, in grid order."""
+    patterns = list(itertools.product(verify._GRID_VALUES, repeat=m))
+    params = {"m": m, "n": n, "variant": variant}
+    for tup in patterns:
+        r = check_thm15_i(n, tup, variant)
+        if r.status != PASS:
+            witness = {"a_list": list(tup), "claim": r.witness["claim"]}
+            return CheckResult(
+                "thm15i", params, r.status, r.lhs, r.rhs, r.modulus, witness
+            )
+    note = "patterns checked: %d" % len(patterns)
+    return CheckResult("thm15i", params, PASS, lhs="0", rhs="0", note=note)
+
+
+_DISPLAY_CHECKS = (
+    ("thm15ii", check_thm15_ii, _reference_thm15_ii),
+    ("xval15", check_xval15, _reference_xval15),
+    ("thm15i", check_thm15_i_grid, _reference_thm15_i_grid),
+)
+
+
+@pytest.mark.parametrize("family, check, reference", _DISPLAY_CHECKS)
+def test_display_families_match_exact_oracles(cold_caches, family, check, reference):
+    grid = instances_for(family, {"max_n": 20})
+    assert len(grid) in (180, 360)
+    for params in grid:
+        assert check(**params) == reference(**params), params
+
+
+@pytest.mark.parametrize(
+    "family, top, index, n",
+    (
+        # pos row binomial(n - 1, k) and neg row binomial(-n - 1, k) at n = 5
+        ("thm15ii", 4, 2, 5),
+        ("thm15ii", -6, 1, 5),
+        # binomial(3n - 1, k) at n = 5, binomial(n - 1, k) at n = 15
+        ("thm15i", 14, 2, 5),
+        ("thm15i", 14, 2, 15),
+        ("thm15i", -16, 3, 5),
+    ),
+)
+def test_display_families_match_exact_oracles_on_raised_row(
+    cold_caches, raise_row, family, top, index, n
+):
+    raise_row(verify, "_binom_row", top, index)
+    check, reference = {f: (c, r) for f, c, r in _DISPLAY_CHECKS}[family]
+    fails = 0
+    for params in instances_for(family, {"max_n": 20}):
+        if params["n"] == n:
+            got = check(**params)
+            assert got == reference(**params), params
+            fails += got.status == FAIL
+    assert fails > 0
+
+
+@pytest.mark.parametrize(
+    "kernel, first_k",
+    (
+        # f7's numerator 2 becomes 3: the match fails from k = 0
+        (KernelSpec("f7", "km", (3,), (1, 1)), 0),
+        # f1's numerator k gains k(k-1)(k-2): f(3) moves, so delta from k = 2
+        (KernelSpec("f1", "none", (0, 3, -3, 1), (-1, 2)), 2),
+    ),
+)
+def test_xval15_matches_exact_oracle_on_perturbed_kernel(
+    monkeypatch, cold_caches, kernel, first_k
+):
+    monkeypatch.setitem(verify.PAPER_KERNELS, kernel.name, kernel)
+    for params in instances_for("xval15", {"max_n": 20}):
+        got = check_xval15(**params)
+        assert got == _reference_xval15(**params), params
+        assert (got.status == FAIL) == (params["n"] > first_k), params
+        if got.status == FAIL:
+            assert got.witness["k"] == first_k
+
+
+# -- negative controls for the display families
+
+
+def test_thm15ii_fails_on_raised_row(cold_caches, raise_row):
+    # binomial(4, 2) goes from 6 to 7 in the n = 5 row
+    raise_row(verify, "_binom_row", 4, 2)
+    r = check_thm15_ii(5, 1, 1)
+    assert r.status == FAIL
+    assert r.witness == {"claim": "quarter weight"}
+    assert r.lhs == "-18/25"
+
+
+def test_thm15i_fails_on_raised_row(cold_caches, raise_row):
+    # binomial(14, 2) goes from 91 to 92 in the a = 3 row at n = 5
+    raise_row(verify, "_binom_row", 14, 2)
+    r = check_thm15_i_grid(2, 5, "stepcube_paired")
+    assert r.status == FAIL
+    assert r.witness == {"a_list": [-3, -3], "claim": "gcd-weighted"}
+    assert (r.modulus, r.lhs) == ("125", "921526939595217")
+
+
+def test_xval15_fails_on_perturbed_kernel(monkeypatch, cold_caches):
+    # f7 = 2 (-1)^(km) / (k + 1) with numerator 3 instead of 2
+    monkeypatch.setitem(
+        verify.PAPER_KERNELS, "f7", KernelSpec("f7", "km", (3,), (1, 1))
+    )
+    r = check_xval15(4, 1, 2)
+    assert r.status == FAIL
+    assert r.witness == {"display": "mixed triangle weight", "k": 0}
+    assert (r.lhs, r.rhs) == ("1", "3/2")
+
+
+def test_display_caches_agree_under_thread_races(cold_caches, race):
+    def run():
+        return [
+            (
+                check_thm15_i_grid(m, n, variant),
+                check_thm15_ii(n, a, 1),
+                check_xval15(n, a, 1),
+            )
+            for n in (7, 16)
+            for m in (2, 3)
+            for a in (1, 2)
+            for variant in ("odd_signed", "stepcube_paired")
+        ]
+
+    def tables():
+        return [
+            (
+                verify._grid_products(m, n),
+                verify._display_weights(n, odd),
+                verify._xval_kernel_rows(n, odd),
+            )
+            for n in (7, 16)
+            for m in (2, 3)
+            for odd in (0, 1)
+        ]
+
+    results = race(lambda: (run(), tables()))
+    for f in [f for f in vars(verify).values() if hasattr(f, "cache_clear")]:
+        f.cache_clear()
+    assert results == [(run(), tables())] * 4
