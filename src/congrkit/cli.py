@@ -46,8 +46,12 @@ _SEQUENCES = {
     "Sminus": sequences.S_cminus,
 }
 
-# linear-time prefixes for the two sequences that have them
-_PREFIXES = {"R": sequences.R_values, "S": sequences.S_values}
+# linear-time prefixes for the sequences that have them
+_PREFIXES = {
+    "R": sequences.R_values,
+    "S": sequences.S_values,
+    "schroder": sequences.schroder_values,
+}
 
 _QVERIFY_ALIASES = {"thm31": "thm31q", "thm32": "thm32q", "conj58": "conj58q"}
 

@@ -5,7 +5,10 @@ and the q-polynomials of the q-analogue checks: a tuple of coefficients in
 ascending degree order with trailing zeros pruned, so the zero polynomial
 is the empty tuple and equality is plain tuple equality.  Coefficients are
 ints whenever possible; Fractions appear only when a computation genuinely
-leaves the integers (rational division, non-monic divmod).
+leaves the integers (rational division, non-monic divmod).  Integral
+Fractions are collapsed to ints only when a Fraction is present at all, found
+by a C-level scan of the coefficient types, so integer arithmetic pays no
+per-coefficient Python-level type test.
 
 Multiplication of integer polynomials routes through Kronecker
 substitution (pack into one big int, multiply, unpack), which turns the
@@ -14,6 +17,7 @@ what keeps the degree-1000-plus q-polynomial scans affordable.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -38,7 +42,9 @@ class Poly:
     coeffs: tuple[Scalar, ...]
 
     def __init__(self, coeffs: Iterable[Scalar] = ()) -> None:
-        cs = [_norm_scalar(c) for c in coeffs]
+        cs = list(coeffs)
+        if Fraction in map(type, cs):
+            cs = [_norm_scalar(c) for c in cs]
         while cs and cs[-1] == 0:
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -73,7 +79,8 @@ class Poly:
 
     def is_integral(self) -> bool:
         """True iff every coefficient is an integer."""
-        return all(isinstance(c, int) for c in self.coeffs)
+        # after normalisation a coefficient is an int or a non-integral Fraction
+        return Fraction not in map(type, self.coeffs)
 
     def leading(self) -> Scalar:
         if not self.coeffs:
@@ -104,15 +111,12 @@ class Poly:
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        return Poly(list(map(operator.add, a, b)) + list(a[len(b) :]))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly(list(map(operator.neg, self.coeffs)))
 
     def __sub__(self, other: "Poly | Scalar") -> "Poly":
         if isinstance(other, (int, Fraction)):
@@ -290,18 +294,8 @@ def _kronecker_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
 
 def _pack_split(cs: Sequence[int], nbytes: int) -> tuple[int, int]:
     """Pack positive and negated-negative parts into little-endian big ints."""
-    pos = bytearray(nbytes * len(cs))
-    neg = bytearray(nbytes * len(cs))
-    for i, c in enumerate(cs):
-        if c > 0:
-            pos[i * nbytes : i * nbytes + (c.bit_length() + 7) // 8] = c.to_bytes(
-                (c.bit_length() + 7) // 8, "little"
-            )
-        elif c < 0:
-            c = -c
-            neg[i * nbytes : i * nbytes + (c.bit_length() + 7) // 8] = c.to_bytes(
-                (c.bit_length() + 7) // 8, "little"
-            )
+    pos = b"".join([(c if c > 0 else 0).to_bytes(nbytes, "little") for c in cs])
+    neg = b"".join([(-c if c < 0 else 0).to_bytes(nbytes, "little") for c in cs])
     return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
 
 

@@ -8,13 +8,14 @@ terms contain a 2k - 1 denominator are folded through binomial(2k, k) /
 (2k - 1), which is an integer for all k >= 0 (equal to -1 at k = 0), so
 those families stay in integer arithmetic from end to end.
 
-The value prefixes R_values and S_values are the one exception: past three
-seed terms from the defining sums they grow by the third-order recurrences
-(1.3) and (1.18), one exact division by the leading coefficient per term, so
-a prefix costs O(n) big-int steps instead of O(n^2).  A remainder in that
-division raises ArithmeticError.  The recurrence families at the bottom and
-the polynomial caches read the defining sums, never the recurrence prefixes,
-so that the recurrence checks stay an independent test of the sums.
+The value prefixes R_values, S_values and schroder_values are the one
+exception: past three seed terms from the defining sums they grow by the
+third-order recurrences (1.3) and (1.18) and the large-Schroeder recurrence,
+one exact division by the leading coefficient per term, so a prefix costs
+O(n) big-int steps instead of O(n^2).  A remainder in that division raises
+ArithmeticError.  The recurrence families at the bottom and the polynomial
+caches read the defining sums, never the recurrence prefixes, so that the
+recurrence checks stay an independent test of the sums.
 
 Module-level value caches grow monotonically, by the memo pattern of
 exactnum (computed outside the package's one memo lock, published under it).
@@ -52,6 +53,7 @@ __all__ = [
     "ratio_sum",
     "s_small",
     "schroder",
+    "schroder_values",
     "t_seq",
 ]
 
@@ -259,7 +261,7 @@ def S_cminus(n: int) -> int:
     )
 
 
-# -- the recurrences (1.3) and (1.18) ------------------------------------------
+# -- the recurrences (1.3), (1.18) and the large-Schroeder one ------------------
 
 # n -> (c0, c1, c2, c3), the coefficients of a third-order recurrence at n
 _Recurrence = Callable[[int], tuple[int, int, int, int]]
@@ -280,10 +282,16 @@ def _S_rec(n: int) -> tuple[int, int, int, int]:
     )
 
 
+def _schroder_rec(n: int) -> tuple[int, int, int, int]:
+    """c with c0 r(n) + c1 r(n+1) + c2 r(n+2) + c3 r(n+3) = 0, r = schroder."""
+    return 0, n + 1, -3 * (2 * n + 5), n + 4
+
+
 # -- grown-once value caches --------------------------------------------------
 
 _R_CACHE: list[int] = []
 _S_CACHE: list[int] = []
+_SCHRODER_CACHE: list[int] = []
 _R_POLY_CACHE: list[Poly] = []
 _S_POLY_CACHE: list[Poly] = []
 
@@ -329,6 +337,11 @@ def R_values(n_max: int) -> list[int]:
 def S_values(n_max: int) -> list[int]:
     """[S(0), ..., S(n_max)], grown by recurrence (1.18) into a monotone cache."""
     return _recurrence_prefix(_S_CACHE, n_max, S, _S_rec)
+
+
+def schroder_values(n_max: int) -> list[int]:
+    """[schroder(0), ..., schroder(n_max)], grown by its second-order recurrence."""
+    return _recurrence_prefix(_SCHRODER_CACHE, n_max, schroder, _schroder_rec)
 
 
 def R_polys(n_max: int) -> list[Poly]:

@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 
-from congrkit.polynomials import Poly, poly_gcd
+from congrkit.polynomials import _KRONECKER_CUTOFF, Poly, _kronecker_convolve, poly_gcd
 
 
 def test_trailing_zeros_are_pruned():
@@ -17,6 +17,22 @@ def test_integral_fractions_collapse_to_ints():
     assert Poly((Fraction(4, 2),)) == Poly((2,))
     assert Poly((1, 2)).is_integral()
     assert not Poly((Fraction(1, 2), 1)).is_integral()
+    assert Poly(c for c in (3, 0, 1, 0)) == Poly((3, 0, 1))
+    mixed = Poly((1, Fraction(6, 3), 5))
+    assert mixed.coeffs == (1, 2, 5)
+    assert all(type(c) is int for c in mixed.coeffs)
+    assert mixed.is_integral()
+    half = Poly((1, Fraction(1, 2), 0, 0))
+    assert half.coeffs == (1, Fraction(1, 2))
+    assert not half.is_integral()
+
+
+def _schoolbook(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return out
 
 
 def test_multiplication_matches_naive_convolution():
@@ -24,11 +40,36 @@ def test_multiplication_matches_naive_convolution():
     for _ in range(40):
         a = [rng.randint(-99, 99) for _ in range(rng.randint(1, 12))]
         b = [rng.randint(-99, 99) for _ in range(rng.randint(1, 12))]
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        assert Poly(a) * Poly(b) == Poly(out)
+        assert Poly(a) * Poly(b) == Poly(_schoolbook(a, b))
+
+
+def test_kronecker_product_matches_schoolbook_across_the_cutoff():
+    rng = random.Random("poly-kronecker")
+    edges = (0, 1, 255, 256, 2**64, 10**30)
+
+    def coeffs(n):
+        if rng.random() < 0.25:
+            # one magnitude and sign throughout: the middle coefficients
+            # of the product reach the packing bound exactly
+            cs = [rng.choice((-1, 1)) * rng.choice(edges[1:])] * n
+        else:
+            cs = [rng.choice((-1, 1)) * rng.choice(edges) for _ in range(n)]
+        if n > 3:
+            lo = rng.randrange(1, n - 2)
+            hi = rng.randrange(lo + 1, n - 1)
+            cs[lo:hi] = [0] * (hi - lo)  # a run of interior zeros
+        cs[-1] = cs[-1] or -256
+        return cs
+
+    crossed = 0
+    for la in range(1, 61):
+        for lb in (rng.randint(1, 60), 61 - la, la):
+            a, b = coeffs(la), coeffs(lb)
+            expected = _schoolbook(a, b)
+            crossed += len(expected) >= _KRONECKER_CUTOFF
+            assert _kronecker_convolve(a, b) == expected
+            assert Poly(a) * Poly(b) == Poly(expected)
+    assert crossed > 100
 
 
 def test_multiplication_with_fraction_scalars():

@@ -28,7 +28,8 @@ from congrkit.qalgebra import (
     s_q,
     s_q_poly,
 )
-from congrkit.qalgebra import _cyclic_mul, _fold, _folded_product, _poly_note
+from congrkit.qalgebra import _central_q_over, _cyclic_mul, _fold, _folded_product
+from congrkit.qalgebra import _poly_note, _sum31, _sum58
 from congrkit.sequences import s_small
 
 
@@ -303,6 +304,22 @@ def test_conj58q_fails_on_falsified_gaussian_binomial(falsify_qbinom):
     assert r.lhs == _residue_note(_exact_conj58(2, 7, 2), 7)
 
 
+def test_lemma32_fails_on_falsified_gaussian_binomial(falsify_qbinom):
+    falsify_qbinom(4, 2)
+    r = check_lemma32(7, 2)
+    assert r.status == FAIL
+    assert r.lhs == "polynomial of degree 22"
+
+
+def test_conj57_fails_on_falsified_s_q_poly(monkeypatch):
+    # served values only: the _SQ_POLY table keeps the true s_3(q)
+    true = qalgebra.s_q_poly
+    monkeypatch.setattr(qalgebra, "s_q_poly", lambda k: true(k) + (1 if k == 3 else 0))
+    r = check_conj57(5)
+    assert r.status == FAIL
+    assert r.lhs == "polynomial of degree 19"
+
+
 def test_qlucas_status_matches_divisibility_of_the_difference():
     grid = registry.instances_for("qlucas")
     assert len(grid) == 4459
@@ -341,3 +358,20 @@ def test_q_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
     monkeypatch.setattr(qalgebra, "_SQ_POLY", [])
     assert results == [s_q_poly(12)] * 4
     assert table == qalgebra._SQ_POLY
+
+    # The dict memos store pure values if absent: a race may compute an
+    # entry twice, but every thread returns, and the table keeps, the values
+    # one thread computes alone.
+    memos = (
+        ("_SUM31", lambda: _sum31(24, 5)),
+        ("_SUM58", lambda: _sum58(3, 16, 4)),
+        ("_CYCLO", lambda: cyclotomic(60)),
+        ("_CENTRAL_Q_OVER", lambda: _central_q_over(12)),
+    )
+    for name, fn in memos:
+        monkeypatch.setattr(qalgebra, name, {})
+        results = race(fn)
+        table = getattr(qalgebra, name)
+        monkeypatch.setattr(qalgebra, name, {})
+        assert results == [fn()] * 4, name
+        assert table == getattr(qalgebra, name), name

@@ -30,6 +30,7 @@ from congrkit.sequences import (
     ratio_sum,
     s_small,
     schroder,
+    schroder_values,
     t_seq,
 )
 
@@ -252,8 +253,10 @@ def test_recurrence_checks_fail_on_raised_row(
 def test_recurrence_prefixes_match_the_defining_sums(monkeypatch):
     monkeypatch.setattr(sequences, "_R_CACHE", [])
     monkeypatch.setattr(sequences, "_S_CACHE", [])
+    monkeypatch.setattr(sequences, "_SCHRODER_CACHE", [])
     assert R_values(300) == [R(n) for n in range(301)]
     assert S_values(300) == [S(n) for n in range(301)]
+    assert schroder_values(300) == [schroder(n) for n in range(301)]
 
 
 def test_recurrence_prefix_raises_on_a_moved_seed(monkeypatch, raise_row):
