@@ -274,36 +274,44 @@ X = Poly((0, 1))
 
 
 def _kronecker_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Integer coefficient convolution via big-int packing."""
-    max_a = max(abs(c) for c in a)
-    max_b = max(abs(c) for c in b)
+    """Integer coefficient convolution via one big-int multiply."""
+    max_a = max(map(abs, a))
+    max_b = max(map(abs, b))
     if max_a == 0 or max_b == 0:
         return []
+    # Each product coefficient c_i sums at most min(len(a), len(b)) products,
+    # so |c_i| <= bound < 2^L with L = bound.bit_length().  Unsigned, a slot of
+    # 8 nbytes >= L bits holds c_i; signed, the one more bit puts c_i + 2^(8
+    # nbytes - 1) in [0, 2^(8 nbytes)).  So no slot carries into the next.
     bound = min(len(a), len(b)) * max_a * max_b
-    nbytes = (bound.bit_length() + 2 + 7) // 8  # slack bit keeps sums separated
-    n_out = len(a) + len(b) - 1
-    a_pos, a_neg = _pack_split(a, nbytes)
-    b_pos, b_neg = _pack_split(b, nbytes)
-    plus = a_pos * b_pos + a_neg * b_neg
-    minus = a_pos * b_neg + a_neg * b_pos
+    signed = min(a) < 0 or min(b) < 0
+    nbytes = (bound.bit_length() + signed + 7) // 8
+    product = _pack(a, nbytes, signed) * _pack(b, nbytes, signed)
+    return _unpack(product, nbytes, len(a) + len(b) - 1, signed)
+
+
+def _bias(nbytes: int, count: int) -> int:
+    """2^(8 nbytes - 1), half a slot, in each of count slots."""
+    return int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * count, "little")
+
+
+def _pack(cs: Sequence[int], nbytes: int, signed: bool) -> int:
+    """sum_i c_i 256^(nbytes i); a signed slot holds c_i + 2^(8 nbytes - 1)."""
+    half = 1 << (8 * nbytes - 1) if signed else 0
+    raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in cs])
+    return int.from_bytes(raw, "little") - (_bias(nbytes, len(cs)) if signed else 0)
+
+
+def _unpack(value: int, nbytes: int, count: int, signed: bool) -> list[int]:
+    """The count slots of value = sum_i c_i 256^(nbytes i), bounded as in _pack."""
+    if signed:
+        # slot i of value + bias is c_i + half; its top bit flipped, c_i itself
+        bias = _bias(nbytes, count)
+        value = (value + bias) ^ bias
+    raw = value.to_bytes(nbytes * count, "little")
     return [
-        p - m
-        for p, m in zip(_unpack(plus, nbytes, n_out), _unpack(minus, nbytes, n_out))
-    ]
-
-
-def _pack_split(cs: Sequence[int], nbytes: int) -> tuple[int, int]:
-    """Pack positive and negated-negative parts into little-endian big ints."""
-    pos = b"".join([(c if c > 0 else 0).to_bytes(nbytes, "little") for c in cs])
-    neg = b"".join([(-c if c < 0 else 0).to_bytes(nbytes, "little") for c in cs])
-    return int.from_bytes(pos, "little"), int.from_bytes(neg, "little")
-
-
-def _unpack(value: int, nbytes: int, count: int) -> list[int]:
-    raw = value.to_bytes(nbytes * count + nbytes, "little")
-    return [
-        int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little")
-        for i in range(count)
+        int.from_bytes(raw[i : i + nbytes], "little", signed=signed)
+        for i in range(0, len(raw), nbytes)
     ]
 
 

@@ -6,11 +6,19 @@ the fold of A modulo q^n - 1 = (q - 1) [n]_q, which sends coefficient i to
 slot i mod n.  With f that fold, A mod [n]_q = f mod [n]_q has coefficients
 f_i - f_(n-1) for i < n - 1, so [n]_q divides A exactly when all n folded
 coefficients are equal.  [n]_q is monic, so a zero remainder automatically
-has an integer quotient.  Reduction mod q^n - 1 is a ring homomorphism, so
-the [n]_q checkers fold every factor first and multiply cyclically at
-length n; a sum of degree in the hundreds is never built.  They report the
-residue A mod [n]_q as lhs.  Divisibility by a cyclotomic Phi_d goes
-through the same fold followed by one small long division.
+has an integer quotient.  Divisibility by a cyclotomic Phi_d goes through
+the same fold followed by one small long division.
+
+The checkers fold in a packed ring: q -> X = 2^(8w) maps Z[q]/(q^n - 1)
+into Z/M, M = X^n - 1, a ring homomorphism as X^n is 1 mod M.  Products,
+powers and q^e (a shift by 8w (e mod n) bits) are single big-int operations
+mod M on factors packed once.  The map is one to one on folds with |c_i| <
+X/2: w holds the products of the served factors' l1 norms, summed over the
+terms, which bound every |c_i|, plus a sign bit.  With ONES = M // (X - 1),
+n equal coefficients d pack to d ONES, and any other F differs from (F &
+(X - 1)) ONES by less than X - 1 per slot, so not by a multiple of M: one
+comparison decides divisibility.  A fold is unpacked only for a FAIL
+residue or a reduction mod Phi_n.
 
 Laurent-monomial prefactors (negative powers of q) that appear in one of
 the alternating-sum families are cleared by multiplying the whole sum by
@@ -22,13 +30,14 @@ by the memo pattern of exactnum.
 """
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import reduce
-from math import comb, gcd, lcm
-from typing import Iterable, Sequence, Union
+from itertools import accumulate
+from math import comb, gcd, lcm, prod
+from typing import Sequence, Union
 
 from .exactnum import _memo_grow
-from .polynomials import Poly, poly_gcd
+from .polynomials import Poly, _pack, _unpack, poly_gcd
 from .result import CheckResult, FAIL, PASS
 
 __all__ = [
@@ -73,9 +82,13 @@ def _qbinom_grow(start: int, upto: int) -> list[list[Poly]]:
     rows, prev = [], _QBIN_ROWS[start - 1]
     for m in range(start, upto + 1):
         row = [Poly((1,))]
-        for j in range(1, m):
-            row.append(prev[j].shift(j) + prev[j - 1])
-        row.append(Poly((1,)))
+        for j in range(1, m // 2 + 1):
+            # [m, j] = [m-1, j-1] + q^j [m-1, j] has j + len([m-1, j]) coefficients
+            low, high = prev[j - 1].coeffs, prev[j].coeffs
+            out = list(low) + [0] * (j + len(high) - len(low))
+            out[j:] = map(operator.add, out[j:], high)
+            row.append(Poly(out))
+        row += [row[m - j] for j in range(len(row), m + 1)]  # [m, j] = [m, m-j]
         rows.append(row)
         prev = row
     return rows
@@ -111,28 +124,63 @@ def cyclotomic(d: int) -> Poly:
 
 def _fold(coeffs: Sequence[Scalar], n: int) -> list[Scalar]:
     """The n coefficients of a mod q^n - 1: coefficient i goes to slot i mod n."""
+    if len(coeffs) <= n:
+        return list(coeffs) + [0] * (n - len(coeffs))
     return [sum(coeffs[r::n]) for r in range(n)]
 
 
-def _cyclic_mul(a: list[int], b: list[int]) -> list[int]:
-    """The product of two folds of one length n, mod q^n - 1."""
-    out = [0] * len(a)
-    for i, c in enumerate(a):
-        if c:
-            # slot t takes c * b[t - i], indices mod n
-            out = [o + c * x for o, x in zip(out, _rotate(b, i))]
-    return out
+class _FoldRing:
+    """Z[q]/(q^n - 1) packed mod 2^(8 nbytes n) - 1, for folds bounded by bound."""
+
+    def __init__(self, n: int, bound: int) -> None:
+        self.n = n
+        self.nbytes = (bound.bit_length() + 8) // 8  # one sign bit
+        self.mask = (1 << 8 * self.nbytes) - 1  # X - 1
+        self.modulus = (1 << 8 * self.nbytes * n) - 1
+
+    def all_equal(self, x: int) -> bool:
+        """True iff the fold packed as x has n equal coefficients."""
+        return x == (x & self.mask) * (self.modulus // self.mask)  # d (X^n - 1) / (X - 1)
+
+    def unpack(self, x: int) -> list[int]:
+        signed = x - self.modulus if x > self.modulus >> 1 else x
+        return _unpack(signed, self.nbytes, self.n, True)
 
 
-def _rotate(f: list[int], e: int) -> list[int]:
-    """The fold of q^e times the polynomial whose fold is f."""
-    e %= len(f)
-    return f[-e:] + f[:-e] if e else f
+def _fold_sum(n: int, prefactor: Sequence[Poly], terms: list) -> tuple[_FoldRing, int]:
+    """The packed fold of A = prod(prefactor) * sum sign q^e prod p^a over
+    the terms (sign, e, ((p, a), ...)), and the ring that holds it."""
+    pre = [_fold(p.coeffs, n) for p in prefactor]
+    terms = [(sign, e, [(_fold(p.coeffs, n), a) for p, a in fs if a]) for sign, e, fs in terms]
+    pre_norm = prod(sum(map(abs, f)) for f in pre)
+    norms = [pre_norm * prod(sum(map(abs, f)) ** a for f, a in fs) for _, _, fs in terms]
+    ring = _FoldRing(n, sum(norms))
+    m = ring.modulus
+    total = 0
+    for (sign, e, factors), norm in zip(terms, norms):
+        if norm:  # a term of norm 0 is 0, and may hold a factor too wide for a slot
+            x = 1 << 8 * ring.nbytes * (e % n)
+            for f, a in factors:
+                x = x * pow(_pack(f, ring.nbytes, True), a, m) % m
+            total += sign * x
+    for f in pre if any(norms) else ():
+        total = total * _pack(f, ring.nbytes, True) % m
+    return ring, total % m
 
 
-def _folded_product(n: int, factors: Iterable[Poly]) -> list[int]:
-    """The fold mod q^n - 1 of the product, with every factor folded first."""
-    return reduce(_cyclic_mul, (_fold(p.coeffs, n) for p in factors))
+def _q_int_residue(n: int, prefactor: Sequence[Poly], terms: list) -> Poly:
+    """A mod [n]_q for A as in _fold_sum; unpacked only when it is not 0."""
+    ring, x = _fold_sum(n, prefactor, terms)
+    return Poly() if ring.all_equal(x) else _mod_q_int(ring.unpack(x))
+
+
+def _divmod_q_int(a: Poly, n: int) -> tuple[Poly, Poly]:
+    """divmod(a, [n]_q) for integral a in linear time: (q - 1) a is
+    Q (q^n - 1) + (q - 1) R, divided from the top, and R is read off (q - 1) R."""
+    c = list(map(operator.sub, (0,) + a.coeffs, a.coeffs + (0,)))
+    for i in range(len(c) - 1, n - 1, -1):
+        c[i - n] += c[i]  # c[i] is final: the quotient's coefficient of q^(i-n)
+    return Poly(c[n:]), Poly([-r for r in accumulate(c[:n])])
 
 
 def _mod_q_int(f: list[int]) -> Poly:
@@ -144,8 +192,6 @@ def reduce_mod_qpow_minus_1(a: Poly, n: int) -> Poly:
     """a mod (q^n - 1): fold coefficient i into slot i mod n."""
     if n < 1:
         raise ValueError("modulus exponent must be >= 1")
-    if a.degree < n:
-        return a
     return Poly(_fold(a.coeffs, n))
 
 
@@ -315,7 +361,7 @@ def _central_q_over(k: int) -> Poly:
     """qbinom(2k, k) / [2k-1]_q, exact in Z[q] for k >= 1."""
     got = _CENTRAL_Q_OVER.get(k)
     if got is None:
-        got, rem = divmod(qbinom(2 * k, k), q_int(2 * k - 1))
+        got, rem = _divmod_q_int(qbinom(2 * k, k), 2 * k - 1)
         if not rem.is_zero():
             raise AssertionError("[2k-1]_q must divide [2k choose k]_q")
         _CENTRAL_Q_OVER[k] = got
@@ -328,10 +374,11 @@ _SQ_POLY: list[Poly] = []
 def _s_q_poly_grow(start: int, upto: int) -> list[Poly]:
     out = []
     for m in range(start, upto + 1):
-        total = Poly((0, -1))  # k = 0 term: q^0 / [-1]_q = -q
-        for k in range(1, m + 1):
-            total += (qbinom(m, k) ** 2 * _central_q_over(k)).shift(k)
-        out.append(total)
+        # k >= 1, then k = 0 (q^0 / [-1]_q = -q); size > degree, so the fold is exact
+        terms = [(1, k, ((qbinom(m, k), 2), (_central_q_over(k), 1))) for k in range(1, m + 1)]
+        size = 2 + max([k + sum(p.degree * a for p, a in fs) for _, k, fs in terms], default=0)
+        ring, x = _fold_sum(size, (), terms + [(-1, 1, ())])
+        out.append(Poly(ring.unpack(x)))
     return out
 
 
@@ -351,36 +398,6 @@ def s_q(n: int) -> QRationalFunction:
     clothing to match the signature of the other q-sums.
     """
     return QRationalFunction(s_q_poly(n))
-
-
-# -- cumulative q-sums used by several checkers ----------------------------------
-
-_SUM31: dict[tuple[int, int], Poly] = {}
-
-
-def _sum31(n: int, k: int) -> Poly:
-    """sum_{h<n} q^h [h choose k]_q^2 (terms with h < k vanish)."""
-    if n <= k:
-        return Poly()
-    got = _SUM31.get((n, k))
-    if got is None:
-        got = _sum31(n - 1, k) + (qbinom(n - 1, k) ** 2).shift(n - 1)
-        _SUM31[(n, k)] = got
-    return got
-
-
-_SUM58: dict[tuple[int, int, int], Poly] = {}
-
-
-def _sum58(m: int, n: int, k: int) -> Poly:
-    """sum_{h=k}^{n-1} q^h [h choose k]_q^m."""
-    if n <= k:
-        return Poly()
-    got = _SUM58.get((m, n, k))
-    if got is None:
-        got = _sum58(m, n - 1, k) + (qbinom(n - 1, k) ** m).shift(n - 1)
-        _SUM58[(m, n, k)] = got
-    return got
 
 
 # -- checkers ---------------------------------------------------------------------
@@ -414,13 +431,19 @@ def check_lemma32(n: int, k: int) -> CheckResult:
     """Phi_n(q) divides sum_{h<n} q^h [h choose k]_q^2 when k < (n-1)/2."""
     if not (0 <= 2 * k < n - 1):
         raise ValueError("check_lemma32: need 0 <= k < (n-1)/2")
-    total = _sum31(n, k)
-    ok = cyclotomic_divides(n, total)
+    rows = [(h, qbinom(h, k)) for h in range(k, n)]
+    ring, x = _fold_sum(n, (), [(1, h, ((p, 2),)) for h, p in rows])
+    ok = cyclotomic_divides(n, Poly(ring.unpack(x)))
+    # the top coefficients of the q^h p^2 are squares and cannot cancel
+    degree = max(h + 2 * p.degree for h, p in rows)
+    lhs = "polynomial of degree %d" % degree
+    if degree < 16:
+        lhs = _poly_note(sum((p * p).shift(h) for h, p in rows))
     return CheckResult(
         family="lemma32",
         params={"n": n, "k": k},
         status=PASS if ok else FAIL,
-        lhs=_poly_note(total),
+        lhs=lhs,
         rhs="0",
         modulus="Phi_%d(q)" % n,
     )
@@ -430,9 +453,8 @@ def check_theorem31_q(n: int, k: int) -> CheckResult:
     """[n]_q divides [2k+1]_q [2k choose k]_q sum_{h<n} q^h [h choose k]_q^2."""
     if not 0 <= k < n:
         raise ValueError("check_theorem31_q: need 0 <= k < n")
-    residue = _mod_q_int(
-        _folded_product(n, (q_int(2 * k + 1), qbinom(2 * k, k), _sum31(n, k)))
-    )
+    terms = [(1, h, ((qbinom(h, k), 2),)) for h in range(k, n)]
+    residue = _q_int_residue(n, (q_int(2 * k + 1), qbinom(2 * k, k)), terms)
     return CheckResult(
         family="thm31q",
         params={"n": n, "k": k},
@@ -451,14 +473,12 @@ def check_theorem32_q(n: int, a: int, b: int, a_prime: int) -> CheckResult:
     """
     if n < 1 or a < 0 or b < 0 or a_prime not in (a, a - 1) or a_prime < 0:
         raise ValueError("check_theorem32_q: need n >= 1, a >= a' >= 0, a' in {a, a-1}")
-    total = [0] * n
+    terms = []
     for k in range(n):
-        factors = [q_int(2 * k + 1)] + [qbinom(n - 1, k)] * a + [qbinom(n + k, k)] * b
         e = (n - 1) + a_prime * k * (k + 1) // 2 - k
-        term = _rotate(_folded_product(n, factors), e)
-        sign = -1 if (a_prime * k) % 2 else 1
-        total = [t + sign * c for t, c in zip(total, term)]
-    residue = _mod_q_int(total)
+        factors = ((q_int(2 * k + 1), 1), (qbinom(n - 1, k), a), (qbinom(n + k, k), b))
+        terms.append((-1 if (a_prime * k) % 2 else 1, e, factors))
+    residue = _q_int_residue(n, (), terms)
     return CheckResult(
         family="thm32q",
         params={"n": n, "a": a, "b": b, "a_prime": a_prime},
@@ -483,12 +503,8 @@ def check_conj57(n: int) -> CheckResult:
     for k in range(n):
         acc += s_q_poly(k).shift(k)
     total = acc * Poly((1, 1))
-    d = q_int(n)
-    q1, r1 = divmod(total, d)
-    if r1.is_zero():
-        q2, r2 = divmod(q1, d)
-    else:
-        q2, r2 = Poly(), Poly((1,))
+    q1, r1 = _divmod_q_int(total, n)
+    q2, r2 = _divmod_q_int(q1, n)
     ok = r1.is_zero() and r2.is_zero()
     note = ""
     if ok:
@@ -517,8 +533,9 @@ def check_conj58_q(m: int, n: int) -> CheckResult:
     for k in range(n):
         # prod_{j<=km+1} [j]_q / (prod_{j<=k} [j]_q)^m
         #   = [km+1]_q prod_{i=2..m} [ik choose k]_q, so nothing is divided
-        factors = [q_int(k * m + 1)] + [qbinom(i * k, k) for i in range(2, m + 1)]
-        residue = _mod_q_int(_folded_product(n, factors + [_sum58(m, n, k)]))
+        prefactor = [q_int(k * m + 1)] + [qbinom(i * k, k) for i in range(2, m + 1)]
+        terms = [(1, h, ((qbinom(h, k), m),)) for h in range(k, n)]
+        residue = _q_int_residue(n, prefactor, terms)
         if residue:
             return CheckResult(
                 family="conj58q",

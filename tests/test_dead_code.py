@@ -1,5 +1,6 @@
-"""Every module-level private function, class or constant is used, and every
-module's __all__ lists exactly what it defines for export."""
+"""Every module-level private function, class or constant is used, every
+module's __all__ lists exactly what it defines for export, and every
+module-level list or dict is a known memo or a known fixed table."""
 
 import ast
 import pathlib
@@ -94,3 +95,86 @@ def test_all_lists_every_public_definition_and_nothing_undefined():
             and node.name not in exports
         ]
     assert not problems, "; ".join(problems)
+
+
+# Module-level lists and dicts that grow while the program runs.  A new one
+# must be added here, so that memos stay few and findable; ROADMAP item 2
+# moves them onto one registered helper.
+MEMOS = {
+    "exactnum.py": {"_BERNOULLI"},
+    "qalgebra.py": {"_QBIN_ROWS", "_SQ_POLY", "_CYCLO", "_CENTRAL_Q_OVER"},
+    "sequences.py": {
+        "_CENTRAL",
+        "_CENTRAL_OVER",
+        "_R_CACHE",
+        "_S_CACHE",
+        "_SCHRODER_CACHE",
+        "_R_POLY_CACHE",
+        "_S_POLY_CACHE",
+    },
+    "verify.py": {
+        "_S_PREFIX",
+        "_S_POLY_PREFIX",
+        "_COR11_PREFIX",
+        "_R_SQUARE_PREFIX",
+        "_R_SQUARE_ODD_PREFIX",
+        "_S_WEIGHTED_PREFIX",
+        "_S_SMALL_PREFIX",
+        "_S_PLUS_PREFIX",
+        "_S_MINUS_PREFIX",
+        "_S58_CUM",
+    },
+}
+
+# Module-level lists and dicts that are never changed after import.
+TABLES = {
+    "cli.py": {"_SEQUENCES", "_PREFIXES", "_QVERIFY_ALIASES"},
+    "kernels.py": {"PAPER_KERNELS"},
+    "registry.py": {"FAMILIES", "_DECODE"},
+    "verify.py": {"_WEIGHTS", "_COR11_SEQ", "_COR11_POWER", "CONJ52_START"},
+}
+
+_CONTAINERS = (ast.List, ast.Dict, ast.ListComp, ast.DictComp)
+
+
+def _module_containers(tree: ast.Module) -> set[str]:
+    """Names bound at module level to a list or dict (display, comprehension
+    or call of list, dict or a collections type), other than __all__."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets, value = node.targets, node.value
+        elif isinstance(node, ast.AnnAssign) and node.value is not None:
+            targets, value = [node.target], node.value
+        else:
+            continue
+        if isinstance(value, ast.Call) and isinstance(value.func, (ast.Name, ast.Attribute)):
+            func = value.func.id if isinstance(value.func, ast.Name) else value.func.attr
+            is_container = func in ("list", "dict", "defaultdict", "OrderedDict")
+        else:
+            is_container = isinstance(value, _CONTAINERS)
+        if is_container:
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names - {"__all__"}
+
+
+def test_module_level_memos_match_the_allow_list():
+    for module in set(MEMOS) & set(TABLES):
+        assert not MEMOS[module] & TABLES[module], module
+    found = {module: _module_containers(tree) for module, tree in _trees().items()}
+    listed = {
+        module: MEMOS.get(module, set()) | TABLES.get(module, set()) for module in found
+    }
+    unlisted = sorted(
+        "%s:%s" % (module, name)
+        for module in found
+        for name in found[module] - listed[module]
+    )
+    gone = sorted(
+        "%s:%s" % (module, name)
+        for module in found
+        for name in listed[module] - found[module]
+    )
+    assert not unlisted, "module-level lists or dicts not in MEMOS or TABLES: %s" % ", ".join(unlisted)
+    assert not gone, "listed but no longer defined: %s" % ", ".join(gone)
+    assert set(MEMOS) | set(TABLES) <= set(found)

@@ -71,6 +71,16 @@ def test_kronecker_product_matches_schoolbook_across_the_cutoff():
             assert Poly(a) * Poly(b) == Poly(expected)
     assert crossed > 100
 
+    # Two constant runs of length n meet in a middle coefficient n * x * y,
+    # the packing bound itself, here at every bit length up to 80, on the
+    # unsigned path (both operands nonnegative) and on the signed one.
+    for n in (1, 32):
+        for bits in range(1, 80):
+            for x in (2**bits - 1, 2**bits):
+                for sx, sy in ((1, 1), (1, -1), (-1, -1)):
+                    a, b = [sx * x] * n, [sy] * n
+                    assert _kronecker_convolve(a, b) == _schoolbook(a, b)
+
 
 def test_multiplication_with_fraction_scalars():
     p = Poly((Fraction(1, 2), 3)) * Poly((2, 2))

@@ -6,7 +6,7 @@ import pytest
 
 from congrkit import FAIL, PASS, qalgebra, registry
 from congrkit.exactnum import binomial
-from congrkit.polynomials import Poly
+from congrkit.polynomials import Poly, _pack
 from congrkit.qalgebra import (
     QRationalFunction,
     check_conj57,
@@ -28,8 +28,8 @@ from congrkit.qalgebra import (
     s_q,
     s_q_poly,
 )
-from congrkit.qalgebra import _central_q_over, _cyclic_mul, _fold, _folded_product
-from congrkit.qalgebra import _poly_note, _sum31, _sum58
+from congrkit.qalgebra import _central_q_over, _divmod_q_int, _fold, _fold_sum
+from congrkit.qalgebra import _FoldRing, _poly_note
 from congrkit.sequences import s_small
 
 
@@ -211,6 +211,37 @@ def _residue_note(total, n):
     return _poly_note(divmod(total, q_int(n))[1])
 
 
+# -- the packed ring Z[q]/(q^n - 1) -> Z/(2^(8wn) - 1) against list oracles ----------
+
+
+def _rotate(f, e):
+    """The fold of q^e times the polynomial whose fold is f."""
+    e %= len(f)
+    return f[-e:] + f[:-e] if e else f
+
+
+def _cyclic_mul(a, b):
+    """The product of two folds of one length n, mod q^n - 1."""
+    out = [0] * len(a)
+    for i, c in enumerate(a):
+        if c:
+            out = [o + c * x for o, x in zip(out, _rotate(b, i))]
+    return out
+
+
+def _folded_product(n, factors):
+    """The fold mod q^n - 1 of the product, with every factor folded first."""
+    out = [1] + [0] * (n - 1)
+    for p in factors:
+        out = _cyclic_mul(out, _fold(p.coeffs, n))
+    return out
+
+
+def _packed(n, prefactor, terms):
+    ring, x = _fold_sum(n, prefactor, terms)
+    return ring, x, ring.unpack(x)
+
+
 def test_cyclic_product_matches_fold_of_full_product():
     rng = random.Random(20140820)
     for _ in range(300):
@@ -224,12 +255,113 @@ def test_cyclic_product_matches_fold_of_full_product():
         )
 
 
-def test_thm31q_residue_matches_full_degree_oracle():
-    for n in range(1, 13):
-        for k in range(n):
-            r = check_theorem31_q(n, k)
-            assert r.lhs == _residue_note(_exact_thm31(n, k), n)
-            assert r.status == (PASS if r.lhs == "0" else FAIL)
+def test_packed_ring_matches_the_list_oracles():
+    rng = random.Random("packed-ring")
+
+    def poly():
+        top = rng.choice((1, 9, 10**30))
+        return Poly([rng.randint(-top, top) for _ in range(rng.randint(0, 50))])
+
+    verdicts = set()
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        a, b = poly(), poly()
+        e, power = rng.randint(-60, 60), rng.randint(1, 3)
+        full = reduce_mod_qpow_minus_1(a * b, n)
+        product = _folded_product(n, (a, b))
+        assert Poly(product) == full
+        _, _, got = _packed(n, (), [(1, 0, ((a, 1), (b, 1)))])
+        assert Poly(got) == full
+        _, _, got = _packed(n, (), [(1, 0, ((a, power),))])
+        assert got == _folded_product(n, (a,) * power)
+        _, _, got = _packed(n, (), [(1, e, ((a, 1),))])
+        assert got == _rotate(_fold(a.coeffs, n), e)
+        # A = c (q^e b - q^f b [n]_q), which [n]_q divides about half of the time
+        c = a * q_int(n) if rng.random() < 0.5 else a
+        f = rng.randint(0, 60)
+        terms = [(1, e, ((b, 1),)), (-1, f, ((b, 1), (q_int(n), 1)))]
+        ring, x, got = _packed(n, (c,), terms)
+        left = _rotate(_fold(b.coeffs, n), e)
+        right = _rotate(_folded_product(n, (b, q_int(n))), f)
+        expected = _cyclic_mul(_fold(c.coeffs, n), [y - z for y, z in zip(left, right)])
+        assert got == expected
+        verdict = ring.all_equal(x)
+        assert verdict == (len(set(got)) == 1) == q_int_divides(n, c * b)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("bound", (1, 2, 127, 128, 255, 256, 2**63 - 1, 10**30))
+def test_packed_ring_edges_round_trip_and_decide(bound):
+    rng = random.Random(bound)
+    for n in (1, 2, 3, 7, 40):
+        ring = _FoldRing(n, bound)
+
+        def pack(f):
+            return _pack(f, ring.nbytes, True) % ring.modulus
+
+        folds = [[c] * n for c in (bound, -bound, 1, -1, 0)]
+        folds += [[rng.choice((bound, -bound, 0)) for _ in range(n)] for _ in range(20)]
+        for f in folds:
+            x = pack(f)
+            assert 0 <= x < ring.modulus
+            assert ring.unpack(x) == f
+            assert ring.all_equal(x) == (len(set(f)) == 1)
+        # q^5 times an all-equal fold at +-bound keeps it, through the ring
+        for c in (bound, -bound):
+            x = pack([c] * n) * pack(_fold(Poly.term(1, 5).coeffs, n)) % ring.modulus
+            assert ring.all_equal(x) and ring.unpack(x) == [c] * n
+        x = (pack([-bound] * n) + pack([bound] + [0] * (n - 1))) % ring.modulus
+        assert ring.all_equal(x) == (n == 1)
+
+
+def test_linear_division_by_q_integer_matches_divmod():
+    rng = random.Random("divmod-q-int")
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        a = Poly([rng.randint(-(10**20), 10**20) for _ in range(rng.randint(0, 120))])
+        if rng.random() < 0.3:
+            a = a * q_int(n)
+        assert _divmod_q_int(a, n) == divmod(a, q_int(n))
+
+
+def _oracle_sample():
+    """Every (n, k) with n <= 12 and a seeded sample of larger n up to 30."""
+    rng = random.Random("full-degree-sample")
+    small = [(n, k) for n in range(1, 13) for k in range(n)]
+    return small + [(n, rng.randrange(n)) for n in range(13, 31) for _ in range(2)]
+
+
+@pytest.fixture
+def ring_widths(monkeypatch):
+    """The slot widths, in bytes, of every packed ring built during the test."""
+    widths = set()
+
+    class Recording(_FoldRing):
+        def __init__(self, n, bound):
+            super().__init__(n, bound)
+            widths.add(self.nbytes)
+
+    monkeypatch.setattr(qalgebra, "_FoldRing", Recording)
+    return widths
+
+
+def test_thm31q_residue_matches_full_degree_oracle(ring_widths):
+    for n, k in _oracle_sample():
+        r = check_theorem31_q(n, k)
+        assert r.lhs == _residue_note(_exact_thm31(n, k), n)
+        assert r.status == (PASS if r.lhs == "0" else FAIL)
+    assert len(ring_widths) >= 10
+
+
+def test_lemma32_matches_full_degree_oracle(ring_widths):
+    for n, k in _oracle_sample():
+        if 2 * k < n - 1:
+            r = check_lemma32(n, k)
+            total = _power_sum(2, n, k)
+            assert r.lhs == _poly_note(total)
+            assert r.status == (PASS if cyclotomic_divides(n, total) else FAIL)
+    assert len(ring_widths) >= 5
 
 
 def test_thm32q_residue_matches_full_degree_oracle():
@@ -261,8 +393,8 @@ def test_conj58q_matches_full_degree_oracle_for_every_k():
 def falsify_qbinom(monkeypatch):
     """Make qalgebra.qbinom(n, k) one larger at a single (n, k).
 
-    The shared rows are left alone; the cumulative sums start empty, so the
-    falsified value is read, and the patched ones are dropped afterwards.
+    The shared rows are left alone: the checkers read every value through
+    qbinom, so the falsified one is served to them alone.
     """
 
     def patch(n0, k0):
@@ -273,8 +405,6 @@ def falsify_qbinom(monkeypatch):
             return value + 1 if (n, k) == (n0, k0) else value
 
         monkeypatch.setattr(qalgebra, "qbinom", qbinom)
-        monkeypatch.setattr(qalgebra, "_SUM31", {})
-        monkeypatch.setattr(qalgebra, "_SUM58", {})
 
     return patch
 
@@ -363,8 +493,6 @@ def test_q_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
     # entry twice, but every thread returns, and the table keeps, the values
     # one thread computes alone.
     memos = (
-        ("_SUM31", lambda: _sum31(24, 5)),
-        ("_SUM58", lambda: _sum58(3, 16, 4)),
         ("_CYCLO", lambda: cyclotomic(60)),
         ("_CENTRAL_Q_OVER", lambda: _central_q_over(12)),
     )

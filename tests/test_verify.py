@@ -14,6 +14,7 @@ from congrkit.exactnum import (
     residue_of_rational,
 )
 from congrkit.kernels import PAPER_KERNELS, KernelSpec, poly_kernel
+from congrkit.polynomials import Poly
 from congrkit.result import CheckResult, clip, summarize
 from congrkit.sequences import (
     R,
@@ -762,6 +763,37 @@ def test_remark53_fails_on_raised_plus_value(monkeypatch):
     r = run_instance("remark53", {"n": 2})
     assert r.status == FAIL
     assert r.witness == {"claim": "plus prefix", "residue": 1}
+
+
+def test_remark52_fails_on_raised_R_poly_coefficient(monkeypatch):
+    # x R_2 adds (2 * 2 + 1) x to the odd-weighted prefix: 3 acc[1] moves by 15
+    original = verify.R_polys
+
+    def polys(n_max):
+        out = list(original(n_max))
+        out[2] += Poly.term(1, 1)
+        return out
+
+    monkeypatch.setattr(verify, "R_polys", polys)
+    r = run_instance("remark52", {"n": 4})
+    assert r.status == FAIL
+    assert r.witness == {"x_power": 1}
+    assert int(r.lhs) == int(r.rhs) + 15
+
+
+def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch):
+    # x^2 S_2,3 moves the prefix coefficient of x^2 by 1 from n = 4 on
+    original = verify.S_m_poly
+
+    def poly(m, j):
+        return original(m, j) + (Poly.term(1, 2) if j == 3 else Poly())
+
+    monkeypatch.setattr(verify, "S_m_poly", poly)
+    monkeypatch.setattr(verify, "_S58_CUM", {})
+    r = run_instance("conj58i", {"m": 2, "n": 5})
+    assert r.status == FAIL
+    assert r.witness == {"x_power": 2}
+    assert int(r.lhs) % 5 == 1
 
 
 # -- the display families against their exact Fraction oracles --------------------
