@@ -280,14 +280,13 @@ def _kronecker_convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     if max_a == 0 or max_b == 0:
         return []
     # Each product coefficient c_i sums at most min(len(a), len(b)) products,
-    # so |c_i| <= bound < 2^L with L = bound.bit_length().  Unsigned, a slot of
-    # 8 nbytes >= L bits holds c_i; signed, the one more bit puts c_i + 2^(8
-    # nbytes - 1) in [0, 2^(8 nbytes)).  So no slot carries into the next.
+    # so |c_i| <= bound < 2^L with L = bound.bit_length().  A slot of 8 nbytes
+    # >= L + 1 bits puts c_i + 2^(8 nbytes - 1) in [0, 2^(8 nbytes)), so no
+    # slot carries into the next.
     bound = min(len(a), len(b)) * max_a * max_b
-    signed = min(a) < 0 or min(b) < 0
-    nbytes = (bound.bit_length() + signed + 7) // 8
-    product = _pack(a, nbytes, signed) * _pack(b, nbytes, signed)
-    return _unpack(product, nbytes, len(a) + len(b) - 1, signed)
+    nbytes = (bound.bit_length() + 8) // 8  # one sign bit
+    product = _pack(a, nbytes) * _pack(b, nbytes)
+    return _unpack(product, nbytes, len(a) + len(b) - 1)
 
 
 def _bias(nbytes: int, count: int) -> int:
@@ -295,22 +294,21 @@ def _bias(nbytes: int, count: int) -> int:
     return int.from_bytes((b"\0" * (nbytes - 1) + b"\x80") * count, "little")
 
 
-def _pack(cs: Sequence[int], nbytes: int, signed: bool) -> int:
-    """sum_i c_i 256^(nbytes i); a signed slot holds c_i + 2^(8 nbytes - 1)."""
-    half = 1 << (8 * nbytes - 1) if signed else 0
+def _pack(cs: Sequence[int], nbytes: int) -> int:
+    """sum_i c_i 256^(nbytes i), for |c_i| < 2^(8 nbytes - 1): each slot is
+    written as c_i + 2^(8 nbytes - 1), and the sum of those halves taken off."""
+    half = 1 << (8 * nbytes - 1)
     raw = b"".join([(c + half).to_bytes(nbytes, "little") for c in cs])
-    return int.from_bytes(raw, "little") - (_bias(nbytes, len(cs)) if signed else 0)
+    return int.from_bytes(raw, "little") - _bias(nbytes, len(cs))
 
 
-def _unpack(value: int, nbytes: int, count: int, signed: bool) -> list[int]:
+def _unpack(value: int, nbytes: int, count: int) -> list[int]:
     """The count slots of value = sum_i c_i 256^(nbytes i), bounded as in _pack."""
-    if signed:
-        # slot i of value + bias is c_i + half; its top bit flipped, c_i itself
-        bias = _bias(nbytes, count)
-        value = (value + bias) ^ bias
-    raw = value.to_bytes(nbytes * count, "little")
+    # slot i of value + bias is c_i + half; its top bit flipped, c_i itself
+    bias = _bias(nbytes, count)
+    raw = ((value + bias) ^ bias).to_bytes(nbytes * count, "little")
     return [
-        int.from_bytes(raw[i : i + nbytes], "little", signed=signed)
+        int.from_bytes(raw[i : i + nbytes], "little", signed=True)
         for i in range(0, len(raw), nbytes)
     ]
 

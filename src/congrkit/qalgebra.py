@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from itertools import accumulate
 from math import comb, gcd, lcm, prod
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from .exactnum import _memo_grow
 from .polynomials import Poly, _pack, _unpack, poly_gcd
@@ -144,7 +143,7 @@ class _FoldRing:
 
     def unpack(self, x: int) -> list[int]:
         signed = x - self.modulus if x > self.modulus >> 1 else x
-        return _unpack(signed, self.nbytes, self.n, True)
+        return _unpack(signed, self.nbytes, self.n)
 
 
 def _fold_sum(n: int, prefactor: Sequence[Poly], terms: list) -> tuple[_FoldRing, int]:
@@ -161,10 +160,10 @@ def _fold_sum(n: int, prefactor: Sequence[Poly], terms: list) -> tuple[_FoldRing
         if norm:  # a term of norm 0 is 0, and may hold a factor too wide for a slot
             x = 1 << 8 * ring.nbytes * (e % n)
             for f, a in factors:
-                x = x * pow(_pack(f, ring.nbytes, True), a, m) % m
+                x = x * pow(_pack(f, ring.nbytes), a, m) % m
             total += sign * x
     for f in pre if any(norms) else ():
-        total = total * _pack(f, ring.nbytes, True) % m
+        total = total * _pack(f, ring.nbytes) % m
     return ring, total % m
 
 
@@ -172,15 +171,6 @@ def _q_int_residue(n: int, prefactor: Sequence[Poly], terms: list) -> Poly:
     """A mod [n]_q for A as in _fold_sum; unpacked only when it is not 0."""
     ring, x = _fold_sum(n, prefactor, terms)
     return Poly() if ring.all_equal(x) else _mod_q_int(ring.unpack(x))
-
-
-def _divmod_q_int(a: Poly, n: int) -> tuple[Poly, Poly]:
-    """divmod(a, [n]_q) for integral a in linear time: (q - 1) a is
-    Q (q^n - 1) + (q - 1) R, divided from the top, and R is read off (q - 1) R."""
-    c = list(map(operator.sub, (0,) + a.coeffs, a.coeffs + (0,)))
-    for i in range(len(c) - 1, n - 1, -1):
-        c[i - n] += c[i]  # c[i] is final: the quotient's coefficient of q^(i-n)
-    return Poly(c[n:]), Poly([-r for r in accumulate(c[:n])])
 
 
 def _mod_q_int(f: list[int]) -> Poly:
@@ -361,7 +351,7 @@ def _central_q_over(k: int) -> Poly:
     """qbinom(2k, k) / [2k-1]_q, exact in Z[q] for k >= 1."""
     got = _CENTRAL_Q_OVER.get(k)
     if got is None:
-        got, rem = _divmod_q_int(qbinom(2 * k, k), 2 * k - 1)
+        got, rem = divmod(qbinom(2 * k, k), q_int(2 * k - 1))
         if not rem.is_zero():
             raise AssertionError("[2k-1]_q must divide [2k choose k]_q")
         _CENTRAL_Q_OVER[k] = got
@@ -374,11 +364,10 @@ _SQ_POLY: list[Poly] = []
 def _s_q_poly_grow(start: int, upto: int) -> list[Poly]:
     out = []
     for m in range(start, upto + 1):
-        # k >= 1, then k = 0 (q^0 / [-1]_q = -q); size > degree, so the fold is exact
-        terms = [(1, k, ((qbinom(m, k), 2), (_central_q_over(k), 1))) for k in range(1, m + 1)]
-        size = 2 + max([k + sum(p.degree * a for p, a in fs) for _, k, fs in terms], default=0)
-        ring, x = _fold_sum(size, (), terms + [(-1, 1, ())])
-        out.append(Poly(ring.unpack(x)))
+        total = Poly((0, -1))  # k = 0 term: q^0 / [-1]_q = -q
+        for k in range(1, m + 1):
+            total += (qbinom(m, k) ** 2 * _central_q_over(k)).shift(k)
+        out.append(total)
     return out
 
 
@@ -404,9 +393,14 @@ def s_q(n: int) -> QRationalFunction:
 
 
 def _poly_note(p: Poly) -> str:
-    if len(p.coeffs) <= 16:
-        return p.render("q")
-    return "polynomial of degree %d" % (p.degree,)
+    return _lazy_poly_note(p.degree, lambda: p)
+
+
+def _lazy_poly_note(degree: int, build: Callable[[], Poly]) -> str:
+    """The polynomial of that degree, rendered if it is short; built only then."""
+    if degree < 16:
+        return build().render("q")
+    return "polynomial of degree %d" % degree
 
 
 def check_q_lucas(a: int, b: int, s: int, t: int, d: int) -> CheckResult:
@@ -436,9 +430,7 @@ def check_lemma32(n: int, k: int) -> CheckResult:
     ok = cyclotomic_divides(n, Poly(ring.unpack(x)))
     # the top coefficients of the q^h p^2 are squares and cannot cancel
     degree = max(h + 2 * p.degree for h, p in rows)
-    lhs = "polynomial of degree %d" % degree
-    if degree < 16:
-        lhs = _poly_note(sum((p * p).shift(h) for h, p in rows))
+    lhs = _lazy_poly_note(degree, lambda: sum((p * p).shift(h) for h, p in rows))
     return CheckResult(
         family="lemma32",
         params={"n": n, "k": k},
@@ -503,8 +495,12 @@ def check_conj57(n: int) -> CheckResult:
     for k in range(n):
         acc += s_q_poly(k).shift(k)
     total = acc * Poly((1, 1))
-    q1, r1 = _divmod_q_int(total, n)
-    q2, r2 = _divmod_q_int(q1, n)
+    d = q_int(n)
+    q1, r1 = divmod(total, d)
+    if r1.is_zero():
+        q2, r2 = divmod(q1, d)
+    else:
+        q2, r2 = Poly(), Poly((1,))
     ok = r1.is_zero() and r2.is_zero()
     note = ""
     if ok:

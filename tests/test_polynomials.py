@@ -72,8 +72,8 @@ def test_kronecker_product_matches_schoolbook_across_the_cutoff():
     assert crossed > 100
 
     # Two constant runs of length n meet in a middle coefficient n * x * y,
-    # the packing bound itself, here at every bit length up to 80, on the
-    # unsigned path (both operands nonnegative) and on the signed one.
+    # the packing bound itself, here at every bit length up to 80, with both
+    # operands nonnegative, one negative and both negative.
     for n in (1, 32):
         for bits in range(1, 80):
             for x in (2**bits - 1, 2**bits):

@@ -28,7 +28,7 @@ from congrkit.qalgebra import (
     s_q,
     s_q_poly,
 )
-from congrkit.qalgebra import _central_q_over, _divmod_q_int, _fold, _fold_sum
+from congrkit.qalgebra import _central_q_over, _fold, _fold_sum
 from congrkit.qalgebra import _FoldRing, _poly_note
 from congrkit.sequences import s_small
 
@@ -298,7 +298,7 @@ def test_packed_ring_edges_round_trip_and_decide(bound):
         ring = _FoldRing(n, bound)
 
         def pack(f):
-            return _pack(f, ring.nbytes, True) % ring.modulus
+            return _pack(f, ring.nbytes) % ring.modulus
 
         folds = [[c] * n for c in (bound, -bound, 1, -1, 0)]
         folds += [[rng.choice((bound, -bound, 0)) for _ in range(n)] for _ in range(20)]
@@ -313,16 +313,6 @@ def test_packed_ring_edges_round_trip_and_decide(bound):
             assert ring.all_equal(x) and ring.unpack(x) == [c] * n
         x = (pack([-bound] * n) + pack([bound] + [0] * (n - 1))) % ring.modulus
         assert ring.all_equal(x) == (n == 1)
-
-
-def test_linear_division_by_q_integer_matches_divmod():
-    rng = random.Random("divmod-q-int")
-    for _ in range(300):
-        n = rng.randint(1, 40)
-        a = Poly([rng.randint(-(10**20), 10**20) for _ in range(rng.randint(0, 120))])
-        if rng.random() < 0.3:
-            a = a * q_int(n)
-        assert _divmod_q_int(a, n) == divmod(a, q_int(n))
 
 
 def _oracle_sample():
