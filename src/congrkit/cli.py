@@ -20,7 +20,6 @@ import argparse
 import csv
 import io
 import json
-import multiprocessing
 import sys
 import traceback
 from dataclasses import dataclass, field
@@ -222,6 +221,7 @@ def _run_guarded(pair: tuple[str, dict]) -> CheckResult:
 
 def _execute(pairs: list[tuple[str, dict]], jobs: int) -> list[CheckResult]:
     if jobs > 1 and len(pairs) > 1:
+        import multiprocessing  # imported here so that --jobs 1 never pays for it
         with multiprocessing.Pool(processes=jobs) as pool:
             return pool.map(_run_guarded, pairs)
     return [_run_guarded(pair) for pair in pairs]

@@ -17,20 +17,21 @@ Conventions that matter downstream:
 * two_square_decompose(p) normalizes the odd part x of p = x**2 + y**2 to
   x == 1 (mod 4) (sign choice) and returns y even and positive.
 
-The package's grown-once list tables (here, in sequences, verify and
-qalgebra) grow through _memo_grow, or, for the paired central-binomial rows,
-by the same steps: missing entries are computed from the published prefix
-outside _MEMO_LOCK and appended under it, so threads that grow one table at
-the same time may repeat work but never store an entry at the wrong index;
-published entries are never changed.
+Every memo of the package is registered in _MEMOS, as one of two kinds.  A
+grown table (_memo_table: a list, or a dict of lists by a small key) grows
+only through _memo_grow, which appends entries computed outside _MEMO_LOCK
+under it, so threads that race never store an entry at the wrong index.  A
+keyed memo (_memo_cache) is an lru_cache of a pure function and takes no
+lock: a race may compute an entry twice, but the values are equal.
 """
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Callable, Optional, Union
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -41,6 +42,7 @@ __all__ = [
     "binomial",
     "catalan",
     "central_binomial_over_2k_minus_1",
+    "clear_memos",
     "is_prime",
     "legendre_symbol",
     "pow_compare",
@@ -119,6 +121,36 @@ def legendre_symbol(a: int, p: int) -> int:
 
 
 _MEMO_LOCK = threading.Lock()  # guards every memo table's check-and-extend
+_MEMOS: list = []  # (table, copy of its seed) or (lru_cache, None)
+
+
+def _memo_table(seed):
+    """Register seed, a list or an empty dict, as a grown table; return it."""
+    _MEMOS.append((seed, seed.copy()))
+    return seed
+
+
+def _memo_cache(maxsize: Optional[int] = None) -> Callable[[Callable], Callable]:
+    """Decorator: functools.lru_cache(maxsize), registered as a keyed memo."""
+
+    def wrap(fn: Callable) -> Callable:
+        cached = functools.lru_cache(maxsize)(fn)
+        _MEMOS.append((cached, None))
+        return cached
+
+    return wrap
+
+
+def clear_memos() -> None:
+    """Reset every registered memo in place: lists to their seeds, the rest empty."""
+    with _MEMO_LOCK:
+        for memo, seed in _MEMOS:
+            if seed is None:
+                memo.cache_clear()
+            elif isinstance(memo, list):
+                memo[:] = seed
+            else:
+                memo.clear()
 
 
 def _memo_grow(table: list, upto: int, grow: Callable[[int, int], list]) -> list:
@@ -135,7 +167,7 @@ def _memo_grow(table: list, upto: int, grow: Callable[[int, int], list]) -> list
     return table
 
 
-_BERNOULLI: list[Fraction] = [Fraction(1)]
+_BERNOULLI: list[Fraction] = _memo_table([Fraction(1)])
 
 
 def _bernoulli_grow(start: int, upto: int) -> list[Fraction]:

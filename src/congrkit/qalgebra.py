@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Callable, Sequence, Union
 
-from .exactnum import _memo_grow
+from .exactnum import _memo_cache, _memo_grow, _memo_table
 from .polynomials import Poly, _pack, _unpack, poly_gcd
 from .result import CheckResult, FAIL, PASS
 
@@ -74,7 +74,7 @@ def q_int(n: int) -> Poly:
     return Poly((1,) * n)
 
 
-_QBIN_ROWS: list[list[Poly]] = [[Poly((1,))]]
+_QBIN_ROWS: list[list[Poly]] = _memo_table([[Poly((1,))]])
 
 
 def _qbinom_grow(start: int, upto: int) -> list[list[Poly]]:
@@ -102,22 +102,17 @@ def qbinom(n: int, k: int) -> Poly:
     return _memo_grow(_QBIN_ROWS, n, _qbinom_grow)[n][k]
 
 
-_CYCLO: dict[int, Poly] = {}
-
-
+@_memo_cache()
 def cyclotomic(d: int) -> Poly:
     """The d-th cyclotomic polynomial, by exact division of q^d - 1."""
     if d < 1:
         raise ValueError("cyclotomic: d must be >= 1")
-    got = _CYCLO.get(d)
-    if got is None:
-        got = Poly((-1,) + (0,) * (d - 1) + (1,))  # q^d - 1
-        for e in range(1, d):
-            if d % e == 0:
-                got, rem = divmod(got, cyclotomic(e))
-                if not rem.is_zero():
-                    raise AssertionError("cyclotomic division must be exact")
-        _CYCLO[d] = got
+    got = Poly((-1,) + (0,) * (d - 1) + (1,))  # q^d - 1
+    for e in range(1, d):
+        if d % e == 0:
+            got, rem = divmod(got, cyclotomic(e))
+            if not rem.is_zero():
+                raise AssertionError("cyclotomic division must be exact")
     return got
 
 
@@ -344,21 +339,16 @@ def q_binomial(n: int, k: int) -> QRationalFunction:
 # -- the q-sum families ----------------------------------------------------------
 
 
-_CENTRAL_Q_OVER: dict[int, Poly] = {}
-
-
+@_memo_cache()
 def _central_q_over(k: int) -> Poly:
     """qbinom(2k, k) / [2k-1]_q, exact in Z[q] for k >= 1."""
-    got = _CENTRAL_Q_OVER.get(k)
-    if got is None:
-        got, rem = divmod(qbinom(2 * k, k), q_int(2 * k - 1))
-        if not rem.is_zero():
-            raise AssertionError("[2k-1]_q must divide [2k choose k]_q")
-        _CENTRAL_Q_OVER[k] = got
+    got, rem = divmod(qbinom(2 * k, k), q_int(2 * k - 1))
+    if not rem.is_zero():
+        raise AssertionError("[2k-1]_q must divide [2k choose k]_q")
     return got
 
 
-_SQ_POLY: list[Poly] = []
+_SQ_POLY: list[Poly] = _memo_table([])
 
 
 def _s_q_poly_grow(start: int, upto: int) -> list[Poly]:

@@ -17,8 +17,7 @@ ArithmeticError.  The recurrence families at the bottom and the polynomial
 caches read the defining sums, never the recurrence prefixes, so that the
 recurrence checks stay an independent test of the sums.
 
-Module-level value caches grow monotonically, by the memo pattern of
-exactnum (computed outside the package's one memo lock, published under it).
+Module-level value caches are grown tables of exactnum.
 """
 from __future__ import annotations
 
@@ -27,7 +26,7 @@ import operator
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .exactnum import _MEMO_LOCK, _memo_grow
+from .exactnum import _memo_grow, _memo_table
 from .polynomials import Poly
 from .result import CheckResult, FAIL, PASS
 
@@ -59,27 +58,26 @@ __all__ = [
 
 # -- shared incremental rows ------------------------------------------------
 
-_CENTRAL = [1]  # binomial(2k, k)
-_CENTRAL_OVER = [-1]  # binomial(2k, k) // (2k - 1)
+_CENTRAL = _memo_table([1])  # binomial(2k, k)
+_CENTRAL_OVER = _memo_table([-1])  # binomial(2k, k) // (2k - 1)
+
+
+def _central_grow(start: int, upto: int) -> list[int]:
+    c, out = _CENTRAL[start - 1], []
+    for k in range(start, upto + 1):
+        c = c * (2 * (2 * k - 1)) // k
+        out.append(c)
+    return out
+
+
+def _central_over_grow(start: int, upto: int) -> list[int]:
+    return [_CENTRAL[k] // (2 * k - 1) for k in range(start, upto + 1)]
 
 
 def _central_rows(upto: int) -> tuple[list[int], list[int]]:
     """The shared rows through index upto; callers must not mutate them."""
-    with _MEMO_LOCK:
-        start = len(_CENTRAL)
-        if start > upto:
-            return _CENTRAL, _CENTRAL_OVER
-        c = _CENTRAL[-1]
-    central, over = [], []
-    for k in range(start, upto + 1):
-        c = c * (2 * (2 * k - 1)) // k
-        central.append(c)
-        over.append(c // (2 * k - 1))
-    with _MEMO_LOCK:
-        skip = len(_CENTRAL) - start  # rows another thread published meanwhile
-        _CENTRAL.extend(central[skip:])
-        _CENTRAL_OVER.extend(over[skip:])
-    return _CENTRAL, _CENTRAL_OVER
+    central = _memo_grow(_CENTRAL, upto, _central_grow)
+    return central, _memo_grow(_CENTRAL_OVER, upto, _central_over_grow)
 
 
 def _exact_div(a: int, b: int) -> int:
@@ -289,11 +287,11 @@ def _schroder_rec(n: int) -> tuple[int, int, int, int]:
 
 # -- grown-once value caches --------------------------------------------------
 
-_R_CACHE: list[int] = []
-_S_CACHE: list[int] = []
-_SCHRODER_CACHE: list[int] = []
-_R_POLY_CACHE: list[Poly] = []
-_S_POLY_CACHE: list[Poly] = []
+_R_CACHE: list[int] = _memo_table([])
+_S_CACHE: list[int] = _memo_table([])
+_SCHRODER_CACHE: list[int] = _memo_table([])
+_R_POLY_CACHE: list[Poly] = _memo_table([])
+_S_POLY_CACHE: list[Poly] = _memo_table([])
 
 
 def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list:

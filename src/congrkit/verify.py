@@ -62,13 +62,15 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exactnum import (
     DenominatorNotInvertible,
     Rational,
+    _memo_cache,
     _memo_grow,
+    _memo_table,
     binomial,
     catalan,
     is_prime,
@@ -173,7 +175,7 @@ _WEIGHTS = {
 }
 
 
-@lru_cache(maxsize=None)
+@_memo_cache()
 def _weight_row(name: str, n: int, signed: int) -> tuple[int, ...]:
     """The named weight at k < n, times (-1)^k when signed."""
     w = _WEIGHTS[name]
@@ -497,14 +499,18 @@ def check_remark11(n: int, d: int) -> CheckResult:
 
 # -- prefix sums of the two headline sequences ---------------------------------
 
+_PREFIX_SUMS: dict[object, list] = _memo_table({})
+
 
 def _prefix_sum(
-    table: list, n: int, terms: Callable[[int, int], list], add=operator.add
+    key: object, n: int, terms: Callable[[int, int], list], add=operator.add, zero=0
 ) -> object:
-    """table[n] of the memoized running sums table[j + 1] = add(table[j], term j).
+    """Entry n of the running sums memoized as _PREFIX_SUMS[key], whose entry 0
+    is zero and entry j + 1 is add(entry j, term j).
 
     terms(lo, hi) returns the terms lo..hi-1.
     """
+    table = _PREFIX_SUMS.setdefault(key, [zero])
 
     def grow(start: int, upto: int) -> list:
         acc, out = table[start - 1], []
@@ -524,11 +530,8 @@ def _add_coeffs(acc: list[int], poly: Poly) -> list[int]:
     return out
 
 
-_S_PREFIX = [0]  # _S_PREFIX[n] == sum of S_0..S_{n-1}
-
-
 def _s_prefix(n: int) -> int:
-    return _prefix_sum(_S_PREFIX, n, lambda lo, hi: S_values(hi - 1)[lo:])
+    return _prefix_sum("S", n, lambda lo, hi: S_values(hi - 1)[lo:])
 
 
 def _R_prefix_sum(n: int) -> int:
@@ -592,12 +595,10 @@ def check_thm13_ii(n: int) -> CheckResult:
 
 # -- weighted S prefix families -------------------------------------------------
 
-_S_POLY_PREFIX: list[list[int]] = [[]]
-
 
 def _s_poly_prefix(n: int) -> list[int]:
     return _prefix_sum(
-        _S_POLY_PREFIX, n, lambda lo, hi: S_polys(hi - 1)[lo:], _add_coeffs
+        "S_poly", n, lambda lo, hi: S_polys(hi - 1)[lo:], _add_coeffs, []
     )
 
 
@@ -684,7 +685,7 @@ THM15_VARIANTS = (
 _GRID_VALUES = tuple(a for a in range(-3, 4) if a)
 
 
-@lru_cache(maxsize=4)
+@_memo_cache(maxsize=4)
 def _grid_products(
     m: int, n: int
 ) -> list[tuple[tuple[int, ...], list[int], list[int]]]:
@@ -791,7 +792,7 @@ def _mixed_row(n: int, a: int, b: int) -> list[int]:
     return [pos[k] ** a * neg[k] ** b for k in range(n)]
 
 
-@lru_cache(maxsize=None)
+@_memo_cache()
 def _xval_plans(odd: int) -> tuple[tuple[str, str, bool, Fraction, int], ...]:
     """(label, kernel name, uses the signed difference, constant c, k = 0
     correction) per display, for m of parity odd.
@@ -813,7 +814,7 @@ def _xval_plans(odd: int) -> tuple[tuple[str, str, bool, Fraction, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
+@_memo_cache()
 def _xval_weights(k: int, odd: int) -> tuple[Fraction, ...]:
     """The ten display weights at index k, for m of parity odd."""
     alt = -1 if k % 2 else 1  # (-1)^k
@@ -836,7 +837,7 @@ def _xval_weights(k: int, odd: int) -> tuple[Fraction, ...]:
     )
 
 
-@lru_cache(maxsize=4)
+@_memo_cache(maxsize=4)
 def _display_weights(n: int, odd: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """D_n, the lcm of every display weight denominator at k < n, and per
     display its integer weights D_n w[k]."""
@@ -847,7 +848,7 @@ def _display_weights(n: int, odd: int) -> tuple[int, tuple[tuple[int, ...], ...]
     )
 
 
-@lru_cache(maxsize=None)
+@_memo_cache()
 def _xval_terms(k: int, odd: int) -> tuple[tuple[Fraction, bool], ...]:
     """Per display at index k: the kernel difference, and whether the display
     weight equals c times it plus the k = 0 correction."""
@@ -862,7 +863,7 @@ def _xval_terms(k: int, odd: int) -> tuple[tuple[Fraction, bool], ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=4)
+@_memo_cache(maxsize=4)
 def _xval_kernel_rows(n: int, odd: int) -> tuple[Optional[tuple[int, ...]], ...]:
     """Per display, D_n times its kernel differences at k < n; None when the
     termwise match fails at some k < n.  Where it holds, each difference is
@@ -1001,13 +1002,12 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
 
 _COR11_SEQ = {"t": t_seq, "T": T_seq, "Tplus": T_plus, "Tminus": T_minus}
 _COR11_POWER = {"t": 3, "T": 3, "Tplus": 4, "Tminus": 3}
-_COR11_PREFIX: dict[str, list[int]] = {k: [0] for k in _COR11_SEQ}
 
 
 def _cor11_prefix(kind: str, n: int) -> int:
     fn = _COR11_SEQ[kind]
     return _prefix_sum(
-        _COR11_PREFIX[kind],
+        ("cor11", kind),
         n,
         lambda lo, hi: [(2 * j + 1) * fn(j) for j in range(lo, hi)],
     )
@@ -1341,14 +1341,6 @@ def check_remark52(n: int) -> CheckResult:
 
 # -- open-conjecture scans -------------------------------------------------------
 
-_R_SQUARE_PREFIX = [0]      # running sum of squared values
-_R_SQUARE_ODD_PREFIX = [0]  # running sum of odd-weighted squares
-_S_WEIGHTED_PREFIX = [0]    # running sum of k-weighted values
-_S_SMALL_PREFIX = [0]
-_S_PLUS_PREFIX = [0]
-_S_MINUS_PREFIX = [0]
-
-
 def _r_square_prefixes(n: int) -> tuple[int, int]:
     """Prefix sums of R_j^2 and of (2j + 1) R_j^2 over j < n."""
 
@@ -1359,15 +1351,15 @@ def _r_square_prefixes(n: int) -> tuple[int, int]:
         return [(2 * j + 1) * sq for j, sq in enumerate(squares(lo, hi), lo)]
 
     return (
-        _prefix_sum(_R_SQUARE_PREFIX, n, squares),
-        _prefix_sum(_R_SQUARE_ODD_PREFIX, n, odd_squares),
+        _prefix_sum("R_square", n, squares),
+        _prefix_sum("R_square_odd", n, odd_squares),
     )
 
 
 def _s_weighted_prefix(n: int) -> int:
     """Prefix sum of j S_j over j < n."""
     return _prefix_sum(
-        _S_WEIGHTED_PREFIX,
+        "S_weighted",
         n,
         lambda lo, hi: [j * s for j, s in enumerate(S_values(hi - 1)[lo:], lo)],
     )
@@ -1376,24 +1368,22 @@ def _s_weighted_prefix(n: int) -> int:
 def _small_prefixes(n: int) -> tuple[int, int, int]:
     """Prefix sums of s_small, S_cplus and S_cminus over j < n."""
     return tuple(
-        _prefix_sum(table, n, lambda lo, hi: [fn(j) for j in range(lo, hi)])
-        for table, fn in (
-            (_S_SMALL_PREFIX, s_small),
-            (_S_PLUS_PREFIX, S_cplus),
-            (_S_MINUS_PREFIX, S_cminus),
+        _prefix_sum(key, n, lambda lo, hi: [fn(j) for j in range(lo, hi)])
+        for key, fn in (
+            ("s_small", s_small),
+            ("S_cplus", S_cplus),
+            ("S_cminus", S_cminus),
         )
     )
 
 
-_S58_CUM: dict[int, list[list[int]]] = {}
-
-
 def _s58_prefix(m: int, n: int) -> list[int]:
     return _prefix_sum(
-        _S58_CUM.setdefault(m, [[]]),
+        ("S58", m),
         n,
         lambda lo, hi: [S_m_poly(m, j) for j in range(lo, hi)],
         _add_coeffs,
+        [],
     )
 
 

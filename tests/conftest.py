@@ -10,7 +10,7 @@ import threading
 
 import pytest
 
-from congrkit import verify
+from congrkit.exactnum import clear_memos
 
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
@@ -79,12 +79,9 @@ def raise_row(monkeypatch):
 
 
 @pytest.fixture
-def cold_caches():
-    """Clear every lru_cache in congrkit.verify before and after the test, so
-    a falsified value source is read from cold tables and leaves none behind."""
-    caches = [f for f in vars(verify).values() if hasattr(f, "cache_clear")]
-    for f in caches:
-        f.cache_clear()
-    yield
-    for f in caches:
-        f.cache_clear()
+def cold_memos():
+    """Reset every registered memo before and after the test, and on each call
+    of the value: a falsified source reads cold tables and leaves none behind."""
+    clear_memos()
+    yield clear_memos
+    clear_memos()

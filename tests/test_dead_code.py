@@ -1,6 +1,7 @@
 """Every module-level private function, class or constant is used, every
-module's __all__ lists exactly what it defines for export, and every
-module-level list or dict is a known memo or a known fixed table."""
+module's __all__ lists exactly what it defines for export, every module-level
+list or dict is a known fixed table or a registered memo, and lru_cache is
+applied only through exactnum's registering decorator."""
 
 import ast
 import pathlib
@@ -97,38 +98,12 @@ def test_all_lists_every_public_definition_and_nothing_undefined():
     assert not problems, "; ".join(problems)
 
 
-# Module-level lists and dicts that grow while the program runs.  A new one
-# must be added here, so that memos stay few and findable; ROADMAP item 2
-# moves them onto one registered helper.
-MEMOS = {
-    "exactnum.py": {"_BERNOULLI"},
-    "qalgebra.py": {"_QBIN_ROWS", "_SQ_POLY", "_CYCLO", "_CENTRAL_Q_OVER"},
-    "sequences.py": {
-        "_CENTRAL",
-        "_CENTRAL_OVER",
-        "_R_CACHE",
-        "_S_CACHE",
-        "_SCHRODER_CACHE",
-        "_R_POLY_CACHE",
-        "_S_POLY_CACHE",
-    },
-    "verify.py": {
-        "_S_PREFIX",
-        "_S_POLY_PREFIX",
-        "_COR11_PREFIX",
-        "_R_SQUARE_PREFIX",
-        "_R_SQUARE_ODD_PREFIX",
-        "_S_WEIGHTED_PREFIX",
-        "_S_SMALL_PREFIX",
-        "_S_PLUS_PREFIX",
-        "_S_MINUS_PREFIX",
-        "_S58_CUM",
-    },
-}
-
-# Module-level lists and dicts that are never changed after import.
+# Module-level lists and dicts that are never changed after import (_MEMOS
+# only takes the registrations made as modules load).  Every other one is a
+# memo and must be built by exactnum._memo_table, which registers it.
 TABLES = {
     "cli.py": {"_SEQUENCES", "_PREFIXES", "_QVERIFY_ALIASES"},
+    "exactnum.py": {"_MEMOS"},
     "kernels.py": {"PAPER_KERNELS"},
     "registry.py": {"FAMILIES", "_DECODE"},
     "verify.py": {"_WEIGHTS", "_COR11_SEQ", "_COR11_POWER", "CONJ52_START"},
@@ -158,23 +133,25 @@ def _module_containers(tree: ast.Module) -> set[str]:
     return names - {"__all__"}
 
 
-def test_module_level_memos_match_the_allow_list():
-    for module in set(MEMOS) & set(TABLES):
-        assert not MEMOS[module] & TABLES[module], module
+def test_module_level_memos_are_registered():
     found = {module: _module_containers(tree) for module, tree in _trees().items()}
-    listed = {
-        module: MEMOS.get(module, set()) | TABLES.get(module, set()) for module in found
-    }
-    unlisted = sorted(
+    bare = sorted(
         "%s:%s" % (module, name)
         for module in found
-        for name in found[module] - listed[module]
+        for name in found[module] - TABLES.get(module, set())
     )
     gone = sorted(
         "%s:%s" % (module, name)
-        for module in found
-        for name in listed[module] - found[module]
+        for module in TABLES
+        for name in TABLES[module] - found.get(module, set())
     )
-    assert not unlisted, "module-level lists or dicts not in MEMOS or TABLES: %s" % ", ".join(unlisted)
+    assert not bare, "bare module-level lists or dicts: %s" % ", ".join(bare)
     assert not gone, "listed but no longer defined: %s" % ", ".join(gone)
-    assert set(MEMOS) | set(TABLES) <= set(found)
+
+
+def test_lru_cache_is_applied_only_by_the_registering_decorator():
+    trees = _trees()
+    exactnum = trees["exactnum.py"]
+    exactnum.body = [n for n in exactnum.body if getattr(n, "name", None) != "_memo_cache"]
+    users = sorted(m for m, tree in trees.items() if "lru_cache" in _references(tree))
+    assert not users, "lru_cache outside exactnum._memo_cache: %s" % ", ".join(users)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from congrkit import exactnum
+from congrkit import exactnum, qalgebra, sequences, verify
 from congrkit.exactnum import (
     DenominatorNotInvertible,
     bernoulli_number,
@@ -251,11 +251,28 @@ def test_primes_up_to_and_is_prime_agree():
         assert is_prime(n) == (n in marked)
 
 
-def test_bernoulli_table_stays_aligned_under_thread_races(monkeypatch, race):
-    monkeypatch.setattr(exactnum, "_BERNOULLI", [Fraction(1)])
+def test_bernoulli_table_stays_aligned_under_thread_races(cold_memos, race):
     results = race(lambda: bernoulli_number(120))
-    table = exactnum._BERNOULLI
-    monkeypatch.setattr(exactnum, "_BERNOULLI", [Fraction(1)])
+    table = list(exactnum._BERNOULLI)
+    cold_memos()
     assert results == [bernoulli_number(120)] * 4
     assert len(table) == 121
     assert table == exactnum._BERNOULLI
+
+
+def test_clear_memos_resets_every_registered_memo(cold_memos):
+    bernoulli_number(30)
+    qalgebra.qbinom(10, 5)
+    sequences.R(20)  # grows the central rows
+    qalgebra.cyclotomic(12)
+    verify._s58_prefix(2, 10)
+    verify._grid_products(2, 5)
+    cold_memos()
+    assert exactnum._BERNOULLI == [Fraction(1)]
+    assert (sequences._CENTRAL, sequences._CENTRAL_OVER) == ([1], [-1])
+    assert verify._PREFIX_SUMS == {}
+    for memo, seed in exactnum._MEMOS:
+        if seed is None:
+            assert memo.cache_info().currsize == 0, memo
+        else:
+            assert memo == seed  # a list's seed, or {} for a dict

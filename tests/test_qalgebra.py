@@ -462,34 +462,31 @@ def test_qlucas_fails_on_falsified_integer_binomial(monkeypatch):
         assert r.lhs != r.rhs
 
 
-def test_q_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
-    monkeypatch.setattr(qalgebra, "_QBIN_ROWS", [[Poly((1,))]])
+def test_q_memo_tables_stay_aligned_under_thread_races(cold_memos, race):
     results = race(lambda: qbinom(40, 20))
-    rows = qalgebra._QBIN_ROWS
-    monkeypatch.setattr(qalgebra, "_QBIN_ROWS", [[Poly((1,))]])
+    rows = list(qalgebra._QBIN_ROWS)
+    cold_memos()
     expected = qbinom(40, 20)
     assert results == [expected] * 4
     assert len(rows) == 41
     assert rows == qalgebra._QBIN_ROWS
 
-    monkeypatch.setattr(qalgebra, "_SQ_POLY", [])
-    results = race(lambda: s_q_poly(12))
-    table = qalgebra._SQ_POLY
-    monkeypatch.setattr(qalgebra, "_SQ_POLY", [])
+    results = race(lambda: s_q_poly(12))  # cold s_q table, warm rows
+    table = list(qalgebra._SQ_POLY)
+    cold_memos()
     assert results == [s_q_poly(12)] * 4
     assert table == qalgebra._SQ_POLY
 
-    # The dict memos store pure values if absent: a race may compute an
-    # entry twice, but every thread returns, and the table keeps, the values
-    # one thread computes alone.
-    memos = (
-        ("_CYCLO", lambda: cyclotomic(60)),
-        ("_CENTRAL_Q_OVER", lambda: _central_q_over(12)),
-    )
-    for name, fn in memos:
-        monkeypatch.setattr(qalgebra, name, {})
-        results = race(fn)
-        table = getattr(qalgebra, name)
-        monkeypatch.setattr(qalgebra, name, {})
-        assert results == [fn()] * 4, name
-        assert table == getattr(qalgebra, name), name
+    # The keyed memos store pure values: a race may compute an entry twice,
+    # but every thread returns, and the cache keeps, the values one thread
+    # computes alone.
+    divisors = [d for d in range(1, 61) if 60 % d == 0]
+    for fn, keys in ((cyclotomic, divisors), (_central_q_over, [12])):
+        cold_memos()
+        results = race(lambda: fn(keys[-1]))
+        size = fn.cache_info().currsize
+        table = [fn(k) for k in keys]  # cache hits: the entries the race stored
+        cold_memos()
+        assert results == [fn(keys[-1])] * 4, fn
+        assert size == len(keys), fn
+        assert table == [fn(k) for k in keys], fn

@@ -238,32 +238,28 @@ def test_recurrences_hold_at_depth():
     ),
 )
 def test_recurrence_checks_fail_on_raised_row(
-    monkeypatch, raise_row, seam, cache, check, lhs
+    cold_memos, raise_row, seam, cache, check, lhs
 ):
     # the k = 0 entry of the n = 4 row moves R_4 by -1 and S_4 by 3; the
     # window at n = 1 weighs the fourth value by -(n + 3) or -(n + 3)^2
     raise_row(sequences, seam, 4)
-    monkeypatch.setattr(sequences, cache, [])
+    assert getattr(sequences, cache) == []
     r = check(10)
     assert r.status == FAIL
     assert r.witness == {"n": 1}
     assert r.lhs == lhs
 
 
-def test_recurrence_prefixes_match_the_defining_sums(monkeypatch):
-    monkeypatch.setattr(sequences, "_R_CACHE", [])
-    monkeypatch.setattr(sequences, "_S_CACHE", [])
-    monkeypatch.setattr(sequences, "_SCHRODER_CACHE", [])
+def test_recurrence_prefixes_match_the_defining_sums(cold_memos):
     assert R_values(300) == [R(n) for n in range(301)]
     assert S_values(300) == [S(n) for n in range(301)]
     assert schroder_values(300) == [schroder(n) for n in range(301)]
 
 
-def test_recurrence_prefix_raises_on_a_moved_seed(monkeypatch, raise_row):
+def test_recurrence_prefix_raises_on_a_moved_seed(cold_memos, raise_row):
     # binomial(1, 0) goes from 1 to 2 in the n = 1 diagonal row: R_1 drops
     # from 1 to 0, and the recurrence leaves a remainder by R_4 at the latest
     raise_row(sequences, "_diag_row", 1)
-    monkeypatch.setattr(sequences, "_R_CACHE", [])
     with pytest.raises(ArithmeticError):
         R_values(10)
 
@@ -274,13 +270,9 @@ def test_integer_families_extend_cleanly():
             assert isinstance(f(n), int)
 
 
-def test_memo_tables_stay_aligned_under_thread_races(monkeypatch, race):
+def test_memo_tables_stay_aligned_under_thread_races(cold_memos, race):
     # Cold tables, so every thread grows them; a check-then-append race
     # leaves values at the wrong index.
-    monkeypatch.setattr(sequences, "_CENTRAL", [1])
-    monkeypatch.setattr(sequences, "_CENTRAL_OVER", [-1])
-    monkeypatch.setattr(sequences, "_R_CACHE", [])
-    monkeypatch.setattr(sequences, "_S_CACHE", [])
     # the recurrence prefixes read the central rows only through their seeds;
     # R(300) grows those rows to full length from every thread
     results = race(lambda: (R_values(300), S_values(300), R(300)))

@@ -126,6 +126,14 @@ def test_ratio_sum_identity_instances():
         assert check_remark11(n, d).status == PASS
 
 
+def test_remark11_fails_on_raised_ratio_sum(monkeypatch):
+    original = verify.ratio_sum
+    monkeypatch.setattr(verify, "ratio_sum", lambda n, d, b: original(n, d, b) + 1)
+    r = check_remark11(3, 2)
+    assert r.status == FAIL
+    assert r.witness == {"difference": "1"}
+
+
 def test_prefix_sum_congruences_R():
     # p = 3: R_0 + R_1 + R_2 = 7 and -3 - 1 = -4 agree mod 9? 7 vs 5... the
     # checker carries the exact residues; here we only pin the verdicts.
@@ -240,6 +248,18 @@ def test_triangular_sum_lemma():
     assert str(r.lhs) == str(r.rhs) == "4"
     assert check_lemma23(0, 1).status == PASS
     assert check_lemma23(5, 3).status == PASS
+
+
+def test_lemma23_fails_on_raised_binomial(monkeypatch):
+    # binomial(-2, 1) goes from -2 to -1: the signed ratio halves from 4 to 2
+    original = verify.binomial
+    monkeypatch.setattr(
+        verify, "binomial", lambda n, k: original(n, k) + ((n, k) == (-2, 1))
+    )
+    r = check_lemma23(2, 1)
+    assert r.status == FAIL
+    assert r.witness == {"middle": "4"}
+    assert (r.lhs, r.rhs) == ("2", "4")
 
 
 # -- difference-kernel framework ----------------------------------------------------
@@ -586,6 +606,13 @@ def test_thm13_fails_on_shifted_row(monkeypatch, p):
     assert int(r.lhs) == (int(r.rhs) + p) % (p * p)
 
 
+def test_lemma22_fails_on_shifted_row(shifted_over):
+    # over[1] + 1 raises central[1] over[1] by 2: x^(n-1) gains 12 * 2, x^n loses 2
+    r = check_lemma22(3)
+    assert r.status == FAIL
+    assert r.witness == {"difference": "-2*x^3 + 24*x^2"}
+
+
 @pytest.mark.parametrize("p", (7, 13))
 def test_thm14ii_fails_on_raised_S_value(monkeypatch, p):
     def values(n_max):
@@ -607,7 +634,7 @@ def test_thm14ii_fails_on_raised_S_value(monkeypatch, p):
 # -- negative controls: a raised binomial-row entry must make the row readers FAIL
 #
 # raise_row serves copies of one row with one entry raised by one; the value
-# and prefix tables those rows feed are swapped for cold ones.
+# and prefix tables those rows feed start cold (cold_memos).
 
 
 @pytest.mark.parametrize(
@@ -636,43 +663,33 @@ def test_remark13_fails_on_raised_row(raise_row):
     assert r.lhs == "-3"
 
 
-def test_cor11_fails_on_raised_row(monkeypatch, raise_row):
+def test_cor11_fails_on_raised_row(cold_memos, raise_row):
     # binomial(2, 0) goes from 1 to 2 in the n = 1 diagonal row: t_1 drops to 0
     raise_row(sequences, "_diag_row", 1)
-    monkeypatch.setattr(verify, "_COR11_PREFIX", {k: [0] for k in verify._COR11_SEQ})
     r = check_cor11(2)
     assert r.status == FAIL
     assert r.witness == {"claim": "t", "residue": 7}
 
 
-def test_thm14i_fails_on_raised_row(monkeypatch, raise_row):
+def test_thm14i_fails_on_raised_row(cold_memos, raise_row):
     # binomial(1, 0) goes from 1 to 2: S_1 rises by 3, h(2) is untouched
     raise_row(sequences, "_binom_row", 1)
-    monkeypatch.setattr(sequences, "_S_CACHE", [])
-    monkeypatch.setattr(sequences, "_S_POLY_CACHE", [])
-    monkeypatch.setattr(verify, "_S_PREFIX", [0])
-    monkeypatch.setattr(verify, "_S_POLY_PREFIX", [[]])
     r = check_thm14_i(3)
     assert r.status == FAIL
     assert r.witness == {"claim": "scalar prefix sum"}
     assert (r.lhs, r.rhs) == ("66", "63")
 
 
-def test_prefix_tables_stay_aligned_under_thread_races(monkeypatch, race):
-    def cold():
-        monkeypatch.setattr(verify, "_S_PREFIX", [0])
-        monkeypatch.setattr(verify, "_S58_CUM", {})
-
+def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
     def grow():
         return verify._s_prefix(301), verify._s58_prefix(2, 60)
 
     def tables():
-        return verify._S_PREFIX, verify._S58_CUM[2]
+        return list(verify._PREFIX_SUMS["S"]), list(verify._PREFIX_SUMS["S58", 2])
 
-    cold()
     results = race(grow)
     grown = tables()
-    cold()
+    cold_memos()
     assert results == [grow()] * 4
     assert [len(t) for t in grown] == [302, 61]
     assert grown == tables()
@@ -681,10 +698,10 @@ def test_prefix_tables_stay_aligned_under_thread_races(monkeypatch, race):
 # -- negative controls for the divisibility scans --------------------------------
 #
 # Each control serves one value source with its entry at index 1 raised by one,
-# from cold prefix tables (monkeypatched, so the shared tables stay untouched).
+# from cold prefix tables (cold_memos, which clears them again afterwards).
 
 
-def _raise_listed_value(monkeypatch, source, tables):
+def _raise_listed_value(monkeypatch, source):
     """Serve verify.<source>(n_max) copies with entry 1 raised by one."""
     original = getattr(verify, source)
 
@@ -694,32 +711,25 @@ def _raise_listed_value(monkeypatch, source, tables):
         return vals
 
     monkeypatch.setattr(verify, source, values)
-    for table in tables:
-        monkeypatch.setattr(verify, table, [0])
 
 
 def _raise_value(monkeypatch, source):
-    """Serve verify.<source>(j) raised by one at j = 1, from cold small prefixes."""
+    """Serve verify.<source>(j) raised by one at j = 1."""
     original = getattr(verify, source)
     monkeypatch.setattr(verify, source, lambda j: original(j) + (j == 1))
-    for table in ("_S_SMALL_PREFIX", "_S_PLUS_PREFIX", "_S_MINUS_PREFIX"):
-        monkeypatch.setattr(verify, table, [0])
 
 
-_R_SQUARE_TABLES = ("_R_SQUARE_PREFIX", "_R_SQUARE_ODD_PREFIX")
-
-
-def test_conj54_divisibility_fails_on_raised_R_value(monkeypatch):
+def test_conj54_divisibility_fails_on_raised_R_value(monkeypatch, cold_memos):
     # R_1^2 goes from 1 to 4: the tripled square prefix up to n = 4 is 2037
-    _raise_listed_value(monkeypatch, "R_values", _R_SQUARE_TABLES)
+    _raise_listed_value(monkeypatch, "R_values")
     r = run_instance("conj54", {"kind": "divisibility", "n": 4})
     assert r.status == FAIL
     assert r.witness == {"claim": "tripled square prefix", "residue": 1}
     assert r.lhs == "2037"
 
 
-def test_conj54_prime_fails_on_raised_R_value(monkeypatch):
-    _raise_listed_value(monkeypatch, "R_values", _R_SQUARE_TABLES)
+def test_conj54_prime_fails_on_raised_R_value(monkeypatch, cold_memos):
+    _raise_listed_value(monkeypatch, "R_values")
     r = run_instance("conj54", {"kind": "prime", "p": 13})
     assert r.status == FAIL
     assert r.witness == {
@@ -743,22 +753,22 @@ def test_conj54_prime_fails_on_raised_R_value(monkeypatch):
         ),
     ),
 )
-def test_conj55_fails_on_raised_S_value(monkeypatch, params, witness):
+def test_conj55_fails_on_raised_S_value(monkeypatch, cold_memos, params, witness):
     # 1 * S_1 moves the weighted prefix by 1 from n = 2 on
-    _raise_listed_value(monkeypatch, "S_values", ("_S_WEIGHTED_PREFIX",))
+    _raise_listed_value(monkeypatch, "S_values")
     r = run_instance("conj55", params)
     assert r.status == FAIL
     assert r.witness == witness
 
 
-def test_conj56_fails_on_raised_small_value(monkeypatch):
+def test_conj56_fails_on_raised_small_value(monkeypatch, cold_memos):
     _raise_value(monkeypatch, "s_small")
     r = run_instance("conj56", {"n": 2})
     assert r.status == FAIL
     assert r.witness == {"claim": "plain prefix", "residue": 1}
 
 
-def test_remark53_fails_on_raised_plus_value(monkeypatch):
+def test_remark53_fails_on_raised_plus_value(monkeypatch, cold_memos):
     _raise_value(monkeypatch, "S_cplus")
     r = run_instance("remark53", {"n": 2})
     assert r.status == FAIL
@@ -781,7 +791,7 @@ def test_remark52_fails_on_raised_R_poly_coefficient(monkeypatch):
     assert int(r.lhs) == int(r.rhs) + 15
 
 
-def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch):
+def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
     # x^2 S_2,3 moves the prefix coefficient of x^2 by 1 from n = 4 on
     original = verify.S_m_poly
 
@@ -789,7 +799,6 @@ def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch):
         return original(m, j) + (Poly.term(1, 2) if j == 3 else Poly())
 
     monkeypatch.setattr(verify, "S_m_poly", poly)
-    monkeypatch.setattr(verify, "_S58_CUM", {})
     r = run_instance("conj58i", {"m": 2, "n": 5})
     assert r.status == FAIL
     assert r.witness == {"x_power": 2}
@@ -988,7 +997,7 @@ _DISPLAY_CHECKS = (
 
 
 @pytest.mark.parametrize("family, check, reference", _DISPLAY_CHECKS)
-def test_display_families_match_exact_oracles(cold_caches, family, check, reference):
+def test_display_families_match_exact_oracles(cold_memos, family, check, reference):
     grid = instances_for(family, {"max_n": 20})
     assert len(grid) in (180, 360)
     for params in grid:
@@ -1008,7 +1017,7 @@ def test_display_families_match_exact_oracles(cold_caches, family, check, refere
     ),
 )
 def test_display_families_match_exact_oracles_on_raised_row(
-    cold_caches, raise_row, family, top, index, n
+    cold_memos, raise_row, family, top, index, n
 ):
     raise_row(verify, "_binom_row", top, index)
     check, reference = {f: (c, r) for f, c, r in _DISPLAY_CHECKS}[family]
@@ -1031,7 +1040,7 @@ def test_display_families_match_exact_oracles_on_raised_row(
     ),
 )
 def test_xval15_matches_exact_oracle_on_perturbed_kernel(
-    monkeypatch, cold_caches, kernel, first_k
+    monkeypatch, cold_memos, kernel, first_k
 ):
     monkeypatch.setitem(verify.PAPER_KERNELS, kernel.name, kernel)
     for params in instances_for("xval15", {"max_n": 20}):
@@ -1045,7 +1054,7 @@ def test_xval15_matches_exact_oracle_on_perturbed_kernel(
 # -- negative controls for the display families
 
 
-def test_thm15ii_fails_on_raised_row(cold_caches, raise_row):
+def test_thm15ii_fails_on_raised_row(cold_memos, raise_row):
     # binomial(4, 2) goes from 6 to 7 in the n = 5 row
     raise_row(verify, "_binom_row", 4, 2)
     r = check_thm15_ii(5, 1, 1)
@@ -1054,7 +1063,7 @@ def test_thm15ii_fails_on_raised_row(cold_caches, raise_row):
     assert r.lhs == "-18/25"
 
 
-def test_thm15i_fails_on_raised_row(cold_caches, raise_row):
+def test_thm15i_fails_on_raised_row(cold_memos, raise_row):
     # binomial(14, 2) goes from 91 to 92 in the a = 3 row at n = 5
     raise_row(verify, "_binom_row", 14, 2)
     r = check_thm15_i_grid(2, 5, "stepcube_paired")
@@ -1063,7 +1072,7 @@ def test_thm15i_fails_on_raised_row(cold_caches, raise_row):
     assert (r.modulus, r.lhs) == ("125", "921526939595217")
 
 
-def test_xval15_fails_on_perturbed_kernel(monkeypatch, cold_caches):
+def test_xval15_fails_on_perturbed_kernel(monkeypatch, cold_memos):
     # f7 = 2 (-1)^(km) / (k + 1) with numerator 3 instead of 2
     monkeypatch.setitem(
         verify.PAPER_KERNELS, "f7", KernelSpec("f7", "km", (3,), (1, 1))
@@ -1074,7 +1083,7 @@ def test_xval15_fails_on_perturbed_kernel(monkeypatch, cold_caches):
     assert (r.lhs, r.rhs) == ("1", "3/2")
 
 
-def test_display_caches_agree_under_thread_races(cold_caches, race):
+def test_display_caches_agree_under_thread_races(cold_memos, race):
     def run():
         return [
             (
@@ -1101,6 +1110,5 @@ def test_display_caches_agree_under_thread_races(cold_caches, race):
         ]
 
     results = race(lambda: (run(), tables()))
-    for f in [f for f in vars(verify).values() if hasattr(f, "cache_clear")]:
-        f.cache_clear()
+    cold_memos()
     assert results == [(run(), tables())] * 4
