@@ -397,13 +397,10 @@ def check_q_lucas(a: int, b: int, s: int, t: int, d: int) -> CheckResult:
     """[ad+s choose bd+t]_q == binomial(a,b) [s choose t]_q mod Phi_d(q)."""
     if d < 1 or not (0 <= s < d and 0 <= t < d) or a < 0 or b < 0:
         raise ValueError("check_q_lucas: need d >= 1, 0 <= s,t < d, a,b >= 0")
-    params = {"a": a, "b": b, "s": s, "t": t, "d": d}
     # reduction mod Phi_d is linear, so equal residues decide the claim
     lhs = reduce_mod_qpow_minus_1(qbinom(a * d + s, b * d + t), d) % cyclotomic(d)
     rhs = reduce_mod_qpow_minus_1(comb(a, b) * qbinom(s, t), d) % cyclotomic(d)
     return CheckResult(
-        family="qlucas",
-        params=params,
         status=PASS if lhs == rhs else FAIL,
         lhs=_poly_note(lhs),
         rhs=_poly_note(rhs),
@@ -422,12 +419,7 @@ def check_lemma32(n: int, k: int) -> CheckResult:
     degree = max(h + 2 * p.degree for h, p in rows)
     lhs = _lazy_poly_note(degree, lambda: sum((p * p).shift(h) for h, p in rows))
     return CheckResult(
-        family="lemma32",
-        params={"n": n, "k": k},
-        status=PASS if ok else FAIL,
-        lhs=lhs,
-        rhs="0",
-        modulus="Phi_%d(q)" % n,
+        status=PASS if ok else FAIL, lhs=lhs, rhs="0", modulus="Phi_%d(q)" % n
     )
 
 
@@ -438,8 +430,6 @@ def check_theorem31_q(n: int, k: int) -> CheckResult:
     terms = [(1, h, ((qbinom(h, k), 2),)) for h in range(k, n)]
     residue = _q_int_residue(n, (q_int(2 * k + 1), qbinom(2 * k, k)), terms)
     return CheckResult(
-        family="thm31q",
-        params={"n": n, "k": k},
         status=FAIL if residue else PASS,
         lhs=_poly_note(residue),
         rhs="0",
@@ -462,8 +452,6 @@ def check_theorem32_q(n: int, a: int, b: int, a_prime: int) -> CheckResult:
         terms.append((-1 if (a_prime * k) % 2 else 1, e, factors))
     residue = _q_int_residue(n, (), terms)
     return CheckResult(
-        family="thm32q",
-        params={"n": n, "a": a, "b": b, "a_prime": a_prime},
         status=FAIL if residue else PASS,
         lhs=_poly_note(residue),
         rhs="0",
@@ -501,8 +489,6 @@ def check_conj57(n: int) -> CheckResult:
             else "PASS in Q[q]; half-quotient in Z[q]"
         )
     return CheckResult(
-        family="conj57",
-        params={"n": n},
         status=PASS if ok else FAIL,
         lhs=_poly_note(total),
         rhs="0",
@@ -524,19 +510,10 @@ def check_conj58_q(m: int, n: int) -> CheckResult:
         residue = _q_int_residue(n, prefactor, terms)
         if residue:
             return CheckResult(
-                family="conj58q",
-                params={"m": m, "n": n},
                 status=FAIL,
                 lhs=_poly_note(residue),
                 rhs="0",
                 modulus="[%d]_q" % n,
                 witness={"k": k},
             )
-    return CheckResult(
-        family="conj58q",
-        params={"m": m, "n": n},
-        status=PASS,
-        lhs="all k < %d" % n,
-        rhs="0",
-        modulus="[%d]_q" % n,
-    )
+    return CheckResult(status=PASS, lhs="all k < %d" % n, rhs="0", modulus="[%d]_q" % n)

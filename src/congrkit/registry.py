@@ -6,8 +6,9 @@ bounds dictionary to a list of parameter dictionaries, and the checker takes
 those parameters as keyword arguments: ``run_instance`` calls
 ``check(**params)``, after decoding the two parameters whose JSON form
 differs from the checker's argument type (a kernel descriptor, and lemma42's
-``[num, den]`` pairs).  Every checker echoes its parameters in JSON form as
-``CheckResult.params``.  Grids are deterministic, including the randomized
+``[num, den]`` pairs).  A checker returns its verdict alone; ``run_instance``
+stamps the result with the family name and the params dict it was given, in
+JSON form and key order.  Grids are deterministic, including the randomized
 framework sweeps, so repeated runs enumerate identical instances in
 identical order; ``run_instance`` takes only picklable arguments and is safe
 to fan out across worker processes.
@@ -157,9 +158,9 @@ def _grid_thm41(bounds: dict) -> list[dict]:
         out.append(
             {
                 "n": n,
+                "kernel": kernel_descriptor(kern),
                 "a_list": a_list,
                 "b_list": b_list,
-                "kernel": kernel_descriptor(kern),
             }
         )
     return out
@@ -189,7 +190,7 @@ def _grid_thm42(bounds: dict) -> list[dict]:
             sign=rng.choice(("none", "k")),
             num=(0, 0, 0) + _poly_body(rng, 2),
         )
-        out.append({"n": n, "a_list": a_list, "kernel": kernel_descriptor(kern)})
+        out.append({"n": n, "kernel": kernel_descriptor(kern), "a_list": a_list})
     return out
 
 
@@ -221,9 +222,9 @@ def _grid_thm43(bounds: dict) -> list[dict]:
         out.append(
             {
                 "n": n,
+                "kernel": kernel_descriptor(kern),
                 "a_list": a_list,
                 "strength": strength,
-                "kernel": kernel_descriptor(kern),
             }
         )
     return out
@@ -465,7 +466,7 @@ FAMILIES: dict[str, Family] = {
             "Theorem 1.5(i) (1.21)-(1.26)",
             _grid_thm15i,
             verify.check_thm15_i_grid,
-            ("n", "m", "variant"),
+            ("m", "n", "variant"),
         ),
         Family(
             "thm15ii",
@@ -713,12 +714,16 @@ def instances_for(name: str, bounds: Optional[dict] = None) -> list[dict]:
 
 
 def run_instance(name: str, params: dict) -> CheckResult:
-    """Execute one instance as check(**params); everything involved pickles."""
+    """Execute one instance as check(**params) and stamp the result with name
+    and params, as given; everything involved pickles."""
     args = {
         key: _DECODE[key](value) if key in _DECODE else value
         for key, value in params.items()
     }
-    return get_family(name).check(**args)
+    result = get_family(name).check(**args)
+    result.family = name
+    result.params = params
+    return result
 
 
 def run_pair(pair: tuple[str, dict]) -> CheckResult:

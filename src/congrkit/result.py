@@ -12,7 +12,7 @@ Statuses:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -36,16 +36,19 @@ _STATUSES = (PASS, FAIL, ILL_POSED, INCONCLUSIVE)
 
 @dataclass
 class CheckResult:
-    """One verified instance: what was checked, against what modulus, outcome."""
+    """One verified instance: outcome, compared values, modulus, witness.
 
-    family: str
-    params: dict[str, Any]
+    A checker returns the verdict fields alone; ``registry.run_instance``
+    stamps ``family`` and ``params`` (the instance's JSON-form dict)."""
+
     status: str
     lhs: str = ""
     rhs: str = ""
     modulus: str = ""
     witness: Optional[dict[str, Any]] = None
     note: str = ""
+    family: str = ""
+    params: dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.status not in _STATUSES:

@@ -356,27 +356,17 @@ def S_polys(n_max: int) -> list[Poly]:
 # check of the recurrence against values it generated could never fail.
 
 
-def _check_recurrence(
-    family: str, n_max: int, vals: list[int], rec: _Recurrence
-) -> CheckResult:
-    params = {"n_max": n_max}
+def _check_recurrence(n_max: int, vals: list[int], rec: _Recurrence) -> CheckResult:
     for n in range(n_max - 2):
         lhs = sum(c * v for c, v in zip(rec(n), vals[n : n + 4]))
         if lhs != 0:
-            return CheckResult(
-                family=family,
-                params=params,
-                status=FAIL,
-                lhs=str(lhs),
-                rhs="0",
-                witness={"n": n},
-            )
-    return CheckResult(family=family, params=params, status=PASS, lhs="0", rhs="0")
+            return CheckResult(FAIL, lhs=str(lhs), rhs="0", witness={"n": n})
+    return CheckResult(PASS, lhs="0", rhs="0")
 
 
 def check_recurrence_R(n_max: int) -> CheckResult:
     """Recurrence (1.3) of the R numbers, checked on [0, n_max-3]."""
-    return _check_recurrence("rec_r", n_max, [R(i) for i in range(n_max + 1)], _R_rec)
+    return _check_recurrence(n_max, [R(i) for i in range(n_max + 1)], _R_rec)
 
 
 def check_recurrence_R_poly(n_max: int) -> CheckResult:
@@ -390,19 +380,10 @@ def check_recurrence_R_poly(n_max: int) -> CheckResult:
             - (n + 3) * polys[n + 3]
         )
         if not lhs.is_zero():
-            return CheckResult(
-                family="rec_r_poly",
-                params={"n_max": n_max},
-                status=FAIL,
-                lhs=lhs.render(),
-                rhs="0",
-                witness={"n": n},
-            )
-    return CheckResult(
-        family="rec_r_poly", params={"n_max": n_max}, status=PASS, lhs="0", rhs="0"
-    )
+            return CheckResult(FAIL, lhs=lhs.render(), rhs="0", witness={"n": n})
+    return CheckResult(PASS, lhs="0", rhs="0")
 
 
 def check_recurrence_S(n_max: int) -> CheckResult:
     """Recurrence (1.18) of the S numbers, checked on [0, n_max-3]."""
-    return _check_recurrence("rec_s", n_max, [S(i) for i in range(n_max + 1)], _S_rec)
+    return _check_recurrence(n_max, [S(i) for i in range(n_max + 1)], _S_rec)

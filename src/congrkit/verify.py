@@ -48,8 +48,10 @@ from exact rows, so the report shows the exact value.  Only a FAIL row
 builds Fractions.
 
 Each checker, the conjecture scans included, takes its registry grid keys
-as keyword arguments and echoes them in JSON form as CheckResult.params;
-``registry.run_instance`` calls it as ``check(**params)``.
+as keyword arguments and returns its verdict alone: status, compared values,
+modulus, witness and note.  ``registry.run_instance`` calls it as
+``check(**params)`` and stamps the result with its family and params, so a
+direct call leaves CheckResult.family and CheckResult.params empty.
 
 Checkers that aggregate an inner parameter (the offset d of a ratio-sum
 family, the index k of a per-term divisibility) return a single
@@ -199,8 +201,6 @@ def _fraction_str(v: Rational) -> str:
 
 
 def _chain(
-    family: str,
-    params: dict,
     members: Sequence[tuple[str, Rational]],
     p: int,
     e: int,
@@ -218,7 +218,7 @@ def _chain(
             if claim:
                 witness["claim"] = claim
             return CheckResult(
-                family, params, ILL_POSED, modulus=modulus, witness=witness, note=str(exc)
+                ILL_POSED, modulus=modulus, witness=witness, note=str(exc)
             )
     first_label, first = reduced[0]
     for label, value in reduced[1:]:
@@ -227,8 +227,6 @@ def _chain(
             if claim:
                 witness["claim"] = claim
             return CheckResult(
-                family,
-                params,
                 FAIL,
                 lhs=str(first),
                 rhs=str(value),
@@ -236,29 +234,16 @@ def _chain(
                 witness=witness,
                 note=note,
             )
-    return CheckResult(
-        family,
-        params,
-        PASS,
-        lhs=str(first),
-        rhs=str(first),
-        modulus=modulus,
-        note=note,
-    )
+    return CheckResult(PASS, lhs=str(first), rhs=str(first), modulus=modulus, note=note)
 
 
 def _divisibility(
-    family: str,
-    params: dict,
-    claims: Sequence[tuple[str, int, int]],
-    note: str = "",
+    claims: Sequence[tuple[str, int, int]], note: str = ""
 ) -> CheckResult:
     """Each claim (label, value, modulus) requires modulus | value."""
     for label, value, modulus in claims:
         if value % modulus:
             return CheckResult(
-                family,
-                params,
                 FAIL,
                 lhs=clip(value),
                 rhs="0",
@@ -267,9 +252,7 @@ def _divisibility(
                 note=note,
             )
     last = claims[-1]
-    return CheckResult(
-        family, params, PASS, lhs="0", rhs="0", modulus=str(last[2]), note=note
-    )
+    return CheckResult(PASS, lhs="0", rhs="0", modulus=str(last[2]), note=note)
 
 
 # -- residue-first sums over prime-indexed ranges ---------------------------------
@@ -378,7 +361,6 @@ def check_thm11(p: int) -> CheckResult:
     at -2 and -1/2) to central-binomial power sums and two-square data."""
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm11: p must be an odd prime")
-    params = {"p": p}
     n = (p - 1) // 2
     chi = legendre_symbol(2, p)
     m = p * p
@@ -389,8 +371,6 @@ def check_thm11(p: int) -> CheckResult:
         x, y = dec.x, dec.y
         if x * x + y * y != p or x % 4 != 1 or y <= 0 or y % 2:
             return CheckResult(
-                "thm11",
-                params,
                 FAIL,
                 lhs=str(x),
                 rhs=str(y),
@@ -438,12 +418,10 @@ def check_thm11(p: int) -> CheckResult:
             ]),
         ]
     for claim, e, members in chains:
-        res = _chain("thm11", params, members, p, e, claim=claim, note=note)
+        res = _chain(members, p, e, claim=claim, note=note)
         if res.status != PASS:
             return res
-    return CheckResult(
-        "thm11", params, PASS, modulus="%d^2" % p, note=note
-    )
+    return CheckResult(PASS, modulus="%d^2" % p, note=note)
 
 
 def check_thm12(p: int) -> CheckResult:
@@ -451,14 +429,11 @@ def check_thm12(p: int) -> CheckResult:
     sum over 8^k vanishes mod p."""
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm12: p must be an odd prime")
-    params = {"p": p}
     n = (p - 1) // 2
     acc = _offset_pair_sums(p, range(n % 2, n + 1, 2))
     for d, residue in acc.items():
         if residue:
             return CheckResult(
-                "thm12",
-                params,
                 FAIL,
                 lhs=str(residue),
                 rhs="0",
@@ -466,13 +441,7 @@ def check_thm12(p: int) -> CheckResult:
                 witness={"d": d, "residue": residue},
             )
     return CheckResult(
-        "thm12",
-        params,
-        PASS,
-        lhs="0",
-        rhs="0",
-        modulus=str(p),
-        note="offsets checked: %d" % len(acc),
+        PASS, lhs="0", rhs="0", modulus=str(p), note="offsets checked: %d" % len(acc)
     )
 
 
@@ -480,7 +449,6 @@ def check_remark11(n: int, d: int) -> CheckResult:
     """Closed form of the offset ratio sum at base 16."""
     if n < 0 or d < 0:
         raise ValueError("check_remark11: need n, d >= 0")
-    params = {"n": n, "d": d}
     lhs = ratio_sum(n, d, 16)
     rhs = Fraction(
         (2 * n + 1) * binomial(2 * n, n) * binomial(2 * n, n + d),
@@ -488,8 +456,6 @@ def check_remark11(n: int, d: int) -> CheckResult:
     )
     ok = lhs == rhs
     return CheckResult(
-        "remark11",
-        params,
         PASS if ok else FAIL,
         lhs=_fraction_str(lhs),
         rhs=_fraction_str(rhs),
@@ -548,24 +514,18 @@ def check_thm13(p: int) -> CheckResult:
     """Prefix sum of R over a prime range lands on -p - (-1|p) mod p^2."""
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm13: p must be an odd prime")
-    params = {"p": p}
     total = _R_prefix_sum(p)
     target = -p - legendre_symbol(-1, p)
-    return _chain(
-        "thm13", params, [("prefix sum", total), ("closed form", target)], p, 2
-    )
+    return _chain([("prefix sum", total), ("closed form", target)], p, 2)
 
 
 def check_thm13_ii(n: int) -> CheckResult:
     """Value at -1 is -(2n+1); the signed reciprocal odd-weight sum is -2n."""
     if n < 1:
         raise ValueError("check_thm13_ii: need n >= 1")
-    params = {"n": n}
     at_minus_one = R_poly(n)(-1)
     if at_minus_one != -(2 * n + 1):
         return CheckResult(
-            "thm13ii",
-            params,
             FAIL,
             lhs=str(at_minus_one),
             rhs=str(-(2 * n + 1)),
@@ -576,20 +536,13 @@ def check_thm13_ii(n: int) -> CheckResult:
     acc = sum(c * (lcm // (2 * k - 1)) for k, c in enumerate(pairs))
     if acc != -2 * n * lcm:
         return CheckResult(
-            "thm13ii",
-            params,
             FAIL,
             lhs=_fraction_str(Fraction(acc, lcm)),
             rhs=str(-2 * n),
             witness={"claim": "reciprocal odd-weight sum"},
         )
     return CheckResult(
-        "thm13ii",
-        params,
-        PASS,
-        lhs=str(at_minus_one),
-        rhs=str(-(2 * n + 1)),
-        note="both identities hold",
+        PASS, lhs=str(at_minus_one), rhs=str(-(2 * n + 1)), note="both identities hold"
     )
 
 
@@ -607,13 +560,10 @@ def check_thm14_i(n: int) -> CheckResult:
     of the S polynomials has all coefficients divisible by n."""
     if n < 1:
         raise ValueError("check_thm14_i: need n >= 1")
-    params = {"n": n}
     total = _s_prefix(n)
     target = n * n * h(n - 1)
     if total != target:
         return CheckResult(
-            "thm14i",
-            params,
             FAIL,
             lhs=clip(total),
             rhs=clip(target),
@@ -623,17 +573,13 @@ def check_thm14_i(n: int) -> CheckResult:
     for i, c in enumerate(coeffs):
         if c % n:
             return CheckResult(
-                "thm14i",
-                params,
                 FAIL,
                 lhs=clip(c),
                 rhs="0",
                 modulus=str(n),
                 witness={"claim": "polynomial prefix sum", "x_power": i},
             )
-    return CheckResult(
-        "thm14i", params, PASS, lhs=clip(total), rhs=clip(target), modulus=str(n)
-    )
+    return CheckResult(PASS, lhs=clip(total), rhs=clip(target), modulus=str(n))
 
 
 def _bernoulli_third_times_p(p: int) -> int:
@@ -668,7 +614,7 @@ def check_thm14_ii(p: int) -> CheckResult:
     """Harmonic-weighted S sums against the Bernoulli value at 1/3, mod p^2."""
     if p < 5 or not is_prime(p):
         raise ValueError("check_thm14_ii: p must be a prime > 3")
-    return _chain("thm14ii", {"p": p}, _thm14ii_members(p), p, 2)
+    return _chain(_thm14ii_members(p), p, 2)
 
 
 # -- product-sum congruences with plain and paired rows -------------------------
@@ -754,22 +700,18 @@ def check_thm15_i(n: int, a_list: Sequence[int], variant: str) -> CheckResult:
     """One product-sum divisibility claim for a single coefficient list."""
     if n < 1 or not a_list:
         raise ValueError("check_thm15_i: need n >= 1 and a nonempty a_list")
-    params = {"n": n, "a_list": list(a_list), "variant": variant}
-    return _divisibility("thm15i", params, _thm15_exact_claims(variant, n, a_list))
+    return _divisibility(_thm15_exact_claims(variant, n, a_list))
 
 
 def check_thm15_i_grid(m: int, n: int, variant: str) -> CheckResult:
     """Aggregate over every sign pattern of the +-3 coefficient grid."""
     if m < 1 or n < 1:
         raise ValueError("check_thm15_i_grid: need m, n >= 1")
-    params = {"m": m, "n": n, "variant": variant}
     for tup, plain, paired in _grid_products(m, n):
         for label, value, modulus in _thm15_claims(variant, n, tup, plain, paired):
             if value % modulus:
                 exact = dict(c[:2] for c in _thm15_exact_claims(variant, n, tup))
                 return CheckResult(
-                    "thm15i",
-                    params,
                     FAIL,
                     lhs=clip(exact[label]),
                     rhs="0",
@@ -777,12 +719,7 @@ def check_thm15_i_grid(m: int, n: int, variant: str) -> CheckResult:
                     witness={"a_list": list(tup), "claim": label},
                 )
     return CheckResult(
-        "thm15i",
-        params,
-        PASS,
-        lhs="0",
-        rhs="0",
-        note="patterns checked: %d" % len(_GRID_VALUES) ** m,
+        PASS, lhs="0", rhs="0", note="patterns checked: %d" % len(_GRID_VALUES) ** m
     )
 
 
@@ -881,7 +818,6 @@ def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
     """Ten integral mixed-power sums plus one gcd-weighted congruence."""
     if n < 1 or a < 1 or b < 1:
         raise ValueError("check_thm15_ii: need n, a, b >= 1")
-    params = {"n": n, "a": a, "b": b}
     m = a + b
     mixed = _mixed_row(n, a, b)
     same = mixed if a == b else _mixed_row(n, a, a)
@@ -891,8 +827,6 @@ def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
         total = _dot(w, mixed if signed else same)
         if total % scale:
             return CheckResult(
-                "thm15ii",
-                params,
                 FAIL,
                 lhs=_fraction_str(Fraction(total, scale)),
                 rhs="integer",
@@ -901,8 +835,6 @@ def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
     total = math.gcd(m - 1, 2) * _weighted(mixed, "odd", m % 2)
     if total % (n * n):
         return CheckResult(
-            "thm15ii",
-            params,
             FAIL,
             lhs=clip(total),
             rhs="0",
@@ -910,8 +842,6 @@ def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
             witness={"claim": "gcd-weighted odd sum"},
         )
     return CheckResult(
-        "thm15ii",
-        params,
         PASS,
         lhs="0",
         rhs="0",
@@ -924,7 +854,6 @@ def check_remark13(n: int) -> CheckResult:
     """Both halves of the -n evaluation, summed from k = 0."""
     if n < 1:
         raise ValueError("check_remark13: need n >= 1")
-    params = {"n": n}
     first = sum(
         Fraction(c, 4 * k * k - 1) for k, c in enumerate(_pair_rows(n, (1,)))
     )
@@ -933,8 +862,6 @@ def check_remark13(n: int) -> CheckResult:
     note = "summed from k = 0; the k = 0 term is -1"
     ok = first == second == -n
     return CheckResult(
-        "remark13",
-        params,
         PASS if ok else FAIL,
         lhs=_fraction_str(first),
         rhs=str(-n),
@@ -957,7 +884,6 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
     """
     if n < 1 or a < 1 or b < 1:
         raise ValueError("check_xval15: need n, a, b >= 1")
-    params = {"n": n, "a": a, "b": b}
     odd = (a + b) % 2
     mixed = _mixed_row(n, a, b)
     same = mixed if a == b else _mixed_row(n, a, a)
@@ -968,8 +894,6 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
             k = next(k for k in range(n) if not _xval_terms(k, odd)[i][1])
             expected = c * _xval_terms(k, odd)[i][0] + (correction if k == 0 else 0)
             return CheckResult(
-                "xval15",
-                params,
                 FAIL,
                 lhs=_fraction_str(_xval_weights(k, odd)[i]),
                 rhs=_fraction_str(expected),
@@ -981,8 +905,6 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
         lhs = c.denominator * (display_total - d * correction * row[0])
         if lhs != c.numerator * kernel_total:
             return CheckResult(
-                "xval15",
-                params,
                 FAIL,
                 lhs=_fraction_str(Fraction(display_total, d)),
                 rhs=_fraction_str(
@@ -991,10 +913,7 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
                 witness={"display": label, "claim": "sum"},
             )
     return CheckResult(
-        "xval15",
-        params,
-        PASS,
-        note="ten weight families matched against the kernel catalogue",
+        PASS, note="ten weight families matched against the kernel catalogue"
     )
 
 
@@ -1018,12 +937,11 @@ def check_cor11(n: int) -> CheckResult:
     n^3, with an extra factor n for the plus-signed variant."""
     if n < 1:
         raise ValueError("check_cor11: need n >= 1")
-    params = {"n": n}
     claims = [
         (kind, _cor11_prefix(kind, n), n ** _COR11_POWER[kind])
         for kind in ("t", "T", "Tplus", "Tminus")
     ]
-    return _divisibility("cor11", params, claims)
+    return _divisibility(claims)
 
 
 # -- closed-form identities used by the proofs ----------------------------------
@@ -1033,7 +951,6 @@ def check_lemma22(n: int) -> CheckResult:
     """The weighted central-square polynomial collapses to a constant."""
     if n < 0:
         raise ValueError("check_lemma22: need n >= 0")
-    params = {"n": n}
     central, over = _central_rows(n)
     coeffs = [0] * (n + 2)
     for k in range(n + 1):
@@ -1046,8 +963,6 @@ def check_lemma22(n: int) -> CheckResult:
     )
     ok = lhs == rhs
     return CheckResult(
-        "lemma22",
-        params,
         PASS if ok else FAIL,
         lhs=clip(lhs.render()),
         rhs=clip(rhs.render()),
@@ -1059,7 +974,6 @@ def check_lemma23(n: int, k: int) -> CheckResult:
     """Signed pair-over-central ratio equals both closed forms."""
     if n < 0 or k < 1:
         raise ValueError("check_lemma23: need n >= 0 and k >= 1")
-    params = {"n": n, "k": k}
     sign = -1 if k % 2 else 1
     first = Fraction(
         sign * binomial(n, k) * binomial(-n, k), binomial(2 * k - 1, k)
@@ -1068,8 +982,6 @@ def check_lemma23(n: int, k: int) -> CheckResult:
     third = binomial(n + k, 2 * k) + binomial(n + k - 1, 2 * k)
     ok = first == second == third
     return CheckResult(
-        "lemma23",
-        params,
         PASS if ok else FAIL,
         lhs=_fraction_str(first),
         rhs=str(third),
@@ -1081,7 +993,7 @@ def check_lemma23(n: int, k: int) -> CheckResult:
 
 
 def kernel_descriptor(kernel: KernelSpec) -> dict:
-    """JSON-stable encoding of a kernel, for params echoes and the CLI."""
+    """JSON-stable encoding of a kernel, as the framework grids hold it."""
     return {
         "name": kernel.name,
         "sign": kernel.sign,
@@ -1121,12 +1033,6 @@ def check_thm41(
         raise ValueError("check_thm41: shifts must be nonnegative")
     if not kernel_power_divisible(kernel, n - 1, 1, m):
         raise ValueError("check_thm41: kernel must be integer-valued with k | f(k)")
-    params = {
-        "n": n,
-        "kernel": kernel_descriptor(kernel),
-        "a_list": list(a_list),
-        "b_list": list(b_list),
-    }
     d = math.gcd(n, *a_list, *b_list)
     rows = _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
     bars = _int_values([bar(kernel, k, m) for k in range(n)], "check_thm41: kernel")
@@ -1138,7 +1044,7 @@ def check_thm41(
         )
         rhs = (-1 if m % 2 else 1) * sum(a_list) * inner
         claims.append(("gcd-square congruence", total - rhs, d * d))
-    return _divisibility("thm41", params, claims)
+    return _divisibility(claims)
 
 
 def check_cor41(
@@ -1150,7 +1056,6 @@ def check_cor41(
         raise ValueError("check_cor41: need n >= 1 and matching parameter lists")
     if any(b < 0 for b in b_list):
         raise ValueError("check_cor41: shifts must be nonnegative")
-    params = {"n": n, "a_list": list(a_list), "b_list": list(b_list)}
     d = math.gcd(n, *a_list, *b_list)
     rows = _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
 
@@ -1165,7 +1070,7 @@ def check_cor41(
         ("gcd-weighted odd", factor * _weighted(rows, "odd", twist), d * d),
         ("six-fold stepped cube", 6 * _weighted(rows, "stepcube", twist), d * d),
     ]
-    return _divisibility("cor41", params, claims)
+    return _divisibility(claims)
 
 
 def check_thm42(n: int, kernel: KernelSpec, a_list: Sequence[int]) -> CheckResult:
@@ -1176,7 +1081,6 @@ def check_thm42(n: int, kernel: KernelSpec, a_list: Sequence[int]) -> CheckResul
         raise ValueError("check_thm42: kernel sign must not depend on the factor count")
     if not kernel_power_divisible(kernel, n - 1, 3):
         raise ValueError("check_thm42: kernel must satisfy k^3 | f(k)")
-    params = {"n": n, "kernel": kernel_descriptor(kernel), "a_list": list(a_list)}
     rows = _pair_rows(n, a_list)
     deltas = _int_values([delta(kernel, k) for k in range(n)], "check_thm42: kernel")
     lhs = sum(deltas[k] * rows[k] for k in range(n))
@@ -1184,7 +1088,7 @@ def check_thm42(n: int, kernel: KernelSpec, a_list: Sequence[int]) -> CheckResul
         _exact_div(int(kernel.value(k)), k * k) * rows[k] for k in range(1, n)
     )
     rhs = n * n * sum(a * a for a in a_list) * inner
-    return _divisibility("thm42", params, [("cube congruence", lhs - rhs, n**3)])
+    return _divisibility([("cube congruence", lhs - rhs, n**3)])
 
 
 def check_thm43(
@@ -1211,19 +1115,11 @@ def check_thm43(
             )
     else:
         raise ValueError("check_thm43: unknown strength %r" % (strength,))
-    params = {
-        "n": n,
-        "kernel": kernel_descriptor(kernel),
-        "a_list": list(a_list),
-        "strength": strength,
-    }
     pairs = _row_product((_binom_row(n, n + 1), _binom_row(-n, n + 1)))
     for k, c in enumerate(pairs):
         ratio = Fraction(k * c, binomial(2 * k - 1, k))
         if ratio.denominator != 1 or ratio.numerator % n:
             return CheckResult(
-                "thm43",
-                params,
                 FAIL,
                 lhs=_fraction_str(ratio),
                 rhs="0",
@@ -1234,8 +1130,6 @@ def check_thm43(
     total = sum(delta(kernel, k) * rows[k] for k in range(n))
     if total.denominator != 1:
         return CheckResult(
-            "thm43",
-            params,
             FAIL,
             lhs=_fraction_str(total),
             rhs="integer",
@@ -1243,17 +1137,13 @@ def check_thm43(
         )
     if strength == "over_n" and total.numerator % n:
         return CheckResult(
-            "thm43",
-            params,
             FAIL,
             lhs=clip(total.numerator),
             rhs="0",
             modulus=str(n),
             witness={"claim": "divisibility by n"},
         )
-    return CheckResult(
-        "thm43", params, PASS, lhs=clip(total.numerator), modulus=str(n)
-    )
+    return CheckResult(PASS, lhs=clip(total.numerator), modulus=str(n))
 
 
 def check_thm44(n: int, a: int, b: int, kernel: KernelSpec) -> CheckResult:
@@ -1265,13 +1155,10 @@ def check_thm44(n: int, a: int, b: int, kernel: KernelSpec) -> CheckResult:
         raise ValueError(
             "check_thm44: kernel times the central ratio must be an integer"
         )
-    params = {"n": n, "a": a, "b": b, "kernel": kernel_descriptor(kernel)}
     row = _mixed_row(n, a, b)
     total = sum(bar(kernel, k, m) * row[k] for k in range(n))
     ok = total.denominator == 1
     return CheckResult(
-        "thm44",
-        params,
         PASS if ok else FAIL,
         lhs=_fraction_str(total),
         rhs="integer" if not ok else clip(total.numerator),
@@ -1286,7 +1173,6 @@ def check_lemma42(n: int, a_seq: Sequence[Union[int, Fraction]]) -> CheckResult:
     if n < 1 or len(a_seq) < n:
         raise ValueError("check_lemma42: need n >= 1 and at least n entries")
     seq = [Fraction(v) for v in a_seq[:n]]
-    params = {"n": n, "a_seq": [[f.numerator, f.denominator] for f in seq]}
     lhs = Fraction(0)
     for j in range(n):
         tilde = sum(
@@ -1302,8 +1188,6 @@ def check_lemma42(n: int, a_seq: Sequence[Union[int, Fraction]]) -> CheckResult:
     )
     ok = lhs == rhs
     return CheckResult(
-        "lemma42",
-        params,
         PASS if ok else FAIL,
         lhs=_fraction_str(lhs),
         rhs=_fraction_str(rhs),
@@ -1316,7 +1200,6 @@ def check_remark52(n: int) -> CheckResult:
     times an explicitly integral polynomial."""
     if n < 1:
         raise ValueError("check_remark52: need n >= 1")
-    params = {"n": n}
     central, over = _central_rows(n)
     polys = R_polys(n - 1)
     acc = [0] * n
@@ -1327,16 +1210,9 @@ def check_remark52(n: int) -> CheckResult:
         q = (n - k) * binomial(n + k, 2 * k) * (2 * over[k] - catalan(k))
         if 3 * acc[k] != n * q:
             return CheckResult(
-                "remark52",
-                params,
-                FAIL,
-                lhs=clip(3 * acc[k]),
-                rhs=clip(n * q),
-                witness={"x_power": k},
+                FAIL, lhs=clip(3 * acc[k]), rhs=clip(n * q), witness={"x_power": k}
             )
-    return CheckResult(
-        "remark52", params, PASS, note="coefficientwise identity, degrees < n"
-    )
+    return CheckResult(PASS, note="coefficientwise identity, degrees < n")
 
 
 # -- open-conjecture scans -------------------------------------------------------
@@ -1391,12 +1267,9 @@ def check_conj51(p: int) -> CheckResult:
     """Base-8 central square power sums over primes 3 mod 4, mod p^2."""
     if p % 4 != 3 or not is_prime(p):
         raise ValueError("conj51: p must be a prime congruent to 3 mod 4")
-    params = {"p": p}
     chi = legendre_symbol(2, p)
     c = binomial((p + 1) // 2, (p + 1) // 4)
     res = _chain(
-        "conj51",
-        params,
         [
             ("power sum", _central_square_power_sums(p, (8,))[0]),
             ("closed form", -chi * Fraction((p + 1) * c, (1 << (p - 1)) + 1)),
@@ -1408,8 +1281,6 @@ def check_conj51(p: int) -> CheckResult:
     if res.status != PASS:
         return res
     return _chain(
-        "conj51",
-        params,
         [
             ("offset power sum, tripled", 3 * _central_offset_power_sum(p)),
             ("closed form", p + chi * Fraction(2 * p, c)),
@@ -1436,15 +1307,12 @@ def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
         raise ValueError("conj52: unknown sequence or claim")
     if n < CONJ52_START[(seq, claim)]:
         raise ValueError("conj52: index below the conjectured range")
-    params = {"seq": seq, "claim": claim, "n": n}
     vals = R_values(n + 2) if seq == "R" else S_values(n + 2)
     if claim == "ratio_step":
         left = vals[n + 2] * vals[n]
         right = vals[n + 1] * vals[n + 1]
         ok = left > right
         return CheckResult(
-            "conj52",
-            params,
             PASS if ok else FAIL,
             lhs=clip(left),
             rhs=clip(right),
@@ -1453,8 +1321,6 @@ def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
     if claim == "root_step":
         ok = pow_compare(vals[n + 1], n, vals[n], n + 1) == 1
         return CheckResult(
-            "conj52",
-            params,
             PASS if ok else FAIL,
             lhs="term(%d)^%d" % (n + 1, n),
             rhs="term(%d)^%d" % (n, n + 1),
@@ -1463,8 +1329,6 @@ def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
     if seq == "S":
         ok = vals[n + 1] < 9 * vals[n]
         return CheckResult(
-            "conj52",
-            params,
             PASS if ok else FAIL,
             lhs=clip(vals[n + 1]),
             rhs=clip(9 * vals[n]),
@@ -1473,8 +1337,6 @@ def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
     gap = vals[n + 1] - 3 * vals[n]
     ok = gap <= 0 or gap * gap < 8 * vals[n] * vals[n]
     return CheckResult(
-        "conj52",
-        params,
         PASS if ok else FAIL,
         lhs=clip(gap * gap),
         rhs=clip(8 * vals[n] * vals[n]),
@@ -1482,31 +1344,38 @@ def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
     )
 
 
+def _check_kind(
+    family: str, kind: Optional[str], n: Optional[int], p: Optional[int]
+) -> None:
+    """conj54 and conj55 take n alone with kind "divisibility", p alone with
+    kind "prime"; the result is stamped with the params as given."""
+    if kind not in ("divisibility", "prime"):
+        raise ValueError("%s: kind must be divisibility or prime" % family)
+    key, value, other = ("n", n, p) if kind == "divisibility" else ("p", p, n)
+    if value is None or other is not None:
+        raise ValueError("%s: kind %s takes %s alone" % (family, kind, key))
+
+
 def check_conj54(
-    kind: str, n: Optional[int] = None, p: Optional[int] = None
+    kind: Optional[str] = None, n: Optional[int] = None, p: Optional[int] = None
 ) -> CheckResult:
     """Square prefix sums of R: divisible by n, or closed forms mod p^2, p^3."""
+    _check_kind("conj54", kind, n, p)
     if kind == "divisibility":
         if n < 1:
             raise ValueError("conj54: need n >= 1")
-        params = {"kind": kind, "n": n}
         square, odd = _r_square_prefixes(n)
         return _divisibility(
-            "conj54",
-            params,
             [
                 ("tripled square prefix", 3 * square, n),
                 ("odd-weighted square prefix", odd, n),
-            ],
+            ]
         )
-    params = {"kind": kind, "p": p}
     if p < 3 or not is_prime(p):
         raise ValueError("conj54: p must be an odd prime")
     square, odd = _r_square_prefixes(p)
     chi = legendre_symbol(-1, p)
     res = _chain(
-        "conj54",
-        params,
         [
             ("square prefix", Fraction(square)),
             ("closed form", Fraction(p, 3) * (11 - 4 * chi)),
@@ -1518,8 +1387,6 @@ def check_conj54(
     if res.status != PASS:
         return res
     return _chain(
-        "conj54",
-        params,
         [
             ("odd-weighted prefix", Fraction(odd)),
             ("closed form", Fraction(4 * p * chi - p * p)),
@@ -1531,25 +1398,20 @@ def check_conj54(
 
 
 def check_conj55(
-    kind: str, n: Optional[int] = None, p: Optional[int] = None
+    kind: Optional[str] = None, n: Optional[int] = None, p: Optional[int] = None
 ) -> CheckResult:
     """Weighted prefix sums of S: divisible by n^2, or a closed form mod p^3."""
+    _check_kind("conj55", kind, n, p)
     if kind == "divisibility":
         if n < 1:
             raise ValueError("conj55: need n >= 1")
-        params = {"kind": kind, "n": n}
         return _divisibility(
-            "conj55",
-            params,
-            [("quadrupled weighted prefix", 4 * _s_weighted_prefix(n), n * n)],
+            [("quadrupled weighted prefix", 4 * _s_weighted_prefix(n), n * n)]
         )
-    params = {"kind": kind, "p": p}
     if not is_prime(p):
         raise ValueError("conj55: p must be prime")
     target = Fraction(p * p, 8) * (5 - 9 * legendre_symbol(p, 3))
     return _chain(
-        "conj55",
-        params,
         [
             ("weighted prefix", Fraction(_s_weighted_prefix(p))),
             ("closed form", target),
@@ -1565,13 +1427,11 @@ def check_conj56(n: int) -> CheckResult:
         raise ValueError("conj56: need n >= 1")
     plain, plus, minus = _small_prefixes(n)
     return _divisibility(
-        "conj56",
-        {"n": n},
         [
             ("plain prefix", plain, n * n),
             ("plus prefix", plus, n * n),
             ("minus prefix", minus, n * n),
-        ],
+        ]
     )
 
 
@@ -1580,39 +1440,21 @@ def check_remark53(n: int) -> CheckResult:
     if n < 1:
         raise ValueError("remark53: need n >= 1")
     _, plus, minus = _small_prefixes(n)
-    return _divisibility(
-        "remark53",
-        {"n": n},
-        [
-            ("plus prefix", plus, n),
-            ("minus prefix", minus, n),
-        ],
-    )
+    return _divisibility([("plus prefix", plus, n), ("minus prefix", minus, n)])
 
 
 def check_conj58i(m: int, n: int) -> CheckResult:
     """Coefficients of the prefix sum of the S_m polynomials are divisible by n."""
     if n < 1:
         raise ValueError("conj58i: need n >= 1")
-    params = {"m": m, "n": n}
     coeffs = _s58_prefix(m, n)
     for k, c in enumerate(coeffs):
         if c % n:
             return CheckResult(
-                "conj58i",
-                params,
-                FAIL,
-                lhs=clip(c),
-                rhs="0",
-                modulus=str(n),
-                witness={"x_power": k},
+                FAIL, lhs=clip(c), rhs="0", modulus=str(n), witness={"x_power": k}
             )
     return CheckResult(
-        "conj58i",
-        params,
-        PASS,
-        modulus=str(n),
-        note="coefficient form; covers the per-index tail sums",
+        PASS, modulus=str(n), note="coefficient form; covers the per-index tail sums"
     )
 
 
@@ -1732,7 +1574,6 @@ def conj53_witness(
         raise ValueError("conj53_witness: need n >= 1")
     if p_candidates is None:
         p_candidates = primes_up_to(200)
-    params = {"n": n}
     notes = []
     for label, poly in (("R", R_polys(n)[n]), ("S", S_polys(n)[n])):
         if poly.degree <= 1:
@@ -1748,11 +1589,9 @@ def conj53_witness(
                 break
         if hit is None:
             return CheckResult(
-                "conj53",
-                params,
                 INCONCLUSIVE,
                 witness={"polynomial": label},
                 note="no candidate prime certified irreducibility",
             )
         notes.append("%s: irreducible mod %d" % (label, hit))
-    return CheckResult("conj53", params, PASS, note="; ".join(notes))
+    return CheckResult(PASS, note="; ".join(notes))

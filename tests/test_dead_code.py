@@ -1,12 +1,15 @@
 """Every module-level private function, class or constant is used, every
 module's __all__ lists exactly what it defines for export, every module-level
-list or dict is a known fixed table or a registered memo, and lru_cache is
-applied only through exactnum's registering decorator."""
+list or dict is a known fixed table or a registered memo, lru_cache is
+applied only through exactnum's registering decorator, and no checker names
+its family or params (registry.run_instance stamps them)."""
 
 import ast
+import dataclasses
 import pathlib
 
 import congrkit
+from congrkit.result import CheckResult
 
 PACKAGE = pathlib.Path(congrkit.__file__).parent
 
@@ -155,3 +158,20 @@ def test_lru_cache_is_applied_only_by_the_registering_decorator():
     exactnum.body = [n for n in exactnum.body if getattr(n, "name", None) != "_memo_cache"]
     users = sorted(m for m, tree in trees.items() if "lru_cache" in _references(tree))
     assert not users, "lru_cache outside exactnum._memo_cache: %s" % ", ".join(users)
+
+
+def test_no_check_result_in_the_package_names_its_family_or_params():
+    fields = [f.name for f in dataclasses.fields(CheckResult)]
+    first_stamped = min(fields.index("family"), fields.index("params"))
+    found = sorted(
+        "%s:%d" % (module, node.lineno)
+        for module, tree in _trees().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
+        and (
+            len(node.args) > first_stamped
+            or any(kw.arg in ("family", "params") for kw in node.keywords)
+        )
+    )
+    assert not found, "CheckResult passes family or params: %s" % ", ".join(found)

@@ -320,6 +320,108 @@ def test_half_value_square_congruence():
         assert check_remark52(n).status == PASS
 
 
+# -- negative controls for the framework families
+#
+# Each control raises one entry of one binomial row of a default-grid instance
+# (or lemma42's binomial(n + 1, 1)); every other row is served unchanged.
+
+
+_FRAMEWORK_CONTROLS = (
+    # binomial(-3, 2) goes from 6 to 7 on the a = -2 factor
+    (
+        "thm41",
+        3,
+        {"n": 2, "a_list": [2, -2], "b_list": [0, 2]},
+        -3,
+        2,
+        {"claim": "gcd congruence", "residue": 1},
+        "43",
+        "2",
+    ),
+    # binomial(-4, 3) goes from -20 to -19 on the a = -3 factor, at k = 0
+    (
+        "cor41",
+        98,
+        {"n": 3, "a_list": [3, 3, -3], "b_list": [0, 0, 3]},
+        -4,
+        3,
+        {"claim": "plain alternating", "residue": 1},
+        "-215",
+        "3",
+    ),
+    # binomial(-121, 1) goes from -121 to -120 on the a = -4 pair
+    (
+        "thm42",
+        0,
+        {"n": 30, "a_list": [-4, -1, 1]},
+        -121,
+        1,
+        {"claim": "cube congruence", "residue": 12184},
+        "901501515037...(103 digits)",
+        "27000",
+    ),
+    # binomial(-97, 1) goes from -97 to -96 on the a = 4 pair
+    (
+        "thm43",
+        0,
+        {"n": 24, "a_list": [1, 4], "strength": "over_n"},
+        -97,
+        1,
+        {"claim": "integrality"},
+        "-9768283211209758049202295448450486968877219546786850/3",
+        "",
+    ),
+    # binomial(-9, 1) goes from -9 to -8 in the negative mixed row, kernel f10
+    (
+        "thm44",
+        0,
+        {
+            "n": 8,
+            "a": 2,
+            "b": 1,
+            "kernel": verify.kernel_descriptor(PAPER_KERNELS["f10"]),
+        },
+        -9,
+        1,
+        {"claim": "integrality"},
+        "-3314/3",
+        "",
+    ),
+)
+
+
+@pytest.mark.parametrize(
+    "family, index, instance, top, k, witness, lhs, modulus",
+    _FRAMEWORK_CONTROLS,
+    ids=[control[0] for control in _FRAMEWORK_CONTROLS],
+)
+def test_framework_families_fail_on_raised_row(
+    raise_row, family, index, instance, top, k, witness, lhs, modulus
+):
+    params = instances_for(family)[index]
+    assert {key: params[key] for key in instance} == instance
+    assert run_instance(family, params).status == PASS
+    raise_row(verify, "_binom_row", top, k)
+    r = run_instance(family, params)
+    assert r.status == FAIL
+    assert r.witness == witness
+    assert (r.lhs, r.modulus) == (lhs, modulus)
+
+
+def test_lemma42_fails_on_raised_binomial(monkeypatch):
+    # binomial(12, 1) goes from 12 to 13 in the rhs weights
+    params = instances_for("lemma42")[0]
+    assert params["n"] == 11
+    original = verify.binomial
+    monkeypatch.setattr(
+        verify, "binomial", lambda n, k: original(n, k) + ((n, k) == (12, 1))
+    )
+    r = run_instance("lemma42", params)
+    assert r.status == FAIL
+    assert r.witness == {"difference": "-6250/9"}
+    assert (r.lhs, r.rhs) == ("50251474110693/44", "452263267271237/396")
+
+
 # -- open-question scans -------------------------------------------------------------
 
 
@@ -393,6 +495,24 @@ def test_weighted_sum_scan():
     assert 4 * sum(k * S(k) for k in range(2)) == 28
     assert 28 % 4 == 0
     assert run_instance("conj55", {"kind": "prime", "p": 2}).status == PASS
+
+
+@pytest.mark.parametrize("family", ("conj54", "conj55"))
+@pytest.mark.parametrize(
+    "params",
+    (
+        {"kind": "bogus", "p": 13},
+        {"kind": "bogus", "n": 3},
+        {"p": 13},
+        {"kind": "prime"},
+        {"kind": "prime", "n": 3},
+        {"kind": "divisibility", "p": 13},
+        {"kind": "prime", "p": 13, "n": 3},
+    ),
+)
+def test_kind_scans_reject_unknown_kind_and_wrong_keys(family, params):
+    with pytest.raises(ValueError):
+        run_instance(family, params)
 
 
 def test_remaining_scans_pass_on_spot_instances():
@@ -895,9 +1015,9 @@ def _reference_thm15_ii(n, a, b):
     for label, value, _ in _display_sums(n, a, b):
         if value.denominator != 1:
             return CheckResult(
-                "thm15ii",
-                params,
-                FAIL,
+                family="thm15ii",
+                params=params,
+                status=FAIL,
                 lhs=verify._fraction_str(value),
                 rhs="integer",
                 witness={"claim": label},
@@ -910,18 +1030,18 @@ def _reference_thm15_ii(n, a, b):
     )
     if total % (n * n):
         return CheckResult(
-            "thm15ii",
-            params,
-            FAIL,
+            family="thm15ii",
+            params=params,
+            status=FAIL,
             lhs=clip(total),
             rhs="0",
             modulus="%d^2" % n,
             witness={"claim": "gcd-weighted odd sum"},
         )
     return CheckResult(
-        "thm15ii",
-        params,
-        PASS,
+        family="thm15ii",
+        params=params,
+        status=PASS,
         lhs="0",
         rhs="0",
         modulus="%d^2" % n,
@@ -948,9 +1068,9 @@ def _reference_xval15(n, a, b):
             expected = c * kvals[k] + (correction if k == 0 else 0)
             if w[k] != expected:
                 return CheckResult(
-                    "xval15",
-                    params,
-                    FAIL,
+                    family="xval15",
+                    params=params,
+                    status=FAIL,
                     lhs=verify._fraction_str(w[k]),
                     rhs=verify._fraction_str(expected),
                     witness={"display": label, "k": k},
@@ -959,17 +1079,17 @@ def _reference_xval15(n, a, b):
         kernel_total = sum(kvals[k] * row[k] for k in range(n))
         if display_total != c * kernel_total + correction * row[0]:
             return CheckResult(
-                "xval15",
-                params,
-                FAIL,
+                family="xval15",
+                params=params,
+                status=FAIL,
                 lhs=verify._fraction_str(display_total),
                 rhs=verify._fraction_str(c * kernel_total + correction * row[0]),
                 witness={"display": label, "claim": "sum"},
             )
     return CheckResult(
-        "xval15",
-        params,
-        PASS,
+        family="xval15",
+        params=params,
+        status=PASS,
         note="ten weight families matched against the kernel catalogue",
     )
 
@@ -983,25 +1103,33 @@ def _reference_thm15_i_grid(m, n, variant):
         if r.status != PASS:
             witness = {"a_list": list(tup), "claim": r.witness["claim"]}
             return CheckResult(
-                "thm15i", params, r.status, r.lhs, r.rhs, r.modulus, witness
+                family="thm15i",
+                params=params,
+                status=r.status,
+                lhs=r.lhs,
+                rhs=r.rhs,
+                modulus=r.modulus,
+                witness=witness,
             )
     note = "patterns checked: %d" % len(patterns)
-    return CheckResult("thm15i", params, PASS, lhs="0", rhs="0", note=note)
+    return CheckResult(
+        family="thm15i", params=params, status=PASS, lhs="0", rhs="0", note=note
+    )
 
 
-_DISPLAY_CHECKS = (
-    ("thm15ii", check_thm15_ii, _reference_thm15_ii),
-    ("xval15", check_xval15, _reference_xval15),
-    ("thm15i", check_thm15_i_grid, _reference_thm15_i_grid),
-)
+_DISPLAY_CHECKS = {
+    "thm15ii": _reference_thm15_ii,
+    "xval15": _reference_xval15,
+    "thm15i": _reference_thm15_i_grid,
+}
 
 
-@pytest.mark.parametrize("family, check, reference", _DISPLAY_CHECKS)
-def test_display_families_match_exact_oracles(cold_memos, family, check, reference):
+@pytest.mark.parametrize("family", _DISPLAY_CHECKS)
+def test_display_families_match_exact_oracles(cold_memos, family):
     grid = instances_for(family, {"max_n": 20})
     assert len(grid) in (180, 360)
     for params in grid:
-        assert check(**params) == reference(**params), params
+        assert run_instance(family, params) == _DISPLAY_CHECKS[family](**params), params
 
 
 @pytest.mark.parametrize(
@@ -1020,12 +1148,11 @@ def test_display_families_match_exact_oracles_on_raised_row(
     cold_memos, raise_row, family, top, index, n
 ):
     raise_row(verify, "_binom_row", top, index)
-    check, reference = {f: (c, r) for f, c, r in _DISPLAY_CHECKS}[family]
     fails = 0
     for params in instances_for(family, {"max_n": 20}):
         if params["n"] == n:
-            got = check(**params)
-            assert got == reference(**params), params
+            got = run_instance(family, params)
+            assert got == _DISPLAY_CHECKS[family](**params), params
             fails += got.status == FAIL
     assert fails > 0
 
@@ -1044,7 +1171,7 @@ def test_xval15_matches_exact_oracle_on_perturbed_kernel(
 ):
     monkeypatch.setitem(verify.PAPER_KERNELS, kernel.name, kernel)
     for params in instances_for("xval15", {"max_n": 20}):
-        got = check_xval15(**params)
+        got = run_instance("xval15", params)
         assert got == _reference_xval15(**params), params
         assert (got.status == FAIL) == (params["n"] > first_k), params
         if got.status == FAIL:
