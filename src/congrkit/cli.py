@@ -32,26 +32,6 @@ from .verify import THM15_VARIANTS
 
 __all__ = ["Report", "build_parser", "emit_report", "main"]
 
-_SEQUENCES = {
-    "R": sequences.R,
-    "S": sequences.S,
-    "schroder": sequences.schroder,
-    "t": sequences.t_seq,
-    "T": sequences.T_seq,
-    "Tplus": sequences.T_plus,
-    "Tminus": sequences.T_minus,
-    "s": sequences.s_small,
-    "Splus": sequences.S_cplus,
-    "Sminus": sequences.S_cminus,
-}
-
-# linear-time prefixes for the sequences that have them
-_PREFIXES = {
-    "R": sequences.R_values,
-    "S": sequences.S_values,
-    "schroder": sequences.schroder_values,
-}
-
 _QVERIFY_ALIASES = {"thm31": "thm31q", "thm32": "thm32q", "conj58": "conj58q"}
 
 _PIN_KEYS = ("n", "p", "d", "k", "a", "b", "m", "s", "t", "a_prime", "variant")
@@ -292,11 +272,7 @@ def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    if args.name in _PREFIXES:
-        values = _PREFIXES[args.name](args.max)
-    else:
-        fn = _SEQUENCES[args.name]
-        values = [fn(n) for n in range(args.max + 1)]
+    values = sequences.values_of(args.name, args.max)
     config = {
         "command": "seq",
         "name": args.name,
@@ -454,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(handler=_cmd_list)
 
     p_seq = sub.add_parser("seq", help="dump one of the integer sequences")
-    p_seq.add_argument("name", choices=tuple(_SEQUENCES), metavar="name")
+    p_seq.add_argument("name", choices=tuple(sequences.SEQUENCES), metavar="name")
     p_seq.add_argument("--max", type=_nonneg, required=True, help="largest index")
     _output_flags(p_seq)
     p_seq.set_defaults(handler=_cmd_seq)

@@ -340,6 +340,8 @@ def _kind_grid(least: int, bounds: dict) -> list[dict]:
 
 def _pin_kind(pins: dict) -> dict:
     """Route explicit n/p pins to the divisibility or prime branch."""
+    if "n" in pins and "p" in pins:
+        raise ValueError("give --n or --p, not both")
     if "p" in pins:
         return {"kind": "prime", "p": pins["p"]}
     if "n" in pins:

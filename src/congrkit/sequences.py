@@ -8,14 +8,17 @@ terms contain a 2k - 1 denominator are folded through binomial(2k, k) /
 (2k - 1), which is an integer for all k >= 0 (equal to -1 at k = 0), so
 those families stay in integer arithmetic from end to end.
 
-The value prefixes R_values, S_values and schroder_values are the one
-exception: past three seed terms from the defining sums they grow by the
-third-order recurrences (1.3) and (1.18) and the large-Schroeder recurrence,
-one exact division by the leading coefficient per term, so a prefix costs
-O(n) big-int steps instead of O(n^2).  A remainder in that division raises
-ArithmeticError.  The recurrence families at the bottom and the polynomial
-caches read the defining sums, never the recurrence prefixes, so that the
-recurrence checks stay an independent test of the sums.
+SEQUENCES maps each integer sequence's name to its defining sum and, where
+one is known, a linear recurrence; values_of(name, n_max) reads a prefix of
+it.  A sequence with a recurrence is the one exception to direct summation:
+R and S by the third-order recurrences (1.3) and (1.18), schroder by its
+second-order one.  Past as many seed terms from the defining sum as the
+recurrence's order, each term is one exact division by the leading
+coefficient, so a prefix costs O(n) big-int steps instead of O(n^2).  A
+remainder in that division raises ArithmeticError.  The recurrence families
+at the bottom and the polynomial caches read the defining sums, never the
+recurrence prefixes, so that the recurrence checks stay an independent test
+of the sums.
 
 Module-level value caches are grown tables of exactnum.
 """
@@ -24,7 +27,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from .exactnum import _memo_grow, _memo_table
 from .polynomials import Poly
@@ -39,6 +42,7 @@ __all__ = [
     "S_poly",
     "S_values",
     "S_polys",
+    "SEQUENCES",
     "S_m_poly",
     "S_cminus",
     "S_cplus",
@@ -52,8 +56,8 @@ __all__ = [
     "ratio_sum",
     "s_small",
     "schroder",
-    "schroder_values",
     "t_seq",
+    "values_of",
 ]
 
 # -- shared incremental rows ------------------------------------------------
@@ -261,8 +265,8 @@ def S_cminus(n: int) -> int:
 
 # -- the recurrences (1.3), (1.18) and the large-Schroeder one ------------------
 
-# n -> (c0, c1, c2, c3), the coefficients of a third-order recurrence at n
-_Recurrence = Callable[[int], tuple[int, int, int, int]]
+# n -> (c0, ..., cd), the coefficients of an order-d recurrence at n
+_Recurrence = Callable[[int], tuple[int, ...]]
 
 
 def _R_rec(n: int) -> tuple[int, int, int, int]:
@@ -280,16 +284,28 @@ def _S_rec(n: int) -> tuple[int, int, int, int]:
     )
 
 
-def _schroder_rec(n: int) -> tuple[int, int, int, int]:
-    """c with c0 r(n) + c1 r(n+1) + c2 r(n+2) + c3 r(n+3) = 0, r = schroder."""
-    return 0, n + 1, -3 * (2 * n + 5), n + 4
+def _schroder_rec(n: int) -> tuple[int, int, int]:
+    """c with c0 r(n) + c1 r(n+1) + c2 r(n+2) = 0, r = schroder."""
+    return n, -3 * (2 * n + 3), n + 3
 
+
+# name -> (defining sum, recurrence or None); seq lists the names in this order
+SEQUENCES: dict[str, tuple[Callable[[int], int], Optional[_Recurrence]]] = {
+    "R": (R, _R_rec),
+    "S": (S, _S_rec),
+    "schroder": (schroder, _schroder_rec),
+    "t": (t_seq, None),
+    "T": (T_seq, None),
+    "Tplus": (T_plus, None),
+    "Tminus": (T_minus, None),
+    "s": (s_small, None),
+    "Splus": (S_cplus, None),
+    "Sminus": (S_cminus, None),
+}
 
 # -- grown-once value caches --------------------------------------------------
 
-_R_CACHE: list[int] = _memo_table([])
-_S_CACHE: list[int] = _memo_table([])
-_SCHRODER_CACHE: list[int] = _memo_table([])
+_VALUES: dict[str, list[int]] = _memo_table({})
 _R_POLY_CACHE: list[Poly] = _memo_table([])
 _S_POLY_CACHE: list[Poly] = _memo_table([])
 
@@ -309,37 +325,44 @@ def _recurrence_prefix(
     seed: Callable[[int], int],
     rec: _Recurrence,
 ) -> list[int]:
-    """cache[: n_max + 1], extending cache with seed(i) for i < 3 and beyond
-    that with the term the coefficients rec(i - 3) force, divided exactly."""
+    """cache[: n_max + 1], extending cache with seed(i) for i < d and beyond
+    that with the term the coefficients rec(i - d) force, divided exactly;
+    d is the order, one less than the length of rec's tuple."""
+    order = len(rec(0)) - 1
 
     def grow(start: int, upto: int) -> list[int]:
-        vals = cache[max(start - 3, 0) : start]
+        vals = cache[max(start - order, 0) : start]
         head = len(vals)
         for i in range(start, upto + 1):
-            if i < 3:
+            if i < order:
                 vals.append(seed(i))
             else:
-                c0, c1, c2, c3 = rec(i - 3)
-                top = c0 * vals[-3] + c1 * vals[-2] + c2 * vals[-1]
-                vals.append(_exact_div(top, -c3))
+                *low, lead = rec(i - order)
+                top = sum(map(operator.mul, low, vals[-order:]))
+                vals.append(_exact_div(top, -lead))
         return vals[head:]
 
     return _memo_grow(cache, n_max, grow)[: n_max + 1]
 
 
+def values_of(name: str, n_max: int) -> list[int]:
+    """[v(0), ..., v(n_max)] of SEQUENCES[name], grown by its recurrence when
+    it has one and from its defining sum otherwise, into a monotone cache."""
+    fn, rec = SEQUENCES[name]
+    cache = _VALUES.setdefault(name, [])
+    if rec is None:
+        return _memo_prefix(cache, n_max, fn)
+    return _recurrence_prefix(cache, n_max, fn, rec)
+
+
 def R_values(n_max: int) -> list[int]:
-    """[R(0), ..., R(n_max)], grown by recurrence (1.3) into a monotone cache."""
-    return _recurrence_prefix(_R_CACHE, n_max, R, _R_rec)
+    """[R(0), ..., R(n_max)], grown by recurrence (1.3)."""
+    return values_of("R", n_max)
 
 
 def S_values(n_max: int) -> list[int]:
-    """[S(0), ..., S(n_max)], grown by recurrence (1.18) into a monotone cache."""
-    return _recurrence_prefix(_S_CACHE, n_max, S, _S_rec)
-
-
-def schroder_values(n_max: int) -> list[int]:
-    """[schroder(0), ..., schroder(n_max)], grown by its second-order recurrence."""
-    return _recurrence_prefix(_SCHRODER_CACHE, n_max, schroder, _schroder_rec)
+    """[S(0), ..., S(n_max)], grown by recurrence (1.18)."""
+    return values_of("S", n_max)
 
 
 def R_polys(n_max: int) -> list[Poly]:

@@ -93,23 +93,7 @@ from .kernels import (
 )
 from .polynomials import Poly
 from .result import FAIL, ILL_POSED, INCONCLUSIVE, PASS, CheckResult, clip
-from .sequences import (
-    R_poly,
-    R_polys,
-    R_values,
-    S_cminus,
-    S_cplus,
-    S_m_poly,
-    S_polys,
-    S_values,
-    h,
-    ratio_sum,
-    s_small,
-    t_seq,
-    T_minus,
-    T_plus,
-    T_seq,
-)
+from .sequences import R_poly, R_polys, S_m_poly, S_polys, h, ratio_sum, values_of
 from .sequences import _binom_row, _central_rows, _diag_row, _exact_div
 
 __all__ = [
@@ -171,6 +155,7 @@ def _dot(weights: Iterable[int], row: Iterable[int]) -> int:
 
 _WEIGHTS = {
     "unit": lambda k: 1,
+    "index": lambda k: k,
     "odd": lambda k: 2 * k + 1,
     "cubic": lambda k: 4 * k**3 - 1,
     "stepcube": lambda k: 3 * k * k + 3 * k + 1,
@@ -496,8 +481,16 @@ def _add_coeffs(acc: list[int], poly: Poly) -> list[int]:
     return out
 
 
-def _s_prefix(n: int) -> int:
-    return _prefix_sum("S", n, lambda lo, hi: S_values(hi - 1)[lo:])
+def _weighted_prefix(name: str, n: int, weight: str = "unit", power: int = 1) -> int:
+    """sum_{j<n} w(j) v(j)^power over the values of sequences.SEQUENCES[name],
+    for the named weight w of _WEIGHTS."""
+    w = _WEIGHTS[weight]
+
+    def terms(lo: int, hi: int) -> list[int]:
+        vals = values_of(name, hi - 1)[lo:]
+        return [w(j) * v**power for j, v in enumerate(vals, lo)]
+
+    return _prefix_sum((name, weight, power), n, terms)
 
 
 def _R_prefix_sum(n: int) -> int:
@@ -560,7 +553,7 @@ def check_thm14_i(n: int) -> CheckResult:
     of the S polynomials has all coefficients divisible by n."""
     if n < 1:
         raise ValueError("check_thm14_i: need n >= 1")
-    total = _s_prefix(n)
+    total = _weighted_prefix("S", n)
     target = n * n * h(n - 1)
     if total != target:
         return CheckResult(
@@ -595,7 +588,7 @@ def _thm14ii_members(p: int) -> list[tuple[str, int]]:
     """The three thm14ii values mod p^2: sum S_k / k, p * sum S_k / k^2 and
     -(p/2) (p|3) B_{p-2}(1/3); every denominator is prime to p."""
     m = p * p
-    vals = S_values(p - 1)
+    vals = values_of("S", p - 1)
     harmonic = 0
     square_harmonic = 0  # only needed mod p: it is multiplied by p
     for k in range(1, p):
@@ -919,17 +912,7 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
 
 # -- odd-weighted prefix sums of the companion sequences ------------------------
 
-_COR11_SEQ = {"t": t_seq, "T": T_seq, "Tplus": T_plus, "Tminus": T_minus}
 _COR11_POWER = {"t": 3, "T": 3, "Tplus": 4, "Tminus": 3}
-
-
-def _cor11_prefix(kind: str, n: int) -> int:
-    fn = _COR11_SEQ[kind]
-    return _prefix_sum(
-        ("cor11", kind),
-        n,
-        lambda lo, hi: [(2 * j + 1) * fn(j) for j in range(lo, hi)],
-    )
 
 
 def check_cor11(n: int) -> CheckResult:
@@ -938,8 +921,8 @@ def check_cor11(n: int) -> CheckResult:
     if n < 1:
         raise ValueError("check_cor11: need n >= 1")
     claims = [
-        (kind, _cor11_prefix(kind, n), n ** _COR11_POWER[kind])
-        for kind in ("t", "T", "Tplus", "Tminus")
+        (kind, _weighted_prefix(kind, n, "odd"), n**power)
+        for kind, power in _COR11_POWER.items()
     ]
     return _divisibility(claims)
 
@@ -1217,42 +1200,6 @@ def check_remark52(n: int) -> CheckResult:
 
 # -- open-conjecture scans -------------------------------------------------------
 
-def _r_square_prefixes(n: int) -> tuple[int, int]:
-    """Prefix sums of R_j^2 and of (2j + 1) R_j^2 over j < n."""
-
-    def squares(lo: int, hi: int) -> list[int]:
-        return [r * r for r in R_values(hi - 1)[lo:]]
-
-    def odd_squares(lo: int, hi: int) -> list[int]:
-        return [(2 * j + 1) * sq for j, sq in enumerate(squares(lo, hi), lo)]
-
-    return (
-        _prefix_sum("R_square", n, squares),
-        _prefix_sum("R_square_odd", n, odd_squares),
-    )
-
-
-def _s_weighted_prefix(n: int) -> int:
-    """Prefix sum of j S_j over j < n."""
-    return _prefix_sum(
-        "S_weighted",
-        n,
-        lambda lo, hi: [j * s for j, s in enumerate(S_values(hi - 1)[lo:], lo)],
-    )
-
-
-def _small_prefixes(n: int) -> tuple[int, int, int]:
-    """Prefix sums of s_small, S_cplus and S_cminus over j < n."""
-    return tuple(
-        _prefix_sum(key, n, lambda lo, hi: [fn(j) for j in range(lo, hi)])
-        for key, fn in (
-            ("s_small", s_small),
-            ("S_cplus", S_cplus),
-            ("S_cminus", S_cminus),
-        )
-    )
-
-
 def _s58_prefix(m: int, n: int) -> list[int]:
     return _prefix_sum(
         ("S58", m),
@@ -1307,7 +1254,7 @@ def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
         raise ValueError("conj52: unknown sequence or claim")
     if n < CONJ52_START[(seq, claim)]:
         raise ValueError("conj52: index below the conjectured range")
-    vals = R_values(n + 2) if seq == "R" else S_values(n + 2)
+    vals = values_of(seq, n + 2)
     if claim == "ratio_step":
         left = vals[n + 2] * vals[n]
         right = vals[n + 1] * vals[n + 1]
@@ -1364,20 +1311,18 @@ def check_conj54(
     if kind == "divisibility":
         if n < 1:
             raise ValueError("conj54: need n >= 1")
-        square, odd = _r_square_prefixes(n)
         return _divisibility(
             [
-                ("tripled square prefix", 3 * square, n),
-                ("odd-weighted square prefix", odd, n),
+                ("tripled square prefix", 3 * _weighted_prefix("R", n, power=2), n),
+                ("odd-weighted square prefix", _weighted_prefix("R", n, "odd", 2), n),
             ]
         )
     if p < 3 or not is_prime(p):
         raise ValueError("conj54: p must be an odd prime")
-    square, odd = _r_square_prefixes(p)
     chi = legendre_symbol(-1, p)
     res = _chain(
         [
-            ("square prefix", Fraction(square)),
+            ("square prefix", Fraction(_weighted_prefix("R", p, power=2))),
             ("closed form", Fraction(p, 3) * (11 - 4 * chi)),
         ],
         p,
@@ -1388,7 +1333,7 @@ def check_conj54(
         return res
     return _chain(
         [
-            ("odd-weighted prefix", Fraction(odd)),
+            ("odd-weighted prefix", Fraction(_weighted_prefix("R", p, "odd", 2))),
             ("closed form", Fraction(4 * p * chi - p * p)),
         ],
         p,
@@ -1405,15 +1350,14 @@ def check_conj55(
     if kind == "divisibility":
         if n < 1:
             raise ValueError("conj55: need n >= 1")
-        return _divisibility(
-            [("quadrupled weighted prefix", 4 * _s_weighted_prefix(n), n * n)]
-        )
+        quadrupled = 4 * _weighted_prefix("S", n, "index")
+        return _divisibility([("quadrupled weighted prefix", quadrupled, n * n)])
     if not is_prime(p):
         raise ValueError("conj55: p must be prime")
     target = Fraction(p * p, 8) * (5 - 9 * legendre_symbol(p, 3))
     return _chain(
         [
-            ("weighted prefix", Fraction(_s_weighted_prefix(p))),
+            ("weighted prefix", Fraction(_weighted_prefix("S", p, "index"))),
             ("closed form", target),
         ],
         p,
@@ -1425,12 +1369,11 @@ def check_conj56(n: int) -> CheckResult:
     """Prefix sums of s, S^+ and S^- are divisible by n^2."""
     if n < 1:
         raise ValueError("conj56: need n >= 1")
-    plain, plus, minus = _small_prefixes(n)
     return _divisibility(
         [
-            ("plain prefix", plain, n * n),
-            ("plus prefix", plus, n * n),
-            ("minus prefix", minus, n * n),
+            ("plain prefix", _weighted_prefix("s", n), n * n),
+            ("plus prefix", _weighted_prefix("Splus", n), n * n),
+            ("minus prefix", _weighted_prefix("Sminus", n), n * n),
         ]
     )
 
@@ -1439,8 +1382,12 @@ def check_remark53(n: int) -> CheckResult:
     """Prefix sums of S^+ and S^- are divisible by n."""
     if n < 1:
         raise ValueError("remark53: need n >= 1")
-    _, plus, minus = _small_prefixes(n)
-    return _divisibility([("plus prefix", plus, n), ("minus prefix", minus, n)])
+    return _divisibility(
+        [
+            ("plus prefix", _weighted_prefix("Splus", n), n),
+            ("minus prefix", _weighted_prefix("Sminus", n), n),
+        ]
+    )
 
 
 def check_conj58i(m: int, n: int) -> CheckResult:

@@ -4,12 +4,15 @@ Some exact values in this suite have tens of thousands of digits; lift the
 interpreter's int-to-str guard once so assertion reprs never trip it.
 """
 
+import os
 import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
 
+import congrkit
 from congrkit.exactnum import clear_memos
 
 if hasattr(sys, "set_int_max_str_digits"):
@@ -18,13 +21,20 @@ if hasattr(sys, "set_int_max_str_digits"):
 
 @pytest.fixture(scope="session")
 def cli():
-    """Run the command line tool in a subprocess and return the completed run."""
+    """Run the command line tool in a subprocess and return the completed run.
+
+    The child imports the same congrkit as the tests: the package's parent
+    directory goes first on its PYTHONPATH."""
+    env = dict(os.environ)
+    src = str(Path(congrkit.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
 
     def run(*args: str) -> subprocess.CompletedProcess:
         return subprocess.run(
             [sys.executable, "-m", "congrkit", *args],
             capture_output=True,
             timeout=600,
+            env=env,
         )
 
     return run

@@ -1,5 +1,6 @@
 """Command line surface: formats, determinism, exit codes."""
 
+import argparse
 import dataclasses
 import json
 
@@ -7,6 +8,7 @@ import pytest
 
 from congrkit import cli as cli_module
 from congrkit import registry
+from congrkit import sequences
 from congrkit.sequences import t_seq
 
 
@@ -41,6 +43,33 @@ def test_seq_text_and_json(cli):
     assert obj["values"] == ["-1", "1", "7", "25", "87"]
     assert obj["timestamp"] is None
     assert obj["config"]["command"] == "seq"
+
+
+# seq's names and the defining sums they stand for, in the order seq lists them
+SEQ_SUMS = {
+    "R": sequences.R,
+    "S": sequences.S,
+    "schroder": sequences.schroder,
+    "t": sequences.t_seq,
+    "T": sequences.T_seq,
+    "Tplus": sequences.T_plus,
+    "Tminus": sequences.T_minus,
+    "s": sequences.s_small,
+    "Splus": sequences.S_cplus,
+    "Sminus": sequences.S_cminus,
+}
+
+
+def test_seq_dumps_every_table_name_from_its_defining_sum(capsysbinary):
+    parser = cli_module.build_parser()
+    sub = argparse._SubParsersAction
+    commands = next(a for a in parser._actions if isinstance(a, sub))
+    name_arg = next(a for a in commands.choices["seq"]._actions if a.dest == "name")
+    assert name_arg.choices == tuple(sequences.SEQUENCES) == tuple(SEQ_SUMS)
+    for name, fn in SEQ_SUMS.items():
+        assert cli_module.main(["seq", name, "--max", "40", "--format", "csv"]) == 0
+        rows = capsysbinary.readouterr().out.decode().splitlines()
+        assert rows == ["n,value"] + ["%d,%d" % (n, fn(n)) for n in range(41)]
 
 
 def test_poly_outputs(cli):
@@ -194,6 +223,14 @@ def test_scan_rejects_pinned_n_zero(capsys, pins):
         cli_module.main(["verify", *pins.split()])
     assert stop.value.code == 2
     assert "need n >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ("conj54", "conj55"))
+def test_kind_families_reject_both_n_and_p(capsys, family):
+    with pytest.raises(SystemExit) as stop:
+        cli_module.main(["verify", family, "--n", "5", "--p", "13"])
+    assert stop.value.code == 2
+    assert "give --n or --p, not both" in capsys.readouterr().err
 
 
 def test_thm15i_rejects_pinned_n_zero(capsys):

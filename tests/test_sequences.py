@@ -30,8 +30,8 @@ from congrkit.sequences import (
     ratio_sum,
     s_small,
     schroder,
-    schroder_values,
     t_seq,
+    values_of,
 )
 
 R_GOLDEN = [
@@ -232,9 +232,9 @@ def test_recurrences_hold_at_depth():
 @pytest.mark.parametrize(
     "seam, cache, check, lhs",
     (
-        ("_diag_row", "_R_CACHE", check_recurrence_R, "4"),
+        ("_diag_row", "R", check_recurrence_R, "4"),
         ("_diag_row", "_R_POLY_CACHE", check_recurrence_R_poly, "4"),
-        ("_binom_row", "_S_CACHE", check_recurrence_S, "-48"),
+        ("_binom_row", "S", check_recurrence_S, "-48"),
     ),
 )
 def test_recurrence_checks_fail_on_raised_row(
@@ -243,7 +243,10 @@ def test_recurrence_checks_fail_on_raised_row(
     # the k = 0 entry of the n = 4 row moves R_4 by -1 and S_4 by 3; the
     # window at n = 1 weighs the fourth value by -(n + 3) or -(n + 3)^2
     raise_row(sequences, seam, 4)
-    assert getattr(sequences, cache) == []
+    if cache in sequences.SEQUENCES:
+        assert cache not in sequences._VALUES
+    else:
+        assert getattr(sequences, cache) == []
     r = check(10)
     assert r.status == FAIL
     assert r.witness == {"n": 1}
@@ -253,7 +256,7 @@ def test_recurrence_checks_fail_on_raised_row(
 def test_recurrence_prefixes_match_the_defining_sums(cold_memos):
     assert R_values(300) == [R(n) for n in range(301)]
     assert S_values(300) == [S(n) for n in range(301)]
-    assert schroder_values(300) == [schroder(n) for n in range(301)]
+    assert values_of("schroder", 300) == [schroder(n) for n in range(301)]
 
 
 def test_recurrence_prefix_raises_on_a_moved_seed(cold_memos, raise_row):
@@ -276,8 +279,8 @@ def test_memo_tables_stay_aligned_under_thread_races(cold_memos, race):
     # the recurrence prefixes read the central rows only through their seeds;
     # R(300) grows those rows to full length from every thread
     results = race(lambda: (R_values(300), S_values(300), R(300)))
-    assert len(sequences._R_CACHE) == 301
-    assert len(sequences._S_CACHE) == 301
+    assert len(sequences._VALUES["R"]) == 301
+    assert len(sequences._VALUES["S"]) == 301
     expected = [R(n) for n in range(301)], [S(n) for n in range(301)], R(300)
     assert results == [expected] * 4
     central = sequences._CENTRAL

@@ -438,6 +438,20 @@ def test_growth_scan_run():
     assert R(6) * R(4) > R(5) ** 2
 
 
+def _serve_edited(monkeypatch, name, index, value):
+    """Serve verify.values_of(name, n_max) as copies whose entry index is
+    value(copy); every other sequence is served unchanged."""
+    original = verify.values_of
+
+    def values_of(seq, n_max):
+        vals = list(original(seq, n_max))
+        if seq == name:
+            vals[index] = value(vals)
+        return vals
+
+    monkeypatch.setattr(verify, "values_of", values_of)
+
+
 @pytest.mark.parametrize(
     "seq, claim, at, factor",
     (
@@ -455,15 +469,7 @@ def test_growth_scan_run():
 @pytest.mark.parametrize("n", (5, 40))
 def test_conj52_fails_on_moved_term(monkeypatch, seq, claim, at, factor, n):
     """Serve term(n + at) := factor * term(n + at - 1), which breaks the claim."""
-    source = "R_values" if seq == "R" else "S_values"
-    original = getattr(verify, source)
-
-    def values(n_max):
-        vals = list(original(n_max))
-        vals[n + at] = factor * vals[n + at - 1]
-        return vals
-
-    monkeypatch.setattr(verify, source, values)
+    _serve_edited(monkeypatch, seq, n + at, lambda vals: factor * vals[n + at - 1])
     r = run_instance("conj52", {"seq": seq, "claim": claim, "n": n})
     assert r.status == FAIL
 
@@ -735,12 +741,7 @@ def test_lemma22_fails_on_shifted_row(shifted_over):
 
 @pytest.mark.parametrize("p", (7, 13))
 def test_thm14ii_fails_on_raised_S_value(monkeypatch, p):
-    def values(n_max):
-        vals = list(S_values(n_max))
-        vals[1] += 1
-        return vals
-
-    monkeypatch.setattr(verify, "S_values", values)
+    _raise_listed_value(monkeypatch, "S")
     r = check_thm14_ii(p)
     assert r.status == FAIL
     assert r.witness == {
@@ -802,10 +803,11 @@ def test_thm14i_fails_on_raised_row(cold_memos, raise_row):
 
 def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
     def grow():
-        return verify._s_prefix(301), verify._s58_prefix(2, 60)
+        return verify._weighted_prefix("S", 301), verify._s58_prefix(2, 60)
 
     def tables():
-        return list(verify._PREFIX_SUMS["S"]), list(verify._PREFIX_SUMS["S58", 2])
+        sums = verify._PREFIX_SUMS
+        return list(sums["S", "unit", 1]), list(sums["S58", 2])
 
     results = race(grow)
     grown = tables()
@@ -815,33 +817,46 @@ def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
     assert grown == tables()
 
 
+# the direct sums of the checkers' weighted prefixes, weights written out here
+_DIRECT_WEIGHTS = {
+    "unit": lambda j: 1,
+    "index": lambda j: j,
+    "odd": lambda j: 2 * j + 1,
+}
+
+
+@pytest.mark.parametrize(
+    "name, weight, power",
+    [("S", "unit", 1), ("S", "index", 1), ("R", "unit", 2), ("R", "odd", 2)]
+    + [(name, "odd", 1) for name in ("t", "T", "Tplus", "Tminus")]
+    + [(name, "unit", 1) for name in ("s", "Splus", "Sminus")],
+)
+def test_weighted_prefixes_match_direct_sums(cold_memos, name, weight, power):
+    fn, _ = sequences.SEQUENCES[name]
+    w = _DIRECT_WEIGHTS[weight]
+    direct = [0]
+    for j in range(60):
+        direct.append(direct[-1] + w(j) * fn(j) ** power)
+    # one cold jump to n = 60, then every shorter prefix from the grown table
+    assert verify._weighted_prefix(name, 60, weight, power) == direct[60]
+    grown = [verify._weighted_prefix(name, n, weight, power) for n in range(61)]
+    assert grown == direct
+
+
 # -- negative controls for the divisibility scans --------------------------------
 #
-# Each control serves one value source with its entry at index 1 raised by one,
+# Each control serves one sequence with its entry at index 1 raised by one,
 # from cold prefix tables (cold_memos, which clears them again afterwards).
 
 
-def _raise_listed_value(monkeypatch, source):
-    """Serve verify.<source>(n_max) copies with entry 1 raised by one."""
-    original = getattr(verify, source)
-
-    def values(n_max):
-        vals = list(original(n_max))
-        vals[1] += 1
-        return vals
-
-    monkeypatch.setattr(verify, source, values)
-
-
-def _raise_value(monkeypatch, source):
-    """Serve verify.<source>(j) raised by one at j = 1."""
-    original = getattr(verify, source)
-    monkeypatch.setattr(verify, source, lambda j: original(j) + (j == 1))
+def _raise_listed_value(monkeypatch, name):
+    """Serve verify.values_of(name, n_max) copies with entry 1 raised by one."""
+    _serve_edited(monkeypatch, name, 1, lambda vals: vals[1] + 1)
 
 
 def test_conj54_divisibility_fails_on_raised_R_value(monkeypatch, cold_memos):
     # R_1^2 goes from 1 to 4: the tripled square prefix up to n = 4 is 2037
-    _raise_listed_value(monkeypatch, "R_values")
+    _raise_listed_value(monkeypatch, "R")
     r = run_instance("conj54", {"kind": "divisibility", "n": 4})
     assert r.status == FAIL
     assert r.witness == {"claim": "tripled square prefix", "residue": 1}
@@ -849,7 +864,7 @@ def test_conj54_divisibility_fails_on_raised_R_value(monkeypatch, cold_memos):
 
 
 def test_conj54_prime_fails_on_raised_R_value(monkeypatch, cold_memos):
-    _raise_listed_value(monkeypatch, "R_values")
+    _raise_listed_value(monkeypatch, "R")
     r = run_instance("conj54", {"kind": "prime", "p": 13})
     assert r.status == FAIL
     assert r.witness == {
@@ -875,21 +890,21 @@ def test_conj54_prime_fails_on_raised_R_value(monkeypatch, cold_memos):
 )
 def test_conj55_fails_on_raised_S_value(monkeypatch, cold_memos, params, witness):
     # 1 * S_1 moves the weighted prefix by 1 from n = 2 on
-    _raise_listed_value(monkeypatch, "S_values")
+    _raise_listed_value(monkeypatch, "S")
     r = run_instance("conj55", params)
     assert r.status == FAIL
     assert r.witness == witness
 
 
 def test_conj56_fails_on_raised_small_value(monkeypatch, cold_memos):
-    _raise_value(monkeypatch, "s_small")
+    _raise_listed_value(monkeypatch, "s")
     r = run_instance("conj56", {"n": 2})
     assert r.status == FAIL
     assert r.witness == {"claim": "plain prefix", "residue": 1}
 
 
 def test_remark53_fails_on_raised_plus_value(monkeypatch, cold_memos):
-    _raise_value(monkeypatch, "S_cplus")
+    _raise_listed_value(monkeypatch, "Splus")
     r = run_instance("remark53", {"n": 2})
     assert r.status == FAIL
     assert r.witness == {"claim": "plus prefix", "residue": 1}
