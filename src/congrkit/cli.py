@@ -9,9 +9,10 @@ never on the worker count, and the timestamp field stays null unless
 
 Exit codes: 0 when no instance FAILs or is ILL_POSED, 1 otherwise, 2 for
 usage errors (a ValueError from the checker of an explicitly pinned instance
-included), 3 when a checker raises anything else: any exception on a grid
-instance, or one other than ValueError on a pinned instance.  A crash names
-its family and params on stderr.
+included) and for an --out path that cannot be written, 3 when a checker
+raises anything else: any exception on a grid instance, or one other than
+ValueError on a pinned instance.  A crash names its family and params on
+stderr.
 """
 
 from __future__ import annotations
@@ -138,8 +139,13 @@ def emit_report(report: Report, fmt: str) -> bytes:
 
 def _write(payload: bytes, out: Optional[str]) -> None:
     if out:
-        with open(out, "wb") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "wb") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            message = "cannot write %s: %s" % (out, exc.strerror)
+            sys.stderr.write("congrkit: error: %s\n" % message)
+            raise SystemExit(2) from None
     else:
         sys.stdout.buffer.write(payload)
         sys.stdout.buffer.flush()

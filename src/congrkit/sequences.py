@@ -16,9 +16,8 @@ second-order one.  Past as many seed terms from the defining sum as the
 recurrence's order, each term is one exact division by the leading
 coefficient, so a prefix costs O(n) big-int steps instead of O(n^2).  A
 remainder in that division raises ArithmeticError.  The recurrence families
-at the bottom and the polynomial caches read the defining sums, never the
-recurrence prefixes, so that the recurrence checks stay an independent test
-of the sums.
+at the bottom and R_polys read the defining sums, never the recurrence
+prefixes, so that the recurrence checks stay an independent test of the sums.
 
 Module-level value caches are grown tables of exactnum.
 """
@@ -41,7 +40,6 @@ __all__ = [
     "S",
     "S_poly",
     "S_values",
-    "S_polys",
     "SEQUENCES",
     "S_m_poly",
     "S_cminus",
@@ -307,7 +305,6 @@ SEQUENCES: dict[str, tuple[Callable[[int], int], Optional[_Recurrence]]] = {
 
 _VALUES: dict[str, list[int]] = _memo_table({})
 _R_POLY_CACHE: list[Poly] = _memo_table([])
-_S_POLY_CACHE: list[Poly] = _memo_table([])
 
 
 def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list:
@@ -367,10 +364,6 @@ def S_values(n_max: int) -> list[int]:
 
 def R_polys(n_max: int) -> list[Poly]:
     return _memo_prefix(_R_POLY_CACHE, n_max, R_poly)
-
-
-def S_polys(n_max: int) -> list[Poly]:
-    return _memo_prefix(_S_POLY_CACHE, n_max, S_poly)
 
 
 # -- recurrence cross-checks ---------------------------------------------------

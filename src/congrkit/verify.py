@@ -15,11 +15,11 @@ sum of the term residues: the same lhs, rhs and witness that an exact sum
 reduced at the end gives.  thm12 also skips the terms that vanish mod p
 (Kummer's theorem) and takes binomial(p+1, j) mod p from Lucas's theorem.
 
-thm13 and thm14ii cost O(p) operations per prime through two identities.
-thm13 sums R_0..R_{p-1} with the order of summation swapped: the hockey
-stick sum_{m<p} binomial(m+j, 2j) = binomial(p+j, 2j+1) leaves one exact
-sum of p terms, the same integer as before.  thm14ii works mod p^2 and takes
-its Bernoulli value from a power sum.  With m = p - 2 and x = 1/3,
+thm13 reads the exact prefix sum R_0 + ... + R_{p-1} from the shared
+prefix table over sequences.values_of("R", ...), whose terms recurrence (1.3)
+grows in O(1) big-int steps each.  thm14ii costs O(p) operations per prime:
+it works mod p^2 and takes its Bernoulli value from a power sum.  With
+m = p - 2 and x = 1/3,
 
     B_{m+1}(x+p) - B_{m+1}(x) = (m+1) sum_{j<p} (x+j)^m,
 
@@ -64,7 +64,7 @@ import itertools
 import math
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .exactnum import (
@@ -91,10 +91,10 @@ from .kernels import (
     delta,
     kernel_power_divisible,
 )
-from .polynomials import Poly
+from .polynomials import X, Poly
 from .result import FAIL, ILL_POSED, INCONCLUSIVE, PASS, CheckResult, clip
-from .sequences import R_poly, R_polys, S_m_poly, S_polys, h, ratio_sum, values_of
-from .sequences import _binom_row, _central_rows, _diag_row, _exact_div
+from .sequences import R_poly, S_m_poly, S_poly, h, ratio_sum, values_of
+from .sequences import _binom_row, _central_rows, _exact_div
 
 __all__ = [
     "check_thm11",
@@ -133,7 +133,7 @@ __all__ = [
 
 
 # -- small exact helpers ------------------------------------------------------
-# Binomial rows come from sequences (_binom_row, _diag_row, _central_rows).
+# Binomial rows come from sequences (_binom_row, _central_rows).
 
 
 def _row_product(rows: Iterable[Sequence[int]]) -> list[int]:
@@ -493,21 +493,19 @@ def _weighted_prefix(name: str, n: int, weight: str = "unit", power: int = 1) ->
     return _prefix_sum((name, weight, power), n, terms)
 
 
-def _R_prefix_sum(n: int) -> int:
-    """sum_{m<n} R_m exactly, as sum_{j<n} over[j] * binomial(n+j, 2j+1).
-
-    Summing binomial(m+j, 2j) over m < n first is the hockey stick; then
-    binomial(n+j, 2j+1) = binomial(n+j, 2j) (n-j) / (2j+1) reads the diagonal."""
-    _, over = _central_rows(n)
-    diag = _diag_row(n)
-    return sum(diag[j] * (n - j) // (2 * j + 1) * over[j] for j in range(n))
+def _poly_prefix(key: object, n: int, term: Callable[[int], Poly]) -> list[int]:
+    """Coefficients of sum_{j<n} term(j), for terms of degree at most j,
+    memoized as _PREFIX_SUMS[key]."""
+    return _prefix_sum(
+        key, n, lambda lo, hi: map(term, range(lo, hi)), _add_coeffs, []
+    )
 
 
 def check_thm13(p: int) -> CheckResult:
     """Prefix sum of R over a prime range lands on -p - (-1|p) mod p^2."""
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm13: p must be an odd prime")
-    total = _R_prefix_sum(p)
+    total = _weighted_prefix("R", p)
     target = -p - legendre_symbol(-1, p)
     return _chain([("prefix sum", total), ("closed form", target)], p, 2)
 
@@ -542,12 +540,6 @@ def check_thm13_ii(n: int) -> CheckResult:
 # -- weighted S prefix families -------------------------------------------------
 
 
-def _s_poly_prefix(n: int) -> list[int]:
-    return _prefix_sum(
-        "S_poly", n, lambda lo, hi: S_polys(hi - 1)[lo:], _add_coeffs, []
-    )
-
-
 def check_thm14_i(n: int) -> CheckResult:
     """Prefix sum of S equals n^2 times the Catalan convolution; prefix sum
     of the S polynomials has all coefficients divisible by n."""
@@ -562,7 +554,7 @@ def check_thm14_i(n: int) -> CheckResult:
             rhs=clip(target),
             witness={"claim": "scalar prefix sum"},
         )
-    coeffs = _s_poly_prefix(n)
+    coeffs = _poly_prefix(("S_m", 2), n, partial(S_m_poly, 2))
     for i, c in enumerate(coeffs):
         if c % n:
             return CheckResult(
@@ -1183,12 +1175,8 @@ def check_remark52(n: int) -> CheckResult:
     times an explicitly integral polynomial."""
     if n < 1:
         raise ValueError("check_remark52: need n >= 1")
-    central, over = _central_rows(n)
-    polys = R_polys(n - 1)
-    acc = [0] * n
-    for j in range(n):
-        for i, c in enumerate(polys[j].coeffs):
-            acc[i] += (2 * j + 1) * c
+    _, over = _central_rows(n)
+    acc = _poly_prefix(("R_poly", "odd"), n, lambda j: (2 * j + 1) * R_poly(j))
     for k in range(n):
         q = (n - k) * binomial(n + k, 2 * k) * (2 * over[k] - catalan(k))
         if 3 * acc[k] != n * q:
@@ -1199,16 +1187,6 @@ def check_remark52(n: int) -> CheckResult:
 
 
 # -- open-conjecture scans -------------------------------------------------------
-
-def _s58_prefix(m: int, n: int) -> list[int]:
-    return _prefix_sum(
-        ("S58", m),
-        n,
-        lambda lo, hi: [S_m_poly(m, j) for j in range(lo, hi)],
-        _add_coeffs,
-        [],
-    )
-
 
 def check_conj51(p: int) -> CheckResult:
     """Base-8 central square power sums over primes 3 mod 4, mod p^2."""
@@ -1394,7 +1372,7 @@ def check_conj58i(m: int, n: int) -> CheckResult:
     """Coefficients of the prefix sum of the S_m polynomials are divisible by n."""
     if n < 1:
         raise ValueError("conj58i: need n >= 1")
-    coeffs = _s58_prefix(m, n)
+    coeffs = _poly_prefix(("S_m", m), n, partial(S_m_poly, m))
     for k, c in enumerate(coeffs):
         if c % n:
             return CheckResult(
@@ -1408,71 +1386,32 @@ def check_conj58i(m: int, n: int) -> CheckResult:
 # -- irreducibility witness search over prime fields -----------------------------
 
 
-def _gf_trim(f: list[int]) -> list[int]:
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _gf(f: Poly, p: int) -> Poly:
+    """f with every coefficient reduced mod p."""
+    return Poly([c % p for c in f.coeffs])
 
 
-def _gf_monic(f: list[int], p: int) -> list[int]:
-    inv = pow(f[-1], -1, p)
-    return [c * inv % p for c in f]
+def _gf_monic(f: Poly, p: int) -> Poly:
+    return _gf(f * pow(f.leading(), -1, p), p)
 
 
-def _gf_divrem(f: list[int], g: list[int], p: int) -> tuple[list[int], list[int]]:
-    # g must be monic
-    r = list(f)
-    dg = len(g) - 1
-    q = [0] * max(len(r) - dg, 0)
-    for i in range(len(r) - dg - 1, -1, -1):
-        c = r[i + dg] % p
-        if c:
-            q[i] = c
-            for j, gj in enumerate(g):
-                r[i + j] = (r[i + j] - c * gj) % p
-    return _gf_trim(q), _gf_trim([c % p for c in r[:dg]])
-
-def _gf_mulmod(f: list[int], g: list[int], mod: list[int], p: int) -> list[int]:
-    if not f or not g:
-        return []
-    prod = [0] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        if fi:
-            for j, gj in enumerate(g):
-                prod[i + j] = (prod[i + j] + fi * gj) % p
-    return _gf_divrem(prod, mod, p)[1]
-
-
-def _gf_powmod(f: list[int], e: int, mod: list[int], p: int) -> list[int]:
-    out = [1]
-    base = _gf_divrem(f, mod, p)[1]
+def _gf_powmod(f: Poly, e: int, mod: Poly, p: int) -> Poly:
+    """f^e mod (mod, p) for a monic mod.  Every divisor here is monic, so %
+    is Poly's integer division, and its remainder reduced mod p is the
+    remainder over the field with p elements."""
+    out, base = Poly.const(1), _gf(f % mod, p)
     while e:
         if e & 1:
-            out = _gf_mulmod(out, base, mod, p)
-        base = _gf_mulmod(base, base, mod, p)
+            out = _gf(out * base % mod, p)
+        base = _gf(base * base % mod, p)
         e >>= 1
     return out
 
 
-def _gf_gcd(f: list[int], g: list[int], p: int) -> list[int]:
-    a, b = list(f), list(g)
-    while b:
-        a, b = b, _gf_divrem(a, _gf_monic(b, p), p)[1]
-    return a
-
-
-def _prime_factors(d: int) -> list[int]:
-    out = []
-    q = 2
-    while q * q <= d:
-        if d % q == 0:
-            out.append(q)
-            while d % q == 0:
-                d //= q
-        q += 1
-    if d > 1:
-        out.append(d)
-    return out
+def _gf_gcd(f: Poly, g: Poly, p: int) -> Poly:
+    while g:
+        f, g = g, _gf(f % _gf_monic(g, p), p)
+    return f
 
 
 def _irreducible_mod(coeffs: Sequence[int], p: int) -> bool:
@@ -1482,27 +1421,21 @@ def _irreducible_mod(coeffs: Sequence[int], p: int) -> bool:
     the degree.  Squarefreeness is implied: a polynomial dividing
     x^(p^d) - x has no repeated factors.
     """
-    f = _gf_trim([c % p for c in coeffs])
-    d = len(f) - 1
+    f = _gf(Poly(coeffs), p)
+    d = f.degree
     if d != len(coeffs) - 1:
         return False
     f = _gf_monic(f, p)
-    x = [0, 1]
-    frob = []  # frob[e-1] holds x^(p^e) reduced mod f
-    g = x
+    frob = [X]  # frob[e] holds x^(p^e) reduced mod f
     for _ in range(d):
-        g = _gf_powmod(g, p, f, p)
-        frob.append(g)
-    if frob[d - 1] != x:
+        frob.append(_gf_powmod(frob[-1], p, f, p))
+    if frob[d] != X:
         return False
-    for r in _prime_factors(d):
-        h = list(frob[d // r - 1])
-        while len(h) < 2:
-            h.append(0)
-        h[1] = (h[1] - 1) % p
-        h = _gf_trim(h)
-        if not h or len(_gf_gcd(f, h, p)) - 1 > 0:
-            return False
+    for r in primes_up_to(d):
+        if d % r == 0:
+            h = _gf(frob[d // r] - X, p)
+            if not h or _gf_gcd(f, h, p).degree > 0:
+                return False
     return True
 
 
@@ -1522,16 +1455,15 @@ def conj53_witness(
     if p_candidates is None:
         p_candidates = primes_up_to(200)
     notes = []
-    for label, poly in (("R", R_polys(n)[n]), ("S", S_polys(n)[n])):
+    for label, poly in (("R", R_poly(n)), ("S", S_poly(n))):
         if poly.degree <= 1:
             notes.append("%s: degree %d" % (label, poly.degree))
             continue
-        coeffs = [int(c) for c in poly.coeffs]
         hit = None
         for p in p_candidates:
-            if p < 2 or not is_prime(p) or coeffs[-1] % p == 0:
+            if p < 2 or not is_prime(p) or poly.leading() % p == 0:
                 continue
-            if _irreducible_mod(coeffs, p):
+            if _irreducible_mod(poly.coeffs, p):
                 hit = p
                 break
         if hit is None:

@@ -114,6 +114,24 @@ def test_verify_rejects_bad_input(cli):
     assert cli("verify").returncode == 2
 
 
+@pytest.mark.parametrize(
+    "args, target",
+    (
+        (("list",), "missing/list.txt"),
+        (("seq", "R", "--max", "3"), ""),  # the directory itself
+        (("verify", "thm13", "--p", "3", "--format", "json"), "missing/x.json"),
+    ),
+)
+def test_unwritable_out_is_a_usage_error(cli, tmp_path, args, target):
+    path = str(tmp_path / target) if target else str(tmp_path)
+    run = cli(*args, "--out", path)
+    assert run.returncode == 2
+    assert run.stdout == b""
+    lines = run.stderr.decode().splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("congrkit: error: cannot write %s: " % path)
+
+
 def test_scan_bound_narrowing(cli):
     run = cli("scan", "conj54", "--max-n", "50", "--format", "json")
     obj = json.loads(run.stdout)

@@ -1,8 +1,9 @@
 """Every module-level private function, class or constant is used, every
-module's __all__ lists exactly what it defines for export, every module-level
-list or dict is a known fixed table or a registered memo, lru_cache is
-applied only through exactnum's registering decorator, and no checker names
-its family or params (registry.run_instance stamps them)."""
+module's __all__ lists exactly what it defines for export and only names that
+the package or its tests read, every module-level list or dict is a known
+fixed table or a registered memo, lru_cache is applied only through
+exactnum's registering decorator, and no checker names its family or params
+(registry.run_instance stamps them)."""
 
 import ast
 import dataclasses
@@ -12,6 +13,7 @@ import congrkit
 from congrkit.result import CheckResult
 
 PACKAGE = pathlib.Path(congrkit.__file__).parent
+TESTS = pathlib.Path(__file__).parent
 
 
 def _definitions(tree: ast.Module) -> list[str]:
@@ -99,6 +101,19 @@ def test_all_lists_every_public_definition_and_nothing_undefined():
             and node.name not in exports
         ]
     assert not problems, "; ".join(problems)
+
+
+def test_every_export_is_read_by_the_package_or_a_test():
+    trees = _trees()
+    tests = [ast.parse(path.read_text(), str(path)) for path in TESTS.glob("*.py")]
+    used = set().union(*map(_references, [*trees.values(), *tests]))
+    dead = [
+        "%s:%s" % (module, name)
+        for module, tree in trees.items()
+        for name in _exports(tree) or ()
+        if name not in used
+    ]
+    assert not dead, "exports nothing reads: %s" % ", ".join(dead)
 
 
 # Module-level lists and dicts that are never changed after import (_MEMOS

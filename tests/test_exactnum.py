@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -265,7 +266,7 @@ def test_clear_memos_resets_every_registered_memo(cold_memos):
     qalgebra.qbinom(10, 5)
     sequences.R(20)  # grows the central rows
     qalgebra.cyclotomic(12)
-    verify._s58_prefix(2, 10)
+    verify._poly_prefix(("S_m", 2), 10, partial(sequences.S_m_poly, 2))
     verify._grid_products(2, 5)
     cold_memos()
     assert exactnum._BERNOULLI == [Fraction(1)]

@@ -3,6 +3,7 @@
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -55,12 +56,13 @@ from congrkit.verify import (
     conj53_witness,
 )
 from congrkit.verify import (
-    _R_prefix_sum,
     _R_residues,
     _central_offset_power_sum,
     _central_square_power_sums,
+    _irreducible_mod,
     _offset_pair_sums,
     _thm14ii_members,
+    _weighted_prefix,
 )
 
 
@@ -484,6 +486,39 @@ def test_irreducibility_verdicts_never_fail():
     assert starved.witness is not None
 
 
+def _monic_polys(p, degree):
+    """Every monic polynomial of the degree over GF(p), as coefficient lists."""
+    for low in itertools.product(range(p), repeat=degree):
+        yield list(low) + [1]
+
+
+def _has_monic_factor(f, p):
+    """Some monic g with 1 <= deg g <= deg f / 2 divides f mod p, found by
+    long division by each candidate."""
+    d = len(f) - 1
+    for e in range(1, d // 2 + 1):
+        for g in _monic_polys(p, e):
+            r = list(f)
+            for i in range(d - e, -1, -1):
+                c = r[i + e]
+                for k in range(e + 1):
+                    r[i + k] = (r[i + k] - c * g[k]) % p
+            if not any(r[:e]):
+                return True
+    return False
+
+
+# Over GF(2), degree 5 has a reducible f = (quadratic)(cubic) with no linear
+# factor that only the test x^(p^d) = x mod f rejects, and degree 6 one,
+# x (x^2 + x + 1)(x^3 + x + 1), that only the gcd with x^(p^(d/r)) - x does.
+@pytest.mark.parametrize("p, top", ((2, 6), (3, 4), (5, 4)))
+def test_irreducible_mod_matches_trial_division(p, top):
+    polys = [f for d in range(2, top + 1) for f in _monic_polys(p, d)]
+    assert len(polys) == sum(p**d for d in range(2, top + 1))
+    for f in polys:
+        assert _irreducible_mod(f, p) == (not _has_monic_factor(f, p)), f
+
+
 def test_square_sum_scan():
     ins = instances_for("conj54", {"max_n": 50, "max_p": 0})
     assert len(ins) == 50
@@ -668,7 +703,12 @@ def _exact_thm14ii_members(p):
 
 @pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100 + [997])
 def test_collapsed_R_prefix_sum_matches_exact_sum(p):
-    assert _R_prefix_sum(p) == sum(R_values(p - 1))
+    # the hockey stick sum_{m<p} binomial(m+j, 2j) = binomial(p+j, 2j+1), and
+    # binomial(p+j, 2j+1) = binomial(p+j, 2j) (p-j) / (2j+1) on the diagonal
+    _, over = _central_rows(p)
+    diag = sequences._diag_row(p)
+    hockey = sum(diag[j] * (p - j) // (2 * j + 1) * over[j] for j in range(p))
+    assert _weighted_prefix("R", p) == hockey == sum(R_values(p - 1))
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100[1:])
@@ -723,9 +763,9 @@ def test_conj51_fails_on_shifted_row(shifted_over):
 
 
 @pytest.mark.parametrize("p", (7, 13))
-def test_thm13_fails_on_shifted_row(monkeypatch, p):
-    # over[0] + 1 moves the sum by binomial(p, 1) = p, nonzero mod p^2
-    _serve_shifted_over(monkeypatch, 0)
+def test_thm13_fails_on_shifted_row(monkeypatch, cold_memos, p):
+    # R_0 + p moves the prefix sum by p, nonzero mod p^2
+    _serve_edited(monkeypatch, "R", 0, lambda vals: vals[0] + p)
     r = check_thm13(p)
     assert r.status == FAIL
     assert r.witness == {"left": "prefix sum", "right": "closed form"}
@@ -803,11 +843,12 @@ def test_thm14i_fails_on_raised_row(cold_memos, raise_row):
 
 def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
     def grow():
-        return verify._weighted_prefix("S", 301), verify._s58_prefix(2, 60)
+        s_polys = verify._poly_prefix(("S_m", 2), 60, partial(verify.S_m_poly, 2))
+        return verify._weighted_prefix("S", 301), s_polys
 
     def tables():
         sums = verify._PREFIX_SUMS
-        return list(sums["S", "unit", 1]), list(sums["S58", 2])
+        return list(sums["S", "unit", 1]), list(sums["S_m", 2])
 
     results = race(grow)
     grown = tables()
@@ -910,33 +951,46 @@ def test_remark53_fails_on_raised_plus_value(monkeypatch, cold_memos):
     assert r.witness == {"claim": "plus prefix", "residue": 1}
 
 
-def test_remark52_fails_on_raised_R_poly_coefficient(monkeypatch):
-    # x R_2 adds (2 * 2 + 1) x to the odd-weighted prefix: 3 acc[1] moves by 15
-    original = verify.R_polys
+def test_remark52_fails_on_raised_R_poly_coefficient(monkeypatch, cold_memos):
+    # x added to R_2 adds (2 * 2 + 1) x to the odd-weighted prefix: 3 acc[1]
+    # moves by 15
+    original = verify.R_poly
 
-    def polys(n_max):
-        out = list(original(n_max))
-        out[2] += Poly.term(1, 1)
-        return out
+    def poly(j):
+        return original(j) + (Poly.term(1, 1) if j == 2 else Poly())
 
-    monkeypatch.setattr(verify, "R_polys", polys)
+    monkeypatch.setattr(verify, "R_poly", poly)
     r = run_instance("remark52", {"n": 4})
     assert r.status == FAIL
     assert r.witness == {"x_power": 1}
     assert int(r.lhs) == int(r.rhs) + 15
 
 
-def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
-    # x^2 S_2,3 moves the prefix coefficient of x^2 by 1 from n = 4 on
+def _raise_S_m_poly(monkeypatch):
+    """Serve verify.S_m_poly(m, j) with x^2 added at j = 3: the prefix
+    coefficient of x^2 moves by 1 from n = 4 on."""
     original = verify.S_m_poly
 
     def poly(m, j):
         return original(m, j) + (Poly.term(1, 2) if j == 3 else Poly())
 
     monkeypatch.setattr(verify, "S_m_poly", poly)
+
+
+def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
+    _raise_S_m_poly(monkeypatch)
     r = run_instance("conj58i", {"m": 2, "n": 5})
     assert r.status == FAIL
     assert r.witness == {"x_power": 2}
+    assert int(r.lhs) % 5 == 1
+
+
+def test_thm14i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
+    # the scalar prefix reads values_of("S"), which the raised polynomial leaves
+    _raise_S_m_poly(monkeypatch)
+    r = check_thm14_i(5)
+    assert r.status == FAIL
+    assert r.witness == {"claim": "polynomial prefix sum", "x_power": 2}
     assert int(r.lhs) % 5 == 1
 
 
