@@ -23,41 +23,18 @@ import io
 import json
 import sys
 import traceback
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from typing import Optional
+from typing import Iterable, Optional, Sequence
 
 from . import __version__, registry, sequences
 from .result import FAIL, ILL_POSED, CheckResult, summarize
 from .verify import THM15_VARIANTS
 
-__all__ = ["Report", "build_parser", "emit_report", "main"]
+__all__ = ["build_parser", "emit_report", "main"]
 
 _QVERIFY_ALIASES = {"thm31": "thm31q", "thm32": "thm32q", "conj58": "conj58q"}
 
 _PIN_KEYS = ("n", "p", "d", "k", "a", "b", "m", "s", "t", "a_prime", "variant")
-
-
-@dataclass
-class Report:
-    """Assembled verification report: config echo plus ordered results."""
-
-    config: dict
-    results: list[CheckResult] = field(default_factory=list)
-    timestamp: Optional[str] = None
-    version: str = __version__
-
-    def summary(self) -> dict[str, int]:
-        return summarize(self.results)
-
-    def to_obj(self) -> dict:
-        return {
-            "version": self.version,
-            "timestamp": self.timestamp,
-            "config": self.config,
-            "results": [r.to_dict() for r in self.results],
-            "summary": self.summary(),
-        }
 
 
 # -- serialization ---------------------------------------------------------------
@@ -77,11 +54,9 @@ def _json_bytes(obj) -> bytes:
     return (json.dumps(obj, indent=2) + "\n").encode("utf-8")
 
 
-def _csv_bytes(header: list[str], rows: list[list]) -> bytes:
+def _csv_bytes(rows: Iterable[Sequence]) -> bytes:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().encode("utf-8")
 
 
@@ -102,39 +77,59 @@ def _result_line(r: CheckResult) -> str:
     return "  ".join(bits).rstrip()
 
 
-def emit_report(report: Report, fmt: str) -> bytes:
-    """Deterministic serialization of a verification report."""
+def _csv_row(r: CheckResult) -> tuple:
+    witness = _compact(r.witness) if r.witness is not None else ""
+    params = _compact(r.params)
+    return (r.family, params, r.status, r.lhs, r.rhs, r.modulus, witness, r.note)
+
+
+def _serialize(results: list[CheckResult], fmt: str) -> bytes:
+    """One chunk of a report's results, in the bytes emit_report joins: JSON
+    list items indented to their depth in the report, CSV rows or text lines."""
     if fmt == "json":
-        return _json_bytes(report.to_obj())
+        items = json.dumps([r.to_dict() for r in results], indent=2)[2:-2]
+        return ("  " + items.replace("\n", "\n  ")).encode("utf-8")
     if fmt == "csv":
-        rows = [
-            [
-                r.family,
-                _compact(r.params),
-                r.status,
-                r.lhs,
-                r.rhs,
-                r.modulus,
-                _compact(r.witness) if r.witness is not None else "",
-                r.note,
-            ]
-            for r in report.results
-        ]
-        return _csv_bytes(
-            ["family", "params", "status", "lhs", "rhs", "modulus", "witness", "note"],
-            rows,
-        )
-    lines = ["congrkit %s" % report.version]
-    if report.timestamp:
-        lines.append("timestamp %s" % report.timestamp)
-    lines.append("config %s" % _compact(report.config))
-    lines.extend(_result_line(r) for r in report.results)
-    s = report.summary()
-    lines.append(
-        "summary pass=%d fail=%d ill_posed=%d inconclusive=%d"
-        % (s["pass"], s["fail"], s["ill_posed"], s["inconclusive"])
+        return _csv_bytes(map(_csv_row, results))
+    return "".join(_result_line(r) + "\n" for r in results).encode("utf-8")
+
+
+def emit_report(
+    config: dict,
+    chunks: list[bytes],
+    summary: dict[str, int],
+    fmt: str,
+    timestamp: Optional[str] = None,
+) -> bytes:
+    """The whole report: its header, the chunks of _serialize in registry
+    order, then the summary."""
+    if fmt == "json":
+        obj = {
+            "version": __version__,
+            "timestamp": timestamp,
+            "config": config,
+            "results": [],
+            "summary": summary,
+        }
+        # a string in config cannot hold the key's unescaped quotes
+        head, key, tail = json.dumps(obj, indent=2).partition('"results": []')
+        if chunks:
+            head, tail = head + '"results": [\n', "\n  ]" + tail
+        else:
+            head += key
+        body = b",\n".join(chunks)
+        return b"".join((head.encode("utf-8"), body, (tail + "\n").encode("utf-8")))
+    if fmt == "csv":
+        header = b"family,params,status,lhs,rhs,modulus,witness,note\n"
+        return b"".join((header, *chunks))
+    lines = ["congrkit %s" % __version__]
+    if timestamp:
+        lines.append("timestamp %s" % timestamp)
+    lines.append("config %s" % _compact(config))
+    tail = "summary pass=%d fail=%d ill_posed=%d inconclusive=%d" % (
+        summary["pass"], summary["fail"], summary["ill_posed"], summary["inconclusive"]
     )
-    return _text_bytes(lines)
+    return b"".join((_text_bytes(lines), *chunks, _text_bytes([tail])))
 
 
 def _write(payload: bytes, out: Optional[str]) -> None:
@@ -205,12 +200,31 @@ def _run_guarded(pair: tuple[str, dict]) -> CheckResult:
         raise _InstanceCrash(*pair, message, traceback.format_exc()) from None
 
 
-def _execute(pairs: list[tuple[str, dict]], jobs: int) -> list[CheckResult]:
-    if jobs > 1 and len(pairs) > 1:
+def _run_chunk(task: tuple[list[tuple[str, dict]], str]) -> tuple[bytes, dict]:
+    """Run a chunk of the job list; return its serialized results and their
+    status counts.  The results themselves die here, in the worker."""
+    pairs, fmt = task
+    results = [_run_guarded(pair) for pair in pairs]
+    return _serialize(results, fmt), summarize(results)
+
+
+def _execute(
+    pairs: list[tuple[str, dict]], jobs: int, fmt: str
+) -> tuple[list[bytes], dict[str, int]]:
+    # the chunks Pool.map would cut by default, so the schedule is the same
+    size = -(-len(pairs) // (4 * jobs)) or 1
+    tasks = [(pairs[i : i + size], fmt) for i in range(0, len(pairs), size)]
+    if jobs > 1 and len(tasks) > 1:
         import multiprocessing  # imported here so that --jobs 1 never pays for it
         with multiprocessing.Pool(processes=jobs) as pool:
-            return pool.map(_run_guarded, pairs)
-    return [_run_guarded(pair) for pair in pairs]
+            done = pool.map(_run_chunk, tasks, chunksize=1)
+    else:
+        done = [_run_chunk(task) for task in tasks]
+    summary = summarize([])
+    for _, counts in done:
+        for status, count in counts.items():
+            summary[status] += count
+    return [chunk for chunk, _ in done], summary
 
 
 def _finish_checks(
@@ -221,7 +235,7 @@ def _finish_checks(
     pinned: bool = False,
 ) -> int:
     try:
-        results = _execute(pairs, args.jobs)
+        chunks, summary = _execute(pairs, args.jobs, args.format)
     except _InstanceCrash as crash:
         family, params, message, trace = crash.args
         if pinned and message is not None:
@@ -230,10 +244,8 @@ def _finish_checks(
             "congrkit: checker crashed on %s %s\n%s" % (family, _compact(params), trace)
         )
         return 3
-    report = Report(config=config, results=results, timestamp=_stamp(args))
-    _write(emit_report(report, args.format), args.out)
-    s = report.summary()
-    return 0 if not s["fail"] and not s["ill_posed"] else 1
+    _write(emit_report(config, chunks, summary, args.format, _stamp(args)), args.out)
+    return 0 if not summary["fail"] and not summary["ill_posed"] else 1
 
 
 def _run_checks(
@@ -295,7 +307,7 @@ def _cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             }
         )
     elif args.format == "csv":
-        payload = _csv_bytes(["n", "value"], list(enumerate(values)))
+        payload = _csv_bytes([("n", "value"), *enumerate(values)])
     else:
         payload = _text_bytes(
             ["%s(%d) = %d" % (args.name, n, v) for n, v in enumerate(values)]
@@ -330,9 +342,7 @@ def _cmd_poly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
             }
         )
     elif args.format == "csv":
-        payload = _csv_bytes(
-            ["power", "coefficient"], list(enumerate(poly.coeffs))
-        )
+        payload = _csv_bytes([("power", "coefficient"), *enumerate(poly.coeffs)])
     else:
         payload = _text_bytes(["%s = %s" % (label, poly.render())])
     _write(payload, args.out)

@@ -153,16 +153,24 @@ def S_poly(n: int) -> Poly:
     return Poly(_S_coeffs(n))
 
 
+_SM_FACTORS: dict[int, list[int]] = _memo_table({})  # m -> (km + 1)! / (k!)^m
+
+
 def S_m_poly(m: int, n: int) -> Poly:
     """x^k coefficient binomial(n,k)^m (km+1)!/(k!)^m; m = 2 gives S_poly."""
     if m < 1 or n < 0:
         raise ValueError("S_m_poly: need m >= 1 and n >= 0")
-    coeffs = []
-    f = 1  # (km + 1)! / (k!)^m
-    for k, c in enumerate(_binom_row(n, n + 1)):
-        coeffs.append(c**m * f)
-        f = _exact_div(f * math.prod(range(k * m + 2, k * m + m + 2)), (k + 1) ** m)
-    return Poly(coeffs)
+    table = _SM_FACTORS.setdefault(m, [1])
+
+    def grow(start: int, upto: int) -> list[int]:
+        f, out = table[start - 1], []
+        for k in range(start, upto + 1):
+            f = _exact_div(f * math.prod(range(k * m - m + 2, k * m + 2)), k**m)
+            out.append(f)
+        return out
+
+    factors = _memo_grow(table, n, grow)
+    return Poly([c**m * f for c, f in zip(_binom_row(n, n + 1), factors)])
 
 
 # -- companion families ------------------------------------------------------

@@ -46,6 +46,13 @@ S_POLY_GOLDEN = [
 # sha256 of `verify --all --format json` at the default bounds
 GOLDEN_REPORT_SHA256 = "b0ec6fa1453db1e7d742dd642be91f941ba8cc339d2f4059576c7cff095a08d2"
 
+# sha256 of `verify --all --max-p 30 --max-n 10` in csv and in text, taken
+# before workers serialized their own chunks of the report
+SMALL_REPORT_SHA256 = {
+    "csv": "acc78fb524a8f64281ac84fee4ca16c4ee7e123d2fae257402258ce6a9099e5f",
+    "text": "0ead9fec6f3cb48f6605f71c89ee161697f28cdd5339c043294584cc038ef834",
+}
+
 # sha256 of `congrkit list`
 GOLDEN_LIST_SHA256 = "eb34482d4b7649d82166f4865d443dda7c0d8621b93ba7edcc40966f80c4c682"
 
@@ -287,6 +294,17 @@ def test_c14_report_bytes_identical_across_worker_counts(cli, tmp_path):
     assert report["summary"]["fail"] == 0
     assert report["summary"]["ill_posed"] == 0
     assert len(report["results"]) == len(registry.all_jobs())
+
+
+@pytest.mark.parametrize("fmt", ("csv", "text"))
+def test_csv_and_text_report_bytes_identical_across_worker_counts(cli, fmt):
+    args = ("verify", "--all", "--max-p", "30", "--max-n", "10", "--format", fmt)
+    runs = [cli(*args, "--jobs", jobs) for jobs in ("1", "2", "8")]
+    assert [run.returncode for run in runs] == [0, 0, 0]
+    payload = runs[0].stdout
+    assert runs[1].stdout == payload
+    assert runs[2].stdout == payload
+    assert hashlib.sha256(payload).hexdigest() == SMALL_REPORT_SHA256[fmt]
 
 
 def _dump(params):

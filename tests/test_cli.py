@@ -1,14 +1,15 @@
 """Command line surface: formats, determinism, exit codes."""
 
 import argparse
+import csv
 import dataclasses
+import io
 import json
 
 import pytest
 
+from congrkit import FAIL, CheckResult, registry, sequences
 from congrkit import cli as cli_module
-from congrkit import registry
-from congrkit import sequences
 from congrkit.sequences import t_seq
 
 
@@ -205,14 +206,79 @@ def _crash_thm13_at_7(monkeypatch, error):
 
 @pytest.mark.parametrize("jobs", ("1", "2"))
 @pytest.mark.parametrize("error", (ValueError, ZeroDivisionError))
-def test_checker_crash_on_grid_instance_exits_3(monkeypatch, capsys, jobs, error):
+def test_checker_crash_on_grid_instance_exits_3(
+    monkeypatch, capsys, tmp_path, jobs, error
+):
     _crash_thm13_at_7(monkeypatch, error)
     argv = ["verify", "thm13", "--max-p", "13", "--jobs", jobs, "--format", "json"]
-    assert cli_module.main(argv) == 3
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert 'crashed on thm13 {"p":7}' in err
-    assert "%s: checker broke" % error.__name__ in err
+    target = tmp_path / "report.json"
+    for out_flags in ([], ["--out", str(target)]):
+        assert cli_module.main(argv + out_flags) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert 'crashed on thm13 {"p":7}' in err
+        assert "%s: checker broke" % error.__name__ in err
+    assert not target.exists()
+
+
+_WITNESS = {"claim": "prefix sum", "at": {"p": 7, "terms": [1, [2, 3]], "none": {}}}
+_NOTE = 'a "quoted" note\nover two lines, caf\u00e9'
+
+
+def _fail_thm13_at_7(monkeypatch):
+    """Make the registered thm13 checker FAIL at p = 7 with a nested witness
+    and a note that JSON and CSV must escape."""
+    fam = registry.FAMILIES["thm13"]
+
+    def check(p):
+        if p == 7:
+            return CheckResult(
+                FAIL, lhs="1", rhs="2", modulus="49", witness=_WITNESS, note=_NOTE
+            )
+        return fam.check(p)
+
+    monkeypatch.setitem(
+        registry.FAMILIES, "thm13", dataclasses.replace(fam, check=check)
+    )
+
+
+@pytest.mark.parametrize("fmt", ("json", "csv", "text"))
+@pytest.mark.parametrize(
+    "argv, code, rows",
+    (
+        ("verify thm13 --max-p 13", 1, 5),  # a FAIL row among PASS rows
+        ("verify thm13 --p 7", 1, 1),  # one pinned instance
+        ("verify thm13 --max-p 2", 0, 0),  # no results
+    ),
+)
+def test_report_shapes_are_identical_at_one_and_two_jobs(
+    monkeypatch, tmp_path, fmt, argv, code, rows
+):
+    _fail_thm13_at_7(monkeypatch)
+    payloads = []
+    for jobs in ("1", "2"):
+        target = tmp_path / ("jobs%s" % jobs)
+        args = [*argv.split(), "--jobs", jobs, "--format", fmt, "--out", str(target)]
+        assert cli_module.main(args) == code
+        payloads.append(target.read_bytes())
+    payload = payloads[0]
+    assert payloads[1] == payload
+    if fmt == "json":
+        obj = json.loads(payload)
+        assert payload == (json.dumps(obj, indent=2) + "\n").encode()
+        assert len(obj["results"]) == rows
+        failed = [r for r in obj["results"] if r["status"] == FAIL]
+        assert [(r["witness"], r["note"]) for r in failed] == [(_WITNESS, _NOTE)] * code
+    elif fmt == "csv":
+        table = list(csv.reader(io.StringIO(payload.decode())))
+        assert len(table) == rows + 1
+        failed = [row[6:] for row in table if row[2] == FAIL]
+        assert failed == [[cli_module._compact(_WITNESS), _NOTE]] * code
+    else:
+        text = payload.decode()
+        assert text.count("witness=%s" % cli_module._compact(_WITNESS)) == code
+        assert text.count("-- %s" % _NOTE) == code
+        assert "summary pass=%d fail=%d" % (rows - code, code) in text
 
 
 def test_checker_crash_on_pinned_instance(monkeypatch, capsys):

@@ -163,6 +163,27 @@ def test_S_family_matches_definitional_sums():
             )
 
 
+def test_S_m_poly_reads_its_factor_table_cold_warm_and_cleared(cold_memos):
+    want = {
+        (m, n): Poly(
+            math.comb(n, k) ** m * math.factorial(k * m + 1) // math.factorial(k) ** m
+            for k in range(n + 1)
+        )
+        for m in range(1, 5)
+        for n in range(61)
+    }
+
+    def check(order):
+        for m in range(1, 5):
+            for n in order:
+                assert S_m_poly(m, n) == want[m, n], (m, n)
+
+    check(range(60, -1, -1))  # cold: the first call grows each table to 60
+    check(range(61))  # warm: every call reads the table
+    cold_memos()
+    check(range(61))  # cleared: each call grows the table by one entry
+
+
 def test_binom_row_matches_generalized_binomial():
     # negative tops feed thm41, thm42, thm15 and remark13
     for top in range(-40, 41):
