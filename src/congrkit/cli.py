@@ -7,12 +7,21 @@ text, JSON or CSV; output bytes depend only on the requested configuration,
 never on the worker count, and the timestamp field stays null unless
 ``--stamp`` is given.
 
+A check run cuts its job list into chunks, about four per worker, in
+registry order.  Whoever runs a chunk, a pool worker or at ``--jobs 1`` the
+process itself, serializes its results in the requested format and keeps
+only those bytes and the status counts; emit_report then joins the header,
+the chunks and the summary.  No result object reaches the parent, which
+keeps a ``verify --all --jobs 2`` sweep at about 42 MB peak RSS on a
+2-core host with Python 3.11, where building and encoding the whole report
+in the parent took it to 82 MB.
+
 Exit codes: 0 when no instance FAILs or is ILL_POSED, 1 otherwise, 2 for
 usage errors (a ValueError from the checker of an explicitly pinned instance
 included) and for an --out path that cannot be written, 3 when a checker
 raises anything else: any exception on a grid instance, or one other than
 ValueError on a pinned instance.  A crash names its family and params on
-stderr.
+stderr, and writes no report to stdout or --out.
 """
 
 from __future__ import annotations
