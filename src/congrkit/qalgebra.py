@@ -37,7 +37,7 @@ from typing import Callable, Sequence, Union
 
 from .exactnum import _memo_cache, _memo_grow, _memo_table
 from .polynomials import Poly, _pack, _unpack, poly_gcd
-from .result import CheckResult, FAIL, PASS
+from .result import FAIL, PASS, CheckResult, verdict
 
 __all__ = [
     "QRationalFunction",
@@ -400,12 +400,7 @@ def check_q_lucas(a: int, b: int, s: int, t: int, d: int) -> CheckResult:
     # reduction mod Phi_d is linear, so equal residues decide the claim
     lhs = reduce_mod_qpow_minus_1(qbinom(a * d + s, b * d + t), d) % cyclotomic(d)
     rhs = reduce_mod_qpow_minus_1(comb(a, b) * qbinom(s, t), d) % cyclotomic(d)
-    return CheckResult(
-        status=PASS if lhs == rhs else FAIL,
-        lhs=_poly_note(lhs),
-        rhs=_poly_note(rhs),
-        modulus="Phi_%d(q)" % d,
-    )
+    return verdict(lhs == rhs, _poly_note(lhs), _poly_note(rhs), "Phi_%d(q)" % d)
 
 
 def check_lemma32(n: int, k: int) -> CheckResult:
@@ -418,9 +413,7 @@ def check_lemma32(n: int, k: int) -> CheckResult:
     # the top coefficients of the q^h p^2 are squares and cannot cancel
     degree = max(h + 2 * p.degree for h, p in rows)
     lhs = _lazy_poly_note(degree, lambda: sum((p * p).shift(h) for h, p in rows))
-    return CheckResult(
-        status=PASS if ok else FAIL, lhs=lhs, rhs="0", modulus="Phi_%d(q)" % n
-    )
+    return verdict(ok, lhs, "0", "Phi_%d(q)" % n)
 
 
 def check_theorem31_q(n: int, k: int) -> CheckResult:
@@ -429,12 +422,7 @@ def check_theorem31_q(n: int, k: int) -> CheckResult:
         raise ValueError("check_theorem31_q: need 0 <= k < n")
     terms = [(1, h, ((qbinom(h, k), 2),)) for h in range(k, n)]
     residue = _q_int_residue(n, (q_int(2 * k + 1), qbinom(2 * k, k)), terms)
-    return CheckResult(
-        status=FAIL if residue else PASS,
-        lhs=_poly_note(residue),
-        rhs="0",
-        modulus="[%d]_q" % n,
-    )
+    return verdict(not residue, _poly_note(residue), "0", "[%d]_q" % n)
 
 
 def check_theorem32_q(n: int, a: int, b: int, a_prime: int) -> CheckResult:
@@ -451,11 +439,11 @@ def check_theorem32_q(n: int, a: int, b: int, a_prime: int) -> CheckResult:
         factors = ((q_int(2 * k + 1), 1), (qbinom(n - 1, k), a), (qbinom(n + k, k), b))
         terms.append((-1 if (a_prime * k) % 2 else 1, e, factors))
     residue = _q_int_residue(n, (), terms)
-    return CheckResult(
-        status=FAIL if residue else PASS,
-        lhs=_poly_note(residue),
-        rhs="0",
-        modulus="[%d]_q" % n,
+    return verdict(
+        not residue,
+        _poly_note(residue),
+        "0",
+        "[%d]_q" % n,
         note="sum cleared by q^%d" % (n - 1),
     )
 
@@ -488,13 +476,7 @@ def check_conj57(n: int) -> CheckResult:
             if half_integral
             else "PASS in Q[q]; half-quotient in Z[q]"
         )
-    return CheckResult(
-        status=PASS if ok else FAIL,
-        lhs=_poly_note(total),
-        rhs="0",
-        modulus="[%d]_q^2" % n,
-        note=note,
-    )
+    return verdict(ok, _poly_note(total), "0", "[%d]_q^2" % n, note=note)
 
 
 def check_conj58_q(m: int, n: int) -> CheckResult:

@@ -9,6 +9,10 @@ Statuses:
                  never silently skipped.
 * INCONCLUSIVE - a witness search exhausted its candidate budget without a
                  verdict either way (only one-sided searches use this).
+
+A checker states its claim and gets its result from ``verdict`` (or
+``equal`` for an exact equality), the one place a claim becomes PASS or
+FAIL; ``show`` is the one renderer of compared values.
 """
 from __future__ import annotations
 
@@ -23,7 +27,10 @@ __all__ = [
     "ILL_POSED",
     "INCONCLUSIVE",
     "clip",
+    "equal",
+    "show",
     "summarize",
+    "verdict",
 ]
 
 PASS = "PASS"
@@ -97,12 +104,38 @@ def clip(value: Any, limit: int = 80) -> str:
     if isinstance(value, int) and value.bit_length() > 13000:
         digits = value.bit_length() * 30103 // 100000 + 1
         return "%sbig integer, ~%d digits" % ("-" if value < 0 else "", digits)
-    if isinstance(value, Fraction) and (
-        value.numerator.bit_length() > 13000
-        or value.denominator.bit_length() > 13000
-    ):
-        return "%s / %s" % (clip(value.numerator), clip(value.denominator))
     s = str(value)
     if len(s) <= limit:
         return s
     return "%s...(%d digits)" % (s[:12], len(s))
+
+
+def show(value: Any) -> str:
+    """The report form of a value: an int clipped, a Fraction as num/den with
+    each part clipped, anything with render() rendered and then clipped."""
+    if isinstance(value, Fraction):
+        if value.denominator == 1:
+            return clip(value.numerator)
+        return "%s/%s" % (clip(value.numerator), clip(value.denominator))
+    if hasattr(value, "render"):
+        return clip(value.render())
+    return clip(value)
+
+
+def verdict(
+    ok: bool,
+    lhs: str = "",
+    rhs: str = "",
+    modulus: str = "",
+    witness: Optional[dict[str, Any]] = None,
+    note: str = "",
+) -> CheckResult:
+    """PASS when the claim holds, else FAIL; a PASS never carries a witness."""
+    if ok:
+        return CheckResult(PASS, lhs, rhs, modulus, None, note)
+    return CheckResult(FAIL, lhs, rhs, modulus, witness, note)
+
+
+def equal(lhs: Any, rhs: Any, witness: Optional[dict[str, Any]] = None) -> CheckResult:
+    """The claim lhs == rhs, both sides shown."""
+    return verdict(lhs == rhs, show(lhs), show(rhs), witness=witness)

@@ -51,7 +51,10 @@ Each checker, the conjecture scans included, takes its registry grid keys
 as keyword arguments and returns its verdict alone: status, compared values,
 modulus, witness and note.  ``registry.run_instance`` calls it as
 ``check(**params)`` and stamps the result with its family and params, so a
-direct call leaves CheckResult.family and CheckResult.params empty.
+direct call leaves CheckResult.family and CheckResult.params empty.  A
+checker states its claim; result.verdict turns it into PASS or FAIL, and
+result.equal and result.show render the compared values.  Loops that show
+only their failing member build that row by hand.
 
 Checkers that aggregate an inner parameter (the offset d of a ratio-sum
 family, the index k of a per-term divisibility) return a single
@@ -92,7 +95,8 @@ from .kernels import (
     kernel_power_divisible,
 )
 from .polynomials import X, Poly
-from .result import FAIL, ILL_POSED, INCONCLUSIVE, PASS, CheckResult, clip
+from .result import FAIL, ILL_POSED, INCONCLUSIVE, PASS, CheckResult
+from .result import equal, show, verdict
 from .sequences import R_poly, S_m_poly, S_poly, h, ratio_sum, values_of
 from .sequences import _binom_row, _central_rows, _exact_div
 
@@ -178,13 +182,6 @@ def _triangle(k: int) -> int:
     return (k + 1) * (k + 2) // 2
 
 
-def _fraction_str(v: Rational) -> str:
-    f = Fraction(v)
-    if f.denominator == 1:
-        return clip(f.numerator)
-    return "%s/%s" % (clip(f.numerator), clip(f.denominator))
-
-
 def _chain(
     members: Sequence[tuple[str, Rational]],
     p: int,
@@ -206,38 +203,31 @@ def _chain(
                 ILL_POSED, modulus=modulus, witness=witness, note=str(exc)
             )
     first_label, first = reduced[0]
-    for label, value in reduced[1:]:
-        if value != first:
-            witness = {"left": first_label, "right": label}
-            if claim:
-                witness["claim"] = claim
-            return CheckResult(
-                FAIL,
-                lhs=str(first),
-                rhs=str(value),
-                modulus=modulus,
-                witness=witness,
-                note=note,
-            )
-    return CheckResult(PASS, lhs=str(first), rhs=str(first), modulus=modulus, note=note)
+    label, value = next((m for m in reduced if m[1] != first), reduced[0])
+    witness = {"left": first_label, "right": label}
+    if claim:
+        witness["claim"] = claim
+    return verdict(value == first, show(first), show(value), modulus, witness, note)
 
 
 def _divisibility(
     claims: Sequence[tuple[str, int, int]], note: str = ""
 ) -> CheckResult:
     """Each claim (label, value, modulus) requires modulus | value."""
-    for label, value, modulus in claims:
-        if value % modulus:
-            return CheckResult(
-                FAIL,
-                lhs=clip(value),
-                rhs="0",
-                modulus=str(modulus),
-                witness={"claim": label, "residue": value % modulus},
-                note=note,
-            )
-    last = claims[-1]
-    return CheckResult(PASS, lhs="0", rhs="0", modulus=str(last[2]), note=note)
+    label, value, modulus = next((c for c in claims if c[1] % c[2]), claims[-1])
+    residue = value % modulus
+    witness = {"claim": label, "residue": residue}
+    lhs = show(value) if residue else "0"
+    return verdict(not residue, lhs, "0", str(modulus), witness, note)
+
+
+def _first_failure(results: Iterable[CheckResult]) -> CheckResult:
+    """The first result that is not PASS, else the last one.  A lazy iterable
+    builds no result after the first failure."""
+    for res in results:
+        if not res.ok:
+            return res
+    return res
 
 
 # -- residue-first sums over prime-indexed ranges ---------------------------------
@@ -402,10 +392,11 @@ def check_thm11(p: int) -> CheckResult:
                 ("scaled central form", Fraction(-(p + 1) * c, (1 << p) + 2)),
             ]),
         ]
-    for claim, e, members in chains:
-        res = _chain(members, p, e, claim=claim, note=note)
-        if res.status != PASS:
-            return res
+    res = _first_failure(
+        _chain(members, p, e, claim=claim, note=note) for claim, e, members in chains
+    )
+    if not res.ok:
+        return res
     return CheckResult(PASS, modulus="%d^2" % p, note=note)
 
 
@@ -439,13 +430,7 @@ def check_remark11(n: int, d: int) -> CheckResult:
         (2 * n + 1) * binomial(2 * n, n) * binomial(2 * n, n + d),
         (4 * d * d - 1) * 16**n,
     )
-    ok = lhs == rhs
-    return CheckResult(
-        PASS if ok else FAIL,
-        lhs=_fraction_str(lhs),
-        rhs=_fraction_str(rhs),
-        witness=None if ok else {"difference": _fraction_str(lhs - rhs)},
-    )
+    return equal(lhs, rhs, {"difference": show(lhs - rhs)})
 
 
 # -- prefix sums of the two headline sequences ---------------------------------
@@ -514,27 +499,16 @@ def check_thm13_ii(n: int) -> CheckResult:
     """Value at -1 is -(2n+1); the signed reciprocal odd-weight sum is -2n."""
     if n < 1:
         raise ValueError("check_thm13_ii: need n >= 1")
-    at_minus_one = R_poly(n)(-1)
-    if at_minus_one != -(2 * n + 1):
-        return CheckResult(
-            FAIL,
-            lhs=str(at_minus_one),
-            rhs=str(-(2 * n + 1)),
-            witness={"claim": "value at -1"},
-        )
+    value = equal(R_poly(n)(-1), -(2 * n + 1), {"claim": "value at -1"})
+    if not value.ok:
+        return value
     lcm = math.lcm(*range(1, 2 * n, 2))
     pairs = _row_product((_binom_row(n, n + 1), _binom_row(-n, n + 1)))
     acc = sum(c * (lcm // (2 * k - 1)) for k, c in enumerate(pairs))
     if acc != -2 * n * lcm:
-        return CheckResult(
-            FAIL,
-            lhs=_fraction_str(Fraction(acc, lcm)),
-            rhs=str(-2 * n),
-            witness={"claim": "reciprocal odd-weight sum"},
-        )
-    return CheckResult(
-        PASS, lhs=str(at_minus_one), rhs=str(-(2 * n + 1)), note="both identities hold"
-    )
+        return equal(Fraction(acc, lcm), -2 * n, {"claim": "reciprocal odd-weight sum"})
+    value.note = "both identities hold"
+    return value
 
 
 # -- weighted S prefix families -------------------------------------------------
@@ -547,24 +521,20 @@ def check_thm14_i(n: int) -> CheckResult:
         raise ValueError("check_thm14_i: need n >= 1")
     total = _weighted_prefix("S", n)
     target = n * n * h(n - 1)
-    if total != target:
-        return CheckResult(
-            FAIL,
-            lhs=clip(total),
-            rhs=clip(target),
-            witness={"claim": "scalar prefix sum"},
-        )
+    scalar = equal(total, target, {"claim": "scalar prefix sum"})
+    if not scalar.ok:
+        return scalar
     coeffs = _poly_prefix(("S_m", 2), n, partial(S_m_poly, 2))
     for i, c in enumerate(coeffs):
         if c % n:
             return CheckResult(
                 FAIL,
-                lhs=clip(c),
+                lhs=show(c),
                 rhs="0",
                 modulus=str(n),
                 witness={"claim": "polynomial prefix sum", "x_power": i},
             )
-    return CheckResult(PASS, lhs=clip(total), rhs=clip(target), modulus=str(n))
+    return CheckResult(PASS, lhs=scalar.lhs, rhs=scalar.rhs, modulus=str(n))
 
 
 def _bernoulli_third_times_p(p: int) -> int:
@@ -698,7 +668,7 @@ def check_thm15_i_grid(m: int, n: int, variant: str) -> CheckResult:
                 exact = dict(c[:2] for c in _thm15_exact_claims(variant, n, tup))
                 return CheckResult(
                     FAIL,
-                    lhs=clip(exact[label]),
+                    lhs=show(exact[label]),
                     rhs="0",
                     modulus=str(modulus),
                     witness={"a_list": list(tup), "claim": label},
@@ -813,7 +783,7 @@ def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
         if total % scale:
             return CheckResult(
                 FAIL,
-                lhs=_fraction_str(Fraction(total, scale)),
+                lhs=show(Fraction(total, scale)),
                 rhs="integer",
                 witness={"claim": label},
             )
@@ -821,7 +791,7 @@ def check_thm15_ii(n: int, a: int, b: int) -> CheckResult:
     if total % (n * n):
         return CheckResult(
             FAIL,
-            lhs=clip(total),
+            lhs=show(total),
             rhs="0",
             modulus="%d^2" % n,
             witness={"claim": "gcd-weighted odd sum"},
@@ -845,14 +815,8 @@ def check_remark13(n: int) -> CheckResult:
     pairs = _row_product((_binom_row(n, n + 1), _binom_row(-n, n + 1)))
     second = sum(Fraction(c, 2 * k - 1) for k, c in enumerate(pairs)) / 2
     note = "summed from k = 0; the k = 0 term is -1"
-    ok = first == second == -n
-    return CheckResult(
-        PASS if ok else FAIL,
-        lhs=_fraction_str(first),
-        rhs=str(-n),
-        witness=None if ok else {"halved sum": _fraction_str(second)},
-        note=note,
-    )
+    witness = {"halved sum": show(second)}
+    return verdict(first == second == -n, show(first), show(-n), "", witness, note)
 
 
 # -- display weights versus the kernel catalogue --------------------------------
@@ -878,12 +842,7 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
         if kernel_rows[i] is None:
             k = next(k for k in range(n) if not _xval_terms(k, odd)[i][1])
             expected = c * _xval_terms(k, odd)[i][0] + (correction if k == 0 else 0)
-            return CheckResult(
-                FAIL,
-                lhs=_fraction_str(_xval_weights(k, odd)[i]),
-                rhs=_fraction_str(expected),
-                witness={"display": label, "k": k},
-            )
+            return equal(_xval_weights(k, odd)[i], expected, {"display": label, "k": k})
         row = mixed if signed else same
         display_total = _dot(weights[i], row)
         kernel_total = _dot(kernel_rows[i], row)
@@ -891,10 +850,8 @@ def check_xval15(n: int, a: int, b: int) -> CheckResult:
         if lhs != c.numerator * kernel_total:
             return CheckResult(
                 FAIL,
-                lhs=_fraction_str(Fraction(display_total, d)),
-                rhs=_fraction_str(
-                    c * Fraction(kernel_total, d) + correction * row[0]
-                ),
+                lhs=show(Fraction(display_total, d)),
+                rhs=show(c * Fraction(kernel_total, d) + correction * row[0]),
                 witness={"display": label, "claim": "sum"},
             )
     return CheckResult(
@@ -936,13 +893,7 @@ def check_lemma22(n: int) -> CheckResult:
     rhs = Poly.const(
         Fraction(4 * (n + 1) ** 2, 2 * n + 1) * binomial(2 * n + 1, n) ** 2
     )
-    ok = lhs == rhs
-    return CheckResult(
-        PASS if ok else FAIL,
-        lhs=clip(lhs.render()),
-        rhs=clip(rhs.render()),
-        witness=None if ok else {"difference": clip((lhs - rhs).render())},
-    )
+    return equal(lhs, rhs, {"difference": show(lhs - rhs)})
 
 
 def check_lemma23(n: int, k: int) -> CheckResult:
@@ -955,13 +906,8 @@ def check_lemma23(n: int, k: int) -> CheckResult:
     )
     second = Fraction(2 * n, n + k) * binomial(n + k, 2 * k)
     third = binomial(n + k, 2 * k) + binomial(n + k - 1, 2 * k)
-    ok = first == second == third
-    return CheckResult(
-        PASS if ok else FAIL,
-        lhs=_fraction_str(first),
-        rhs=str(third),
-        witness=None if ok else {"middle": _fraction_str(second)},
-    )
+    witness = {"middle": show(second)}
+    return verdict(first == second == third, show(first), show(third), "", witness)
 
 
 # -- generic difference-kernel framework ----------------------------------------
@@ -1096,7 +1042,7 @@ def check_thm43(
         if ratio.denominator != 1 or ratio.numerator % n:
             return CheckResult(
                 FAIL,
-                lhs=_fraction_str(ratio),
+                lhs=show(ratio),
                 rhs="0",
                 modulus=str(n),
                 witness={"claim": "pair ratio divisibility", "k": k},
@@ -1106,19 +1052,19 @@ def check_thm43(
     if total.denominator != 1:
         return CheckResult(
             FAIL,
-            lhs=_fraction_str(total),
+            lhs=show(total),
             rhs="integer",
             witness={"claim": "integrality"},
         )
     if strength == "over_n" and total.numerator % n:
         return CheckResult(
             FAIL,
-            lhs=clip(total.numerator),
+            lhs=show(total.numerator),
             rhs="0",
             modulus=str(n),
             witness={"claim": "divisibility by n"},
         )
-    return CheckResult(PASS, lhs=clip(total.numerator), modulus=str(n))
+    return CheckResult(PASS, lhs=show(total.numerator), modulus=str(n))
 
 
 def check_thm44(n: int, a: int, b: int, kernel: KernelSpec) -> CheckResult:
@@ -1133,12 +1079,8 @@ def check_thm44(n: int, a: int, b: int, kernel: KernelSpec) -> CheckResult:
     row = _mixed_row(n, a, b)
     total = sum(bar(kernel, k, m) * row[k] for k in range(n))
     ok = total.denominator == 1
-    return CheckResult(
-        PASS if ok else FAIL,
-        lhs=_fraction_str(total),
-        rhs="integer" if not ok else clip(total.numerator),
-        witness=None if ok else {"claim": "integrality"},
-    )
+    lhs = show(total)
+    return verdict(ok, lhs, lhs if ok else "integer", "", {"claim": "integrality"})
 
 
 def check_lemma42(n: int, a_seq: Sequence[Union[int, Fraction]]) -> CheckResult:
@@ -1161,13 +1103,7 @@ def check_lemma42(n: int, a_seq: Sequence[Union[int, Fraction]]) -> CheckResult:
         * Fraction(binomial(n - 1, k) ** 2 * binomial(n + k, k) ** 2, 2 * k + 1)
         for k in range(n)
     )
-    ok = lhs == rhs
-    return CheckResult(
-        PASS if ok else FAIL,
-        lhs=_fraction_str(lhs),
-        rhs=_fraction_str(rhs),
-        witness=None if ok else {"difference": _fraction_str(lhs - rhs)},
-    )
+    return equal(lhs, rhs, {"difference": show(lhs - rhs)})
 
 
 def check_remark52(n: int) -> CheckResult:
@@ -1180,9 +1116,7 @@ def check_remark52(n: int) -> CheckResult:
     for k in range(n):
         q = (n - k) * binomial(n + k, 2 * k) * (2 * over[k] - catalan(k))
         if 3 * acc[k] != n * q:
-            return CheckResult(
-                FAIL, lhs=clip(3 * acc[k]), rhs=clip(n * q), witness={"x_power": k}
-            )
+            return equal(3 * acc[k], n * q, {"x_power": k})
     return CheckResult(PASS, note="coefficientwise identity, degrees < n")
 
 
@@ -1194,25 +1128,18 @@ def check_conj51(p: int) -> CheckResult:
         raise ValueError("conj51: p must be a prime congruent to 3 mod 4")
     chi = legendre_symbol(2, p)
     c = binomial((p + 1) // 2, (p + 1) // 4)
-    res = _chain(
-        [
+    chains = (
+        ("base 8", [
             ("power sum", _central_square_power_sums(p, (8,))[0]),
             ("closed form", -chi * Fraction((p + 1) * c, (1 << (p - 1)) + 1)),
-        ],
-        p,
-        2,
-        claim="base 8",
-    )
-    if res.status != PASS:
-        return res
-    return _chain(
-        [
+        ]),
+        ("offset base 8", [
             ("offset power sum, tripled", 3 * _central_offset_power_sum(p)),
             ("closed form", p + chi * Fraction(2 * p, c)),
-        ],
-        p,
-        2,
-        claim="offset base 8",
+        ]),
+    )
+    return _first_failure(
+        _chain(members, p, 2, claim=claim) for claim, members in chains
     )
 
 
@@ -1236,35 +1163,32 @@ def check_conj52(seq: str, claim: str, n: int) -> CheckResult:
     if claim == "ratio_step":
         left = vals[n + 2] * vals[n]
         right = vals[n + 1] * vals[n + 1]
-        ok = left > right
-        return CheckResult(
-            PASS if ok else FAIL,
-            lhs=clip(left),
-            rhs=clip(right),
+        return verdict(
+            left > right,
+            show(left),
+            show(right),
             note="consecutive-ratio increase by cross multiplication",
         )
     if claim == "root_step":
-        ok = pow_compare(vals[n + 1], n, vals[n], n + 1) == 1
-        return CheckResult(
-            PASS if ok else FAIL,
-            lhs="term(%d)^%d" % (n + 1, n),
-            rhs="term(%d)^%d" % (n, n + 1),
+        return verdict(
+            pow_compare(vals[n + 1], n, vals[n], n + 1) == 1,
+            "term(%d)^%d" % (n + 1, n),
+            "term(%d)^%d" % (n, n + 1),
             note="root-ratio term exceeds 1; surrogate for the decrease to 1",
         )
     if seq == "S":
-        ok = vals[n + 1] < 9 * vals[n]
-        return CheckResult(
-            PASS if ok else FAIL,
-            lhs=clip(vals[n + 1]),
-            rhs=clip(9 * vals[n]),
+        return verdict(
+            vals[n + 1] < 9 * vals[n],
+            show(vals[n + 1]),
+            show(9 * vals[n]),
             note="ratio below 9; limit value itself not asserted",
         )
     gap = vals[n + 1] - 3 * vals[n]
-    ok = gap <= 0 or gap * gap < 8 * vals[n] * vals[n]
-    return CheckResult(
-        PASS if ok else FAIL,
-        lhs=clip(gap * gap),
-        rhs=clip(8 * vals[n] * vals[n]),
+    bound = 8 * vals[n] * vals[n]
+    return verdict(
+        gap <= 0 or gap * gap < bound,
+        show(gap * gap),
+        show(bound),
         note="ratio below 3 + sqrt(8) by exact squaring; limit not asserted",
     )
 
@@ -1298,25 +1222,18 @@ def check_conj54(
     if p < 3 or not is_prime(p):
         raise ValueError("conj54: p must be an odd prime")
     chi = legendre_symbol(-1, p)
-    res = _chain(
-        [
+    chains = (
+        ("plain", 2, [
             ("square prefix", Fraction(_weighted_prefix("R", p, power=2))),
             ("closed form", Fraction(p, 3) * (11 - 4 * chi)),
-        ],
-        p,
-        2,
-        claim="plain",
-    )
-    if res.status != PASS:
-        return res
-    return _chain(
-        [
+        ]),
+        ("odd weight", 3, [
             ("odd-weighted prefix", Fraction(_weighted_prefix("R", p, "odd", 2))),
             ("closed form", Fraction(4 * p * chi - p * p)),
-        ],
-        p,
-        3,
-        claim="odd weight",
+        ]),
+    )
+    return _first_failure(
+        _chain(members, p, e, claim=claim) for claim, e, members in chains
     )
 
 
@@ -1376,7 +1293,7 @@ def check_conj58i(m: int, n: int) -> CheckResult:
     for k, c in enumerate(coeffs):
         if c % n:
             return CheckResult(
-                FAIL, lhs=clip(c), rhs="0", modulus=str(n), witness={"x_power": k}
+                FAIL, lhs=show(c), rhs="0", modulus=str(n), witness={"x_power": k}
             )
     return CheckResult(
         PASS, modulus=str(n), note="coefficient form; covers the per-index tail sums"
@@ -1415,27 +1332,25 @@ def _gf_gcd(f: Poly, g: Poly, p: int) -> Poly:
 
 
 def _irreducible_mod(coeffs: Sequence[int], p: int) -> bool:
-    """Power-map irreducibility test in the field with p elements.
+    """Distinct-degree irreducibility test in the field with p elements.
 
     Requires p not to divide the leading coefficient, so reduction keeps
-    the degree.  Squarefreeness is implied: a polynomial dividing
-    x^(p^d) - x has no repeated factors.
+    the degree.  A reducible f of degree d, squarefree or not, has an
+    irreducible factor of some degree e <= d/2, and that factor divides
+    x^(p^e) - x; so f is irreducible exactly when gcd(f, x^(p^e) - x) = 1
+    for every e <= d/2.  The test stops at the first e that finds a factor.
     """
     f = _gf(Poly(coeffs), p)
     d = f.degree
     if d != len(coeffs) - 1:
         return False
     f = _gf_monic(f, p)
-    frob = [X]  # frob[e] holds x^(p^e) reduced mod f
-    for _ in range(d):
-        frob.append(_gf_powmod(frob[-1], p, f, p))
-    if frob[d] != X:
-        return False
-    for r in primes_up_to(d):
-        if d % r == 0:
-            h = _gf(frob[d // r] - X, p)
-            if not h or _gf_gcd(f, h, p).degree > 0:
-                return False
+    power = X  # x^(p^e) reduced mod f
+    for _ in range(d // 2):
+        power = _gf_powmod(power, p, f, p)
+        h = _gf(power - X, p)
+        if not h or _gf_gcd(f, h, p).degree > 0:
+            return False
     return True
 
 

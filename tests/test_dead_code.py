@@ -2,8 +2,9 @@
 module's __all__ lists exactly what it defines for export and only names that
 the package or its tests read, every module-level list or dict is a known
 fixed table or a registered memo, lru_cache is applied only through
-exactnum's registering decorator, and no checker names its family or params
-(registry.run_instance stamps them)."""
+exactnum's registering decorator, no checker names its family or params
+(registry.run_instance stamps them), and only result.py turns a claim into
+PASS or FAIL, apart from the listed hand-built results."""
 
 import ast
 import dataclasses
@@ -176,6 +177,13 @@ def test_lru_cache_is_applied_only_by_the_registering_decorator():
     assert not users, "lru_cache outside exactnum._memo_cache: %s" % ", ".join(users)
 
 
+def _builds_check_result(node: ast.AST) -> bool:
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
+    )
+
+
 def test_no_check_result_in_the_package_names_its_family_or_params():
     fields = [f.name for f in dataclasses.fields(CheckResult)]
     first_stamped = min(fields.index("family"), fields.index("params"))
@@ -183,11 +191,74 @@ def test_no_check_result_in_the_package_names_its_family_or_params():
         "%s:%d" % (module, node.lineno)
         for module, tree in _trees().items()
         for node in ast.walk(tree)
-        if isinstance(node, ast.Call)
-        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "CheckResult"
+        if _builds_check_result(node)
         and (
             len(node.args) > first_stamped
             or any(kw.arg in ("family", "params") for kw in node.keywords)
         )
     )
     assert not found, "CheckResult passes family or params: %s" % ", ".join(found)
+
+
+# Functions outside result.py that build a CheckResult themselves: a loop
+# that renders only its failing member, an ILL_POSED or INCONCLUSIVE row, or
+# a PASS row whose fields no claim produces.  Every other result comes from
+# result.verdict or result.equal.
+HAND_BUILT = {
+    "qalgebra.py": {"check_conj58_q"},
+    "sequences.py": {"_check_recurrence", "check_recurrence_R_poly"},
+    "verify.py": {
+        "_chain",
+        "check_thm11",
+        "check_thm12",
+        "check_thm14_i",
+        "check_thm15_i_grid",
+        "check_thm15_ii",
+        "check_xval15",
+        "check_thm43",
+        "check_remark52",
+        "check_conj58i",
+        "conj53_witness",
+    },
+}
+
+
+def _builders(tree: ast.Module) -> set[str]:
+    """Top-level definitions that call CheckResult."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if _builds_check_result(node)
+    }
+
+
+def test_check_results_are_built_in_result_py_or_at_the_listed_sites():
+    trees = _trees()
+    del trees["result.py"]
+    found = {module: _builders(tree) for module, tree in trees.items()}
+    extra = sorted(
+        "%s:%s" % (module, name)
+        for module, names in found.items()
+        for name in names - HAND_BUILT.get(module, set())
+    )
+    gone = sorted(
+        "%s:%s" % (module, name)
+        for module, names in HAND_BUILT.items()
+        for name in names - found.get(module, set())
+    )
+    assert not extra, "CheckResult built outside result.py: %s" % ", ".join(extra)
+    assert not gone, "listed but no longer hand-built: %s" % ", ".join(gone)
+
+
+def test_no_conditional_status_outside_result_py():
+    found = sorted(
+        "%s:%d" % (module, node.lineno)
+        for module, tree in _trees().items()
+        if module != "result.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.IfExp)
+        and {getattr(node.body, "id", None), getattr(node.orelse, "id", None)}
+        & {"PASS", "FAIL"}
+    )
+    assert not found, "PASS/FAIL chosen outside result.verdict: %s" % ", ".join(found)

@@ -16,7 +16,7 @@ from congrkit.exactnum import (
 )
 from congrkit.kernels import PAPER_KERNELS, KernelSpec, poly_kernel
 from congrkit.polynomials import Poly
-from congrkit.result import CheckResult, clip, summarize
+from congrkit.result import CheckResult, clip, equal, show, summarize, verdict
 from congrkit.sequences import (
     R,
     R_poly,
@@ -98,6 +98,33 @@ def test_clip_rendering():
     assert clip(10**100) == "100000000000...(101 digits)"
     assert "big integer" in clip(1 << 20000)
     assert clip(-(1 << 20000)).startswith("-big integer")
+
+
+def _fraction_str(v):
+    """An exact value as num/den, each part clipped: the reference for show."""
+    f = Fraction(v)
+    if f.denominator == 1:
+        return clip(f.numerator)
+    return "%s/%s" % (clip(f.numerator), clip(f.denominator))
+
+
+@pytest.mark.parametrize(
+    "value",
+    (0, -7, -(10**80), 1 << 13001, Fraction(-7, 3), Fraction((1 << 13001) + 1, 3)),
+)
+def test_show_matches_the_reference_fraction_rendering(value):
+    assert show(value) == _fraction_str(value)
+
+
+def test_show_renders_and_clips_a_polynomial():
+    p = Poly(range(1, 40))
+    assert show(p) == clip(p.render())
+    assert show(p).endswith(" digits)")
+
+
+def test_verdict_drops_the_witness_of_a_pass():
+    assert verdict(True, "1", "1", witness={"k": 0}).witness is None
+    assert equal(Fraction(2, 4), Fraction(1, 2), {"k": 0}).witness is None
 
 
 # -- prime congruences for the first sum family -----------------------------------
@@ -508,9 +535,9 @@ def _has_monic_factor(f, p):
     return False
 
 
-# Over GF(2), degree 5 has a reducible f = (quadratic)(cubic) with no linear
-# factor that only the test x^(p^d) = x mod f rejects, and degree 6 one,
-# x (x^2 + x + 1)(x^3 + x + 1), that only the gcd with x^(p^(d/r)) - x does.
+# Over GF(2), degree 6 has reducible polynomials whose smallest factor has
+# degree 3 = d/2, such as (x^3 + x + 1)(x^3 + x^2 + 1), which only the last
+# gcd with x^(p^e) - x rejects, and squares such as (x^3 + x + 1)^2.
 @pytest.mark.parametrize("p, top", ((2, 6), (3, 4), (5, 4)))
 def test_irreducible_mod_matches_trial_division(p, top):
     polys = [f for d in range(2, top + 1) for f in _monic_polys(p, d)]
@@ -1087,7 +1114,7 @@ def _reference_thm15_ii(n, a, b):
                 family="thm15ii",
                 params=params,
                 status=FAIL,
-                lhs=verify._fraction_str(value),
+                lhs=show(value),
                 rhs="integer",
                 witness={"claim": label},
             )
@@ -1140,8 +1167,8 @@ def _reference_xval15(n, a, b):
                     family="xval15",
                     params=params,
                     status=FAIL,
-                    lhs=verify._fraction_str(w[k]),
-                    rhs=verify._fraction_str(expected),
+                    lhs=show(w[k]),
+                    rhs=show(expected),
                     witness={"display": label, "k": k},
                 )
         display_total = sum(w[k] * row[k] for k in range(n))
@@ -1151,8 +1178,8 @@ def _reference_xval15(n, a, b):
                 family="xval15",
                 params=params,
                 status=FAIL,
-                lhs=verify._fraction_str(display_total),
-                rhs=verify._fraction_str(c * kernel_total + correction * row[0]),
+                lhs=show(display_total),
+                rhs=show(c * kernel_total + correction * row[0]),
                 witness={"display": label, "claim": "sum"},
             )
     return CheckResult(
