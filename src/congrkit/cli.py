@@ -225,7 +225,7 @@ def _execute(
     tasks = [(pairs[i : i + size], fmt) for i in range(0, len(pairs), size)]
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing  # imported here so that --jobs 1 never pays for it
-        with multiprocessing.Pool(processes=jobs) as pool:
+        with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             done = pool.map(_run_chunk, tasks, chunksize=1)
     else:
         done = [_run_chunk(task) for task in tasks]

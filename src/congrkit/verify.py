@@ -6,14 +6,20 @@ end.  A modulus that cannot invert a denominator is reported as ILL_POSED,
 never skipped.
 
 The prime-indexed sums of thm11 (mod p^2), thm12 (mod p) and conj51
-(mod p^2) are instead reduced mod p^e term by term.  Each term is a product
-of integers from the exact central-binomial rows, a binomial whose
-denominator is a product of factorials below p, and a power of 1/2, 1/8,
-1/16 or 1/32.  Every such denominator is prime to p, and reduction mod p^e
-is a ring homomorphism on those rationals, so the residue of the sum is the
-sum of the term residues: the same lhs, rhs and witness that an exact sum
-reduced at the end gives.  thm12 also skips the terms that vanish mod p
-(Kummer's theorem) and takes binomial(p+1, j) mod p from Lucas's theorem.
+(mod p^2) are instead reduced mod p^e term by term, and never read the exact
+central-binomial rows.  Each checker call builds one table per prime mod
+p^e: j! and 1/j! for j < p, and binomial(2k, k)/(2k - 1) = 2 Catalan(k-1)
+for k <= (p+1)/2.  Every term is a product of table entries and a power of
+1/2, 1/8, 1/16 or 1/32; all their denominators are prime to p, and
+reduction mod p^e is a ring homomorphism on those rationals, so the residue
+of the sum is the sum of the term residues: the same lhs, rhs and witness
+that an exact sum reduced at the end gives.  Past k = (p+1)/2, p divides
+binomial(2k, k) (Kummer's theorem: k + k carries in base p) and not 2k - 1,
+so those terms vanish mod p, and mod p^2 as well in the central-square sums
+and, but for k = p - 1, in the offset sum.  The boundary terms that remain
+are p times a unit: the k = (p+1)/2 square term from the table, and the
+offset sum's k = (p+1)/2 and k = p - 1 terms exactly.  thm12 takes
+binomial(p+1, j) mod p at k = (p+1)/2 from Lucas's theorem.
 
 thm13 reads the exact prefix sum R_0 + ... + R_{p-1} from the shared
 prefix table over sequences.values_of("R", ...), whose terms recurrence (1.3)
@@ -68,7 +74,7 @@ import math
 import operator
 from fractions import Fraction
 from functools import partial, reduce
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from .exactnum import (
     DenominatorNotInvertible,
@@ -78,6 +84,7 @@ from .exactnum import (
     _memo_table,
     binomial,
     catalan,
+    central_binomial_over_2k_minus_1,
     is_prime,
     legendre_symbol,
     pow_compare,
@@ -233,98 +240,129 @@ def _first_failure(results: Iterable[CheckResult]) -> CheckResult:
 # -- residue-first sums over prime-indexed ranges ---------------------------------
 
 
-def _factorial_tables(top: int, modulus: int) -> tuple[list[int], list[int]]:
-    """j! and 1/j! mod modulus for j <= top; every j <= top must be a unit."""
-    fact = [1] * (top + 1)
-    for j in range(1, top + 1):
-        fact[j] = fact[j - 1] * j % modulus
-    inv = [1] * (top + 1)
-    inv[top] = pow(fact[top], -1, modulus)
-    for j in range(top, 0, -1):
-        inv[j - 1] = inv[j] * j % modulus
-    return fact, inv
+class _PrimeTable(NamedTuple):
+    """Residues mod p^e for one odd prime p: fact[j] = j! and inv[j] = 1/j!
+    for j < p, and over[k] = binomial(2k, k)/(2k - 1) for k <= (p+1)/2.
+
+    over[0] = -1, and above it over[k] = 2 Catalan(k-1) = 2 (2k-2)! /
+    ((k-1)! k!), whose factorials stay below p up to k = (p+1)/2."""
+
+    p: int
+    modulus: int
+    fact: list[int]
+    inv: list[int]
+    over: list[int]
+
+
+def _prime_table(p: int, e: int) -> _PrimeTable:
+    """The residue table of the odd prime p mod p^e."""
+    m = p**e
+    acc, fact = 1, [1]
+    for j in range(1, p):
+        acc = acc * j % m
+        fact.append(acc)
+    acc = pow(acc, -1, m)
+    inv = [acc]  # from 1/(p-1)! down to 1/0!, then reversed
+    for j in range(p - 1, 0, -1):
+        acc = acc * j % m
+        inv.append(acc)
+    inv.reverse()
+    over = [-1 % m] + [
+        2 * f * i * j % m for f, i, j in zip(fact[::2], inv, inv[1 : (p + 3) // 2])
+    ]
+    return _PrimeTable(p, m, fact, inv, over)
 
 
 def _horner(coeffs: Sequence[int], x: int, modulus: int) -> int:
-    """sum_k coeffs[k] * x^k mod modulus."""
+    """sum_k coeffs[k] * x^k mod modulus, by Horner's rule in x^b over blocks
+    of b ~ sqrt(len(coeffs)) terms; each block is one dot product with the
+    powers of x below x^b."""
+    size = math.isqrt(len(coeffs)) + 1
+    powers = [1]
+    for _ in range(size):
+        powers.append(powers[-1] * x % modulus)
+    step = powers.pop()
     acc = 0
-    for c in reversed(coeffs):
-        acc = (acc * x + c) % modulus
+    for i in reversed(range(0, len(coeffs), size)):
+        acc = (acc * step + _dot(coeffs[i : i + size], powers)) % modulus
     return acc
 
 
-def _R_residues(n: int, points: Sequence[int], modulus: int) -> list[int]:
-    """R-type polynomial of index n at each point, mod a power of a prime
-    p > 2n: binomial(n+k, 2k) comes from factorials below p, all units."""
-    _, over = _central_rows(n)
-    fact, inv = _factorial_tables(2 * n, modulus)
+def _R_residues(t: _PrimeTable, points: Sequence[int]) -> list[int]:
+    """R_poly((p-1)/2) at each point, mod p^e.  With n = (p-1)/2 its x^k
+    coefficient is binomial(n+k, 2k) over[k], and n + k < p."""
+    n = (t.p - 1) // 2
+    m = t.modulus
     coeffs = [
-        fact[n + k] * inv[2 * k] * inv[n - k] % modulus * over[k] % modulus
-        for k in range(n + 1)
+        f * i * j * o % m
+        for f, i, j, o in zip(t.fact[n:], t.inv[::2], t.inv[n::-1], t.over)
     ]
-    return [_horner(coeffs, x, modulus) for x in points]
+    return [_horner(coeffs, x, m) for x in points]
 
 
-def _central_square_power_sums(p: int, bases: Sequence[int]) -> list[int]:
-    """sum_{k<p} binomial(2k,k)^2 / ((2k-1) * base^k) mod p^2, per base."""
-    m = p * p
-    central, over = _central_rows(p - 1)
-    terms = [central[k] % m * (over[k] % m) % m for k in range(p)]
+def _central_square_power_sums(t: _PrimeTable, bases: Sequence[int]) -> list[int]:
+    """sum_{k<p} binomial(2k,k)^2 / ((2k-1) * base^k) mod p^2, per base; t is
+    the table mod p^2.
+
+    With h = (p+1)/2, every k in [h, p) has p <= k + k < 2p, one carry in
+    base p, so p exactly divides binomial(2k, k) (Kummer) and p^2 its square.
+    2k - 1 is prime to p there except at k = h, where it is p.  So the terms
+    past h vanish mod p^2, and the k = h term is binomial(p+1, h) over[h] =
+    p (p+1) (p-1)! / h!^2 over[h], p times a unit.  Below h, 2k < p and
+    binomial(2k, k) = (2k)! / k!^2."""
+    p, m, fact, inv, over = t
+    h = (p + 1) // 2
+    terms = [f * i * i * o % m for f, i, o in zip(fact[::2], inv, over)]
+    terms.append(p * (p + 1) * fact[p - 1] * inv[h] * inv[h] * over[h] % m)
     return [_horner(terms, pow(base, -1, m), m) for base in bases]
 
 
-def _central_offset_power_sum(p: int) -> int:
-    """sum_{k<p} binomial(2k,k) binomial(2k,k+1) / ((2k-1) 8^k) mod p^2.
+def _central_offset_power_sum(t: _PrimeTable) -> int:
+    """sum_{k<p} binomial(2k,k) binomial(2k,k+1) / ((2k-1) 8^k) mod p^2; t is
+    the table mod p^2.
 
-    binomial(2k, k+1) is taken exactly from the row: at k = p - 1 its
-    quotient form has p in the denominator, so no factorial table mod p^2
-    covers it."""
-    m = p * p
-    central, over = _central_rows(p - 1)
-    terms = [over[k] % m * (central[k] * k // (k + 1) % m) % m for k in range(p)]
-    return _horner(terms, pow(8, -1, m), m)
+    With h = (p+1)/2, every k with h < k < p - 1 has one carry in both k + k
+    and (k+1) + (k-1) in base p, so p divides both binomials (Kummer), while
+    2k - 1 is prime to p: those terms vanish mod p^2.  Two boundary terms
+    stay, each p times a unit.  At k = h, 2k - 1 = p cancels the p of
+    binomial(2k, k), and binomial(2k, k+1) keeps its own.  At k = p - 1,
+    binomial(2k, k) keeps its p, but p + (p-2) adds without a carry, so
+    binomial(2k, k+1) is a unit.  (At p = 3 the two coincide in one unit
+    term.)  Both are taken exactly.  Below h, binomial(2k, k+1) =
+    (2k)! / ((k+1)! (k-1)!), and 0 at k = 0."""
+    p, m, fact, inv, over = t
+    h = (p + 1) // 2
+    terms = [0] + [
+        f * i * j * o % m for f, i, j, o in zip(fact[2::2], inv[2:], inv, over[1:])
+    ]
+    acc = _horner(terms, pow(8, -1, m), m)
+    for k in {h, p - 1}:
+        boundary = central_binomial_over_2k_minus_1(k) * binomial(2 * k, k + 1)
+        acc += boundary * pow(8, -k, m)
+    return acc % m
 
 
-def _lucas_binomial(a: int, b: int, p: int, fact: list[int], inv: list[int]) -> int:
-    """binomial(a, b) mod p for a, b >= 0, digit by digit in base p (Lucas)."""
-    out = 1
-    while b:
-        a, a0 = divmod(a, p)
-        b, b0 = divmod(b, p)
-        if b0 > a0:
-            return 0
-        out = out * fact[a0] * inv[b0] * inv[a0 - b0] % p
-    return out
-
-
-def _offset_pair_sums(p: int, offsets: range) -> dict[int, int]:
+def _offset_pair_sums(t: _PrimeTable, offsets: range) -> dict[int, int]:
     """sum_{k<p} binomial(2k,k) binomial(2k,k+d) / ((2k-1) 8^k) mod p for
-    each d in offsets (ascending, d >= 0).
+    each d in offsets (d >= 0); t is the table mod p.
 
     Terms with k > (p+1)/2 vanish mod p: there p divides binomial(2k, k)
-    (Kummer: k + k carries in base p) but not 2k - 1.  Below that bound
-    2k <= p + 1, so binomial(2k, k+d) comes from factorials below p, or
-    from Lucas's theorem at 2k = p + 1."""
+    (Kummer: k + k carries in base p) but not 2k - 1.  For k <= n = (p-1)/2,
+    2k < p and binomial(2k, k+d) = (2k)! / ((k+d)! (k-d)!), so each offset
+    sums sliced table rows.  At k = (p+1)/2, 2k = p + 1 has base-p digits
+    1, 1 and k + d <= p, so by Lucas's theorem binomial(p+1, k+d) is 0 mod p
+    unless k + d = p, that is d = n, where it is 1."""
+    p, _, fact, inv, over = t
     n = (p - 1) // 2
-    _, over = _central_rows(n + 1)
-    fact, inv = _factorial_tables(p - 1, p)
     inv8 = pow(8, -1, p)
-    acc = dict.fromkeys(offsets, 0)
+    z = []  # over[k] (2k)! / 8^k mod p, k <= n
     w = 1  # 8^-k mod p
-    for k in range(n + 2):
-        z = over[k] % p * w % p
+    for k in range(n + 1):
+        z.append(over[k] * fact[2 * k] * w % p)
         w = w * inv8 % p
-        if 2 * k < p:
-            z = z * fact[2 * k] % p
-            for d in offsets:
-                if d > k:
-                    break
-                acc[d] += z * inv[k + d] * inv[k - d]
-        else:
-            for d in offsets:
-                if d > k:
-                    break
-                acc[d] += z * _lucas_binomial(2 * k, k + d, p, fact, inv)
+    acc = {d: _dot(z[d:], map(operator.mul, inv[2 * d :], inv)) for d in offsets}
+    if n in acc:
+        acc[n] += over[n + 1] * w
     return {d: v % p for d, v in acc.items()}
 
 
@@ -336,11 +374,10 @@ def check_thm11(p: int) -> CheckResult:
     at -2 and -1/2) to central-binomial power sums and two-square data."""
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm11: p must be an odd prime")
-    n = (p - 1) // 2
     chi = legendre_symbol(2, p)
-    m = p * p
-    r_plain, r_neg2, r_half = _R_residues(n, (1, -2, -pow(2, -1, m)), m)
-    g16, g8, g32 = _central_square_power_sums(p, (-16, 8, 32))
+    table = _prime_table(p, 2)
+    r_plain, r_neg2, r_half = _R_residues(table, (1, -2, -pow(2, -1, p * p)))
+    g16, g8, g32 = _central_square_power_sums(table, (-16, 8, 32))
     if p % 4 == 1:
         dec = two_square_decompose(p)
         x, y = dec.x, dec.y
@@ -406,7 +443,7 @@ def check_thm12(p: int) -> CheckResult:
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm12: p must be an odd prime")
     n = (p - 1) // 2
-    acc = _offset_pair_sums(p, range(n % 2, n + 1, 2))
+    acc = _offset_pair_sums(_prime_table(p, 1), range(n % 2, n + 1, 2))
     for d, residue in acc.items():
         if residue:
             return CheckResult(
@@ -1128,13 +1165,14 @@ def check_conj51(p: int) -> CheckResult:
         raise ValueError("conj51: p must be a prime congruent to 3 mod 4")
     chi = legendre_symbol(2, p)
     c = binomial((p + 1) // 2, (p + 1) // 4)
+    table = _prime_table(p, 2)
     chains = (
         ("base 8", [
-            ("power sum", _central_square_power_sums(p, (8,))[0]),
+            ("power sum", _central_square_power_sums(table, (8,))[0]),
             ("closed form", -chi * Fraction((p + 1) * c, (1 << (p - 1)) + 1)),
         ]),
         ("offset base 8", [
-            ("offset power sum, tripled", 3 * _central_offset_power_sum(p)),
+            ("offset power sum, tripled", 3 * _central_offset_power_sum(table)),
             ("closed form", p + chi * Fraction(2 * p, c)),
         ]),
     )

@@ -281,6 +281,38 @@ def test_report_shapes_are_identical_at_one_and_two_jobs(
         assert "summary pass=%d fail=%d" % (rows - code, code) in text
 
 
+def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys):
+    # a stand-in Pool records its size and maps in this process, so no
+    # worker starts, whatever --jobs asks for
+    import multiprocessing
+
+    opened = []
+
+    class InlinePool:
+        def __init__(self, processes):
+            opened.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize):
+            opened.append(len(tasks))
+            return list(map(fn, tasks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InlinePool)
+    argv = ["verify", "thm11", "--max-p", "20", "--format", "json", "--jobs"]
+    reports = []
+    for jobs in ("1", "2", "400"):
+        assert cli_module.main(argv + [jobs]) == 0
+        reports.append(capsys.readouterr().out)
+    # seven primes, one chunk each at both job counts: 2 workers, then 7
+    assert opened == [2, 7, 7, 7]
+    assert reports[1] == reports[2] == reports[0]
+
+
 def test_checker_crash_on_pinned_instance(monkeypatch, capsys):
     _crash_thm13_at_7(monkeypatch, ValueError)
     with pytest.raises(SystemExit) as stop:

@@ -61,6 +61,7 @@ from congrkit.verify import (
     _central_square_power_sums,
     _irreducible_mod,
     _offset_pair_sums,
+    _prime_table,
     _thm14ii_members,
     _weighted_prefix,
 )
@@ -675,19 +676,21 @@ def _mod(value, p, e):
     return residue_of_rational(value, p, e).value
 
 
-@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100)
+# 997, 1997 and 1999 reach the top of the thm11 grid: 1997 is 1 mod 4, 1999 is 3
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100 + [997, 1997, 1999])
 def test_residue_sums_match_exact_oracle_mod_p_squared(p):
     n = (p - 1) // 2
     m = p * p
-    assert _R_residues(n, (1, -2, -pow(2, -1, m)), m) == [
+    table = _prime_table(p, 2)
+    assert _R_residues(table, (1, -2, -pow(2, -1, m))) == [
         R(n) % m,
         R_poly(n)(-2) % m,
         _mod(_exact_R_at_minus_half(n), p, 2),
     ]
-    assert _central_square_power_sums(p, (-16, 8, 32)) == [
+    assert _central_square_power_sums(table, (-16, 8, 32)) == [
         _mod(_exact_power_sum(p, base), p, 2) for base in (-16, 8, 32)
     ]
-    assert _central_offset_power_sum(p) == _mod(_exact_offset_power_sum(p), p, 2)
+    assert _central_offset_power_sum(table) == _mod(_exact_offset_power_sum(p), p, 2)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100)
@@ -695,11 +698,36 @@ def test_offset_pair_sums_match_exact_oracle_for_every_offset(p):
     n = (p - 1) // 2
     exact = {**_exact_offset_pair_sums(p, 0), **_exact_offset_pair_sums(p, 1)}
     expected = {d: _mod(exact[d], p, 1) for d in range(n + 1)}
-    assert _offset_pair_sums(p, range(n + 1)) == expected
+    assert _offset_pair_sums(_prime_table(p, 1), range(n + 1)) == expected
     # the claimed parity vanishes; the other one must not, or this test
     # would compare zeros with zeros
     off_parity = [expected[d] for d in range(1 - n % 2, n + 1, 2)]
     assert any(off_parity)
+
+
+@pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100)
+def test_residue_sums_drop_exactly_the_terms_that_vanish_mod_p_squared(p):
+    # Kummer: past h = (p+1)/2 the square and offset terms carry p^2, apart
+    # from the offset term at k = p - 1; the boundary terms the sums keep do
+    # not vanish, so dropping one moves its sum mod p^2
+    m = p * p
+    h = (p + 1) // 2
+    central, over = _central_rows(p - 1)
+    square = [central[k] * over[k] for k in range(p)]
+    offset = [over[k] * (central[k] * k // (k + 1)) for k in range(p)]
+    assert [k for k in range(h + 1, p) if square[k] % m] == []
+    assert [k for k in range(h + 1, p - 1) if offset[k] % m] == []
+    assert square[h] % m and offset[h] % m and offset[p - 1] % m
+
+
+def test_prime_checkers_never_read_the_exact_rows(monkeypatch):
+    def refuse(upto):
+        raise AssertionError("exact central rows read through %d" % upto)
+
+    monkeypatch.setattr(verify, "_central_rows", refuse)
+    assert check_thm11(1999).status == PASS
+    assert check_thm12(997).status == PASS
+    assert run_instance("conj51", {"p": 983}).status == PASS
 
 
 # thm13 summed the exact R_values prefix; thm14ii weighted S over lcm(1..p-1)
@@ -748,26 +776,36 @@ def test_thm14ii_residues_match_exact_oracle_mod_p_squared(p):
 # -- negative controls: falsified rows must make the prime checkers FAIL ----------
 
 
-def _serve_shifted_over(monkeypatch, index):
-    """Serve copies of the central rows with over[index] raised by one."""
+@pytest.fixture
+def shifted_over(monkeypatch):
+    """Serve copies of the central rows with binomial(2,1)/1 raised by one."""
 
     def rows(upto):
         central, over = _central_rows(upto)
         over = list(over)
-        over[index] += 1
+        over[1] += 1
         return list(central), over
 
     monkeypatch.setattr(verify, "_central_rows", rows)
 
 
 @pytest.fixture
-def shifted_over(monkeypatch):
-    """Serve copies of the central rows with binomial(2,1)/1 raised by one."""
-    _serve_shifted_over(monkeypatch, 1)
+def shifted_table(monkeypatch):
+    """Serve the residue tables of the prime families with binomial(2,1)/1
+    raised by one."""
+    original = verify._prime_table
+
+    def table(p, e):
+        t = original(p, e)
+        over = list(t.over)
+        over[1] += 1
+        return t._replace(over=over)
+
+    monkeypatch.setattr(verify, "_prime_table", table)
 
 
 @pytest.mark.parametrize("p", (7, 13))
-def test_thm11_fails_on_shifted_row(shifted_over, p):
+def test_thm11_fails_on_shifted_row(shifted_table, p):
     r = check_thm11(p)
     assert r.status == FAIL
     assert r.witness["claim"] == "base -16"
@@ -775,14 +813,14 @@ def test_thm11_fails_on_shifted_row(shifted_over, p):
 
 
 @pytest.mark.parametrize("p, d", ((7, 1), (13, 0)))
-def test_thm12_fails_on_shifted_row_and_names_offset(shifted_over, p, d):
+def test_thm12_fails_on_shifted_row_and_names_offset(shifted_table, p, d):
     r = check_thm12(p)
     assert r.status == FAIL
     assert r.witness["d"] == d
     assert r.witness["residue"] == int(r.lhs) != 0
 
 
-def test_conj51_fails_on_shifted_row(shifted_over):
+def test_conj51_fails_on_shifted_row(shifted_table):
     r = run_instance("conj51", {"p": 7})
     assert r.status == FAIL
     assert r.witness["claim"] == "base 8"
