@@ -15,7 +15,6 @@ from .result import (
     CheckResult,
     summarize,
 )
-from .sequences import R, R_poly, S, S_m_poly, S_poly
 
 __all__ = [
     "__version__",
@@ -31,3 +30,15 @@ __all__ = [
     "S_poly",
     "S_m_poly",
 ]
+
+_LAZY_EXPORTS = ("R", "R_poly", "S", "S_poly", "S_m_poly")
+
+
+def __getattr__(name: str):
+    # the sequence exports import congrkit.sequences on first access, so a
+    # command that never reads them never compiles it
+    if name in _LAZY_EXPORTS:
+        from . import sequences
+
+        return getattr(sequences, name)
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -22,26 +22,36 @@ included) and for an --out path that cannot be written, 3 when a checker
 raises anything else: any exception on a grid instance, or one other than
 ValueError on a pinned instance.  A crash names its family and params on
 stderr, and writes no report to stdout or --out.
+
+Imports follow what the command runs.  At module level this module imports
+only the registry, which declares every family without importing a checker
+module: verify, qalgebra or sequences load on a family's first check, csv
+only for a CSV report, datetime only for --stamp, traceback only on a
+crash and multiprocessing only for a pool, which loads its job list's
+checker modules before it forks so that its workers share them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import sys
-import traceback
-from datetime import datetime, timezone
 from typing import Iterable, Optional, Sequence
 
-from . import __version__, registry, sequences
+from . import __version__, registry
+from .registry import THM15_VARIANTS
 from .result import FAIL, ILL_POSED, CheckResult, summarize
-from .verify import THM15_VARIANTS
 
 __all__ = ["build_parser", "emit_report", "main"]
 
 _QVERIFY_ALIASES = {"thm31": "thm31q", "thm32": "thm32q", "conj58": "conj58q"}
+
+# The names of sequences.SEQUENCES, which the parser offers without
+# importing the sequences module.
+_SEQUENCE_NAMES = (
+    "R", "S", "schroder", "t", "T", "Tplus", "Tminus", "s", "Splus", "Sminus"
+)
 
 _PIN_KEYS = ("n", "p", "d", "k", "a", "b", "m", "s", "t", "a_prime", "variant")
 
@@ -64,6 +74,8 @@ def _json_bytes(obj) -> bytes:
 
 
 def _csv_bytes(rows: Iterable[Sequence]) -> bytes:
+    import csv
+
     buf = io.StringIO()
     csv.writer(buf, lineterminator="\n").writerows(rows)
     return buf.getvalue().encode("utf-8")
@@ -160,6 +172,8 @@ def _write(payload: bytes, out: Optional[str]) -> None:
 
 def _stamp(args: argparse.Namespace) -> Optional[str]:
     if getattr(args, "stamp", False):
+        from datetime import datetime, timezone
+
         return datetime.now(timezone.utc).isoformat(timespec="seconds")
     return None
 
@@ -205,6 +219,8 @@ def _run_guarded(pair: tuple[str, dict]) -> CheckResult:
     try:
         return registry.run_pair(pair)
     except Exception as exc:
+        import traceback
+
         message = str(exc) if isinstance(exc, ValueError) else None
         raise _InstanceCrash(*pair, message, traceback.format_exc()) from None
 
@@ -224,7 +240,11 @@ def _execute(
     size = -(-len(pairs) // (4 * jobs)) or 1
     tasks = [(pairs[i : i + size], fmt) for i in range(0, len(pairs), size)]
     if jobs > 1 and len(tasks) > 1:
-        import multiprocessing  # imported here so that --jobs 1 never pays for it
+        import multiprocessing
+
+        # forked workers inherit the checker modules instead of each
+        # compiling them again
+        registry.load_checkers(name for name, _ in pairs)
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             done = pool.map(_run_chunk, tasks, chunksize=1)
     else:
@@ -299,6 +319,8 @@ def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import sequences
+
     values = sequences.values_of(args.name, args.max)
     config = {
         "command": "seq",
@@ -326,6 +348,8 @@ def _cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_poly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import sequences
+
     if args.name == "Sm":
         if args.m is None:
             parser.error("poly Sm needs --m")
@@ -455,7 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_list.set_defaults(handler=_cmd_list)
 
     p_seq = sub.add_parser("seq", help="dump one of the integer sequences")
-    p_seq.add_argument("name", choices=tuple(sequences.SEQUENCES), metavar="name")
+    p_seq.add_argument("name", choices=_SEQUENCE_NAMES, metavar="name")
     p_seq.add_argument("--max", type=_nonneg, required=True, help="largest index")
     _output_flags(p_seq)
     p_seq.set_defaults(handler=_cmd_seq)

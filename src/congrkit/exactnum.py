@@ -29,9 +29,8 @@ from __future__ import annotations
 import functools
 import math
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -203,8 +202,7 @@ def bernoulli_poly_eval(m: int, x: Rational) -> Fraction:
     return acc
 
 
-@dataclass(frozen=True)
-class TwoSquareDecomposition:
+class TwoSquareDecomposition(NamedTuple):
     p: int
     x: int  # odd, x == 1 (mod 4)
     y: int  # even, y > 0
@@ -226,17 +224,20 @@ def two_square_decompose(p: int) -> TwoSquareDecomposition:
     raise AssertionError("unreachable: every prime 1 mod 4 is a sum of two squares")
 
 
-@dataclass(frozen=True)
-class ResidueClass:
-    """An element of Z / p**e Z, stored as the least nonnegative representative."""
-
+class _ResidueFields(NamedTuple):
     value: int
     modulus: int
 
-    def __post_init__(self) -> None:
-        if self.modulus < 2:
+
+class ResidueClass(_ResidueFields):
+    """An element of Z / p**e Z, stored as the least nonnegative representative."""
+
+    __slots__ = ()
+
+    def __new__(cls, value: int, modulus: int) -> ResidueClass:
+        if modulus < 2:
             raise ValueError("modulus must be >= 2")
-        object.__setattr__(self, "value", self.value % self.modulus)
+        return super().__new__(cls, value % modulus, modulus)
 
     def __int__(self) -> int:
         return self.value

@@ -18,9 +18,8 @@ variants).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .exactnum import binomial
 
@@ -31,6 +30,8 @@ __all__ = [
     "delta",
     "central_times_kernel_in_Z",
     "central_times_kernel_in_kZ",
+    "kernel_descriptor",
+    "kernel_from_descriptor",
     "kernel_power_divisible",
     "poly_kernel",
 ]
@@ -45,17 +46,22 @@ def _polyval(coeffs: tuple[int, ...], k: int) -> int:
     return acc
 
 
-@dataclass(frozen=True)
-class KernelSpec:
+class _KernelFields(NamedTuple):
     name: str
     sign: str  # one of SIGNS
     num: tuple[int, ...]  # polynomial in k, ascending coefficients
     den: tuple[int, ...] = (1,)
     central_den: bool = False  # denominator binomial(2k-1, k) instead of den
 
-    def __post_init__(self) -> None:
+
+class KernelSpec(_KernelFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> KernelSpec:
+        self = super().__new__(cls, *args, **kwargs)
         if self.sign not in SIGNS:
             raise ValueError("unknown sign twist %r" % (self.sign,))
+        return self
 
     def needs_m(self) -> bool:
         return self.sign in ("km", "k(m-1)")
@@ -74,6 +80,26 @@ class KernelSpec:
         if den == 0:
             raise ZeroDivisionError("kernel %s denominator vanishes at k=%d" % (self.name, k))
         return Fraction(sgn * _polyval(self.num, k), den)
+
+
+def kernel_descriptor(kernel: KernelSpec) -> dict:
+    """JSON-stable encoding of a kernel, as the framework grids hold it."""
+    return {
+        "name": kernel.name,
+        "sign": kernel.sign,
+        "num": list(kernel.num),
+        "den": "central" if kernel.central_den else list(kernel.den),
+    }
+
+
+def kernel_from_descriptor(data: dict) -> KernelSpec:
+    if data.get("den") == "central":
+        return KernelSpec(
+            data["name"], data["sign"], tuple(data["num"]), central_den=True
+        )
+    return KernelSpec(
+        data["name"], data["sign"], tuple(data["num"]), tuple(data["den"])
+    )
 
 
 def poly_kernel(name: str, coeffs: tuple[int, ...], sign: str = "none") -> KernelSpec:

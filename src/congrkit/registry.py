@@ -13,6 +13,11 @@ framework sweeps, so repeated runs enumerate identical instances in
 identical order; ``run_instance`` takes only picklable arguments and is safe
 to fan out across worker processes.
 
+A family names its checker by module and function.  The module is imported
+on the family's first check, or by ``load_checkers``, so this module and its
+grids import no checker module: listing or enumerating families never
+compiles verify, qalgebra or sequences.
+
 Range overrides are passed as a bounds mapping with keys ``max_n``,
 ``max_p`` and ``max_m``.  Grids consume the bounds they understand and
 ignore the rest; the randomized framework sweeps are fixed and ignore
@@ -23,17 +28,20 @@ exclusive (p < max_p).
 
 from __future__ import annotations
 
+import importlib
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Iterable, NamedTuple, Optional
 
-from . import qalgebra, sequences, verify
 from .exactnum import primes_up_to
-from .kernels import PAPER_KERNELS, KernelSpec
+from .kernels import (
+    PAPER_KERNELS,
+    KernelSpec,
+    kernel_descriptor,
+    kernel_from_descriptor,
+)
 from .result import CheckResult
-from .verify import kernel_descriptor, kernel_from_descriptor
 
 __all__ = [
     "Family",
@@ -45,6 +53,7 @@ __all__ = [
     "run_instance",
     "run_pair",
     "all_jobs",
+    "load_checkers",
 ]
 
 _SEED = 20260815
@@ -96,6 +105,16 @@ def _grid_remark11(bounds: dict) -> list[dict]:
     return [{"n": n, "d": d} for n in range(top + 1) for d in range(n + 1)]
 
 
+THM15_VARIANTS = (
+    "odd_plain",
+    "cubic_plain",
+    "odd_signed",
+    "stepcube_signed",
+    "cubic_paired",
+    "stepcube_paired",
+)
+
+
 def _grid_thm15i(bounds: dict) -> list[dict]:
     top = _cap(bounds, "max_n", 60)
     mtop = _cap(bounds, "max_m", 3)
@@ -104,7 +123,7 @@ def _grid_thm15i(bounds: dict) -> list[dict]:
         {"m": m, "n": n, "variant": variant}
         for m in range(1, mtop + 1)
         for n in range(1, top + 1)
-        for variant in verify.THM15_VARIANTS
+        for variant in THM15_VARIANTS
     ]
 
 
@@ -312,6 +331,17 @@ def _grid_conj51(bounds: dict) -> list[dict]:
     return [{"p": p} for p in _primes(bounds, 1000, 3, below=True) if p % 4 == 3]
 
 
+# The first index of each conj52 claim's conjectured range.
+CONJ52_START = {
+    ("R", "ratio_step"): 3,
+    ("R", "ratio_bound"): 3,
+    ("R", "root_step"): 5,
+    ("S", "ratio_step"): 3,
+    ("S", "ratio_bound"): 3,
+    ("S", "root_step"): 1,
+}
+
+
 def _grid_conj52(bounds: dict) -> list[dict]:
     top = _cap(bounds, "max_n", 1000)
     return [
@@ -320,7 +350,7 @@ def _grid_conj52(bounds: dict) -> list[dict]:
         for claim in ("ratio_bound", "ratio_step", "root_step")
         # ratio_step reads the term at n + 2, the others at n + 1: all stop at max_n
         for n in range(
-            verify.CONJ52_START[(seq, claim)],
+            CONJ52_START[(seq, claim)],
             top - 1 if claim == "ratio_step" else top,
         )
     ]
@@ -349,8 +379,28 @@ def _pin_kind(pins: dict) -> dict:
     raise ValueError("need --n or --p")
 
 
-@dataclass(frozen=True)
-class Family:
+class _Checker:
+    """A checker named by its module and function.  The module is imported
+    on the first call (or by load), so enumerating grids imports none."""
+
+    __slots__ = ("module", "name", "_fn")
+
+    def __init__(self, module: str, name: str) -> None:
+        self.module = module
+        self.name = name
+        self._fn: Optional[Callable[..., CheckResult]] = None
+
+    def load(self) -> Callable[..., CheckResult]:
+        if self._fn is None:
+            module = importlib.import_module("." + self.module, __package__)
+            self._fn = getattr(module, self.name)
+        return self._fn
+
+    def __call__(self, *args, **kwargs) -> CheckResult:
+        return (self._fn or self.load())(*args, **kwargs)
+
+
+class Family(NamedTuple):
     """One registered check family: anchor label, default grid, checker
     (called as check(**params)) and the params the command line may pin."""
 
@@ -390,28 +440,28 @@ FAMILIES: dict[str, Family] = {
             "sequences",
             "Recurrence (1.3)",
             partial(_n_max_grid, 200),
-            sequences.check_recurrence_R,
+            _Checker("sequences", "check_recurrence_R"),
         ),
         Family(
             "rec_r_poly",
             "sequences",
             "Recurrence (1.5)",
             partial(_n_max_grid, 100),
-            sequences.check_recurrence_R_poly,
+            _Checker("sequences", "check_recurrence_R_poly"),
         ),
         Family(
             "rec_s",
             "sequences",
             "Recurrence (1.18)",
             partial(_n_max_grid, 200),
-            sequences.check_recurrence_S,
+            _Checker("sequences", "check_recurrence_S"),
         ),
         Family(
             "thm11",
             "congruences",
             "Theorem 1.1 (1.6)-(1.11)",
             partial(_p_grid, 1999),
-            verify.check_thm11,
+            _Checker("verify", "check_thm11"),
             ("p",),
         ),
         Family(
@@ -419,7 +469,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.2 (1.12)",
             partial(_p_grid, 997),
-            verify.check_thm12,
+            _Checker("verify", "check_thm12"),
             ("p",),
         ),
         Family(
@@ -427,7 +477,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Remark 1.1",
             _grid_remark11,
-            verify.check_remark11,
+            _Checker("verify", "check_remark11"),
             ("n", "d"),
         ),
         Family(
@@ -435,7 +485,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.3 (1.13)",
             partial(_p_grid, 997),
-            verify.check_thm13,
+            _Checker("verify", "check_thm13"),
             ("p",),
         ),
         Family(
@@ -443,7 +493,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.3 (1.14)/(1.15)",
             partial(_n_grid, 500),
-            verify.check_thm13_ii,
+            _Checker("verify", "check_thm13_ii"),
             ("n",),
         ),
         Family(
@@ -451,7 +501,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.4 (1.19)/(1.20)",
             partial(_n_grid, 300),
-            verify.check_thm14_i,
+            _Checker("verify", "check_thm14_i"),
             ("n",),
         ),
         Family(
@@ -459,7 +509,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.4(ii)",
             partial(_p_grid, 499, least=5),
-            verify.check_thm14_ii,
+            _Checker("verify", "check_thm14_ii"),
             ("p",),
         ),
         Family(
@@ -467,7 +517,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.5(i) (1.21)-(1.26)",
             _grid_thm15i,
-            verify.check_thm15_i_grid,
+            _Checker("verify", "check_thm15_i_grid"),
             ("m", "n", "variant"),
         ),
         Family(
@@ -475,7 +525,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.5(ii) (1.27)-(1.35)",
             _grid_thm15ii,
-            verify.check_thm15_ii,
+            _Checker("verify", "check_thm15_ii"),
             ("n", "a", "b"),
         ),
         Family(
@@ -483,7 +533,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Remark 1.3 (1.36)",
             partial(_n_grid, 100),
-            verify.check_remark13,
+            _Checker("verify", "check_remark13"),
             ("n",),
         ),
         Family(
@@ -491,7 +541,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.5(ii) via Theorem 4.4 kernels",
             _grid_thm15ii,
-            verify.check_xval15,
+            _Checker("verify", "check_xval15"),
             ("n", "a", "b"),
         ),
         Family(
@@ -499,7 +549,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Corollary 1.1 (1.37)/(1.38)",
             partial(_n_grid, 150),
-            verify.check_cor11,
+            _Checker("verify", "check_cor11"),
             ("n",),
         ),
         Family(
@@ -507,7 +557,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Lemma 2.2 (2.2)",
             partial(_n_grid, 50, start=0),
-            verify.check_lemma22,
+            _Checker("verify", "check_lemma22"),
             ("n",),
         ),
         Family(
@@ -515,7 +565,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Lemma 2.3 (2.6)",
             _grid_lemma23,
-            verify.check_lemma23,
+            _Checker("verify", "check_lemma23"),
             ("n", "k"),
         ),
         Family(
@@ -523,49 +573,49 @@ FAMILIES: dict[str, Family] = {
             "framework",
             "Theorem 4.1 (4.1)/(4.2)",
             _grid_thm41,
-            verify.check_thm41,
+            _Checker("verify", "check_thm41"),
         ),
         Family(
             "cor41",
             "framework",
             "Corollary 4.1 (4.4)-(4.8)",
             _grid_cor41,
-            verify.check_cor41,
+            _Checker("verify", "check_cor41"),
         ),
         Family(
             "thm42",
             "framework",
             "Theorem 4.2 (4.9)",
             _grid_thm42,
-            verify.check_thm42,
+            _Checker("verify", "check_thm42"),
         ),
         Family(
             "thm43",
             "framework",
             "Theorem 4.3 (4.10)-(4.12)",
             _grid_thm43,
-            verify.check_thm43,
+            _Checker("verify", "check_thm43"),
         ),
         Family(
             "thm44",
             "framework",
             "Theorem 4.4 (4.14)",
             _grid_thm44,
-            verify.check_thm44,
+            _Checker("verify", "check_thm44"),
         ),
         Family(
             "lemma42",
             "framework",
             "Lemma 4.2 (4.16)",
             _grid_lemma42,
-            verify.check_lemma42,
+            _Checker("verify", "check_lemma42"),
         ),
         Family(
             "qlucas",
             "q-analogues",
             "Lemma 3.1 (3.1)",
             _grid_qlucas,
-            qalgebra.check_q_lucas,
+            _Checker("qalgebra", "check_q_lucas"),
             ("a", "b", "s", "t", "d"),
         ),
         Family(
@@ -573,7 +623,7 @@ FAMILIES: dict[str, Family] = {
             "q-analogues",
             "Lemma 3.2 (3.2)",
             _grid_lemma32,
-            qalgebra.check_lemma32,
+            _Checker("qalgebra", "check_lemma32"),
             ("n", "k"),
         ),
         Family(
@@ -581,7 +631,7 @@ FAMILIES: dict[str, Family] = {
             "q-analogues",
             "Theorem 3.1 (3.3)/(3.4)",
             _grid_thm31q,
-            qalgebra.check_theorem31_q,
+            _Checker("qalgebra", "check_theorem31_q"),
             ("n", "k"),
         ),
         Family(
@@ -589,7 +639,7 @@ FAMILIES: dict[str, Family] = {
             "q-analogues",
             "Theorem 3.2 (3.7)/(3.8)",
             _grid_thm32q,
-            qalgebra.check_theorem32_q,
+            _Checker("qalgebra", "check_theorem32_q"),
             ("n", "a", "b", "a_prime"),
         ),
         Family(
@@ -597,7 +647,7 @@ FAMILIES: dict[str, Family] = {
             "q-analogues",
             "Conjecture 5.7 (5.10)",
             partial(_n_grid, 25),
-            qalgebra.check_conj57,
+            _Checker("qalgebra", "check_conj57"),
             ("n",),
         ),
         Family(
@@ -605,7 +655,7 @@ FAMILIES: dict[str, Family] = {
             "q-analogues",
             "Conjecture 5.8(ii) (5.13)/(5.14)",
             partial(_mn_grid, 3, 20),
-            qalgebra.check_conj58_q,
+            _Checker("qalgebra", "check_conj58_q"),
             ("m", "n"),
         ),
         Family(
@@ -613,7 +663,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.1 (5.1)/(5.2)",
             _grid_conj51,
-            verify.check_conj51,
+            _Checker("verify", "check_conj51"),
             ("p",),
         ),
         Family(
@@ -621,14 +671,14 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.2 growth surrogates",
             _grid_conj52,
-            verify.check_conj52,
+            _Checker("verify", "check_conj52"),
         ),
         Family(
             "conj53",
             "conjectures",
             "Conjecture 5.3 irreducibility",
             partial(_n_grid, 8),
-            verify.conj53_witness,
+            _Checker("verify", "conj53_witness"),
             ("n",),
         ),
         Family(
@@ -636,7 +686,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.4 (5.3)-(5.5)",
             partial(_kind_grid, 3),
-            verify.check_conj54,
+            _Checker("verify", "check_conj54"),
             ("n", "p"),
             _pin_kind,
         ),
@@ -645,7 +695,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.5 (5.7)/(5.8)",
             partial(_kind_grid, 2),
-            verify.check_conj55,
+            _Checker("verify", "check_conj55"),
             ("n", "p"),
             _pin_kind,
         ),
@@ -654,7 +704,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.6 (5.9)",
             partial(_n_grid, 200),
-            verify.check_conj56,
+            _Checker("verify", "check_conj56"),
             ("n",),
         ),
         Family(
@@ -662,7 +712,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Remark 5.2 (5.6)",
             partial(_n_grid, 50),
-            verify.check_remark52,
+            _Checker("verify", "check_remark52"),
             ("n",),
         ),
         Family(
@@ -670,7 +720,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Remark 5.3",
             partial(_n_grid, 200),
-            verify.check_remark53,
+            _Checker("verify", "check_remark53"),
             ("n",),
         ),
         Family(
@@ -678,7 +728,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.8(i) (5.11)/(5.12)",
             partial(_mn_grid, 4, 60),
-            verify.check_conj58i,
+            _Checker("verify", "check_conj58i"),
             ("m", "n"),
         ),
     )
@@ -730,6 +780,15 @@ def run_instance(name: str, params: dict) -> CheckResult:
 
 def run_pair(pair: tuple[str, dict]) -> CheckResult:
     return run_instance(pair[0], pair[1])
+
+
+def load_checkers(names: Iterable[str]) -> None:
+    """Import the checker modules of the named families now, not at their
+    first check."""
+    for name in set(names):
+        check = get_family(name).check
+        if isinstance(check, _Checker):
+            check.load()
 
 
 def all_jobs(

@@ -16,7 +16,6 @@ FAIL; ``show`` is the one renderer of compared values.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Optional
 
@@ -41,25 +40,53 @@ INCONCLUSIVE = "INCONCLUSIVE"
 _STATUSES = (PASS, FAIL, ILL_POSED, INCONCLUSIVE)
 
 
-@dataclass
 class CheckResult:
     """One verified instance: outcome, compared values, modulus, witness.
 
     A checker returns the verdict fields alone; ``registry.run_instance``
-    stamps ``family`` and ``params`` (the instance's JSON-form dict)."""
+    stamps ``family`` and ``params`` (the instance's JSON-form dict).
+    ``__slots__`` lists the fields in constructor order."""
 
-    status: str
-    lhs: str = ""
-    rhs: str = ""
-    modulus: str = ""
-    witness: Optional[dict[str, Any]] = None
-    note: str = ""
-    family: str = ""
-    params: dict[str, Any] = field(default_factory=dict)
+    __slots__ = (
+        "status", "lhs", "rhs", "modulus", "witness", "note", "family", "params"
+    )
 
-    def __post_init__(self) -> None:
-        if self.status not in _STATUSES:
-            raise ValueError("unknown status %r" % (self.status,))
+    def __init__(
+        self,
+        status: str,
+        lhs: str = "",
+        rhs: str = "",
+        modulus: str = "",
+        witness: Optional[dict[str, Any]] = None,
+        note: str = "",
+        family: str = "",
+        params: Optional[dict[str, Any]] = None,
+    ) -> None:
+        if status not in _STATUSES:
+            raise ValueError("unknown status %r" % (status,))
+        self.status = status
+        self.lhs = lhs
+        self.rhs = rhs
+        self.modulus = modulus
+        self.witness = witness
+        self.note = note
+        self.family = family
+        self.params = {} if params is None else params
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable: family and params are stamped after the check
+
+    def __repr__(self) -> str:
+        return "CheckResult(%s)" % ", ".join(
+            "%s=%r" % pair for pair in zip(self.__slots__, self._values())
+        )
 
     @property
     def ok(self) -> bool:

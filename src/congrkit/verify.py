@@ -99,9 +99,12 @@ from .kernels import (
     central_times_kernel_in_Z,
     central_times_kernel_in_kZ,
     delta,
+    kernel_descriptor,
+    kernel_from_descriptor,
     kernel_power_divisible,
 )
 from .polynomials import X, Poly
+from .registry import CONJ52_START, THM15_VARIANTS
 from .result import FAIL, ILL_POSED, INCONCLUSIVE, PASS, CheckResult
 from .result import equal, show, verdict
 from .sequences import R_poly, S_m_poly, S_poly, h, ratio_sum, values_of
@@ -140,6 +143,8 @@ __all__ = [
     "check_conj58i",
     "kernel_from_descriptor",
     "kernel_descriptor",
+    "CONJ52_START",
+    "THM15_VARIANTS",
 ]
 
 
@@ -611,15 +616,6 @@ def check_thm14_ii(p: int) -> CheckResult:
 
 # -- product-sum congruences with plain and paired rows -------------------------
 
-THM15_VARIANTS = (
-    "odd_plain",
-    "cubic_plain",
-    "odd_signed",
-    "stepcube_signed",
-    "cubic_paired",
-    "stepcube_paired",
-)
-
 _GRID_VALUES = tuple(a for a in range(-3, 4) if a)
 
 
@@ -950,26 +946,6 @@ def check_lemma23(n: int, k: int) -> CheckResult:
 # -- generic difference-kernel framework ----------------------------------------
 
 
-def kernel_descriptor(kernel: KernelSpec) -> dict:
-    """JSON-stable encoding of a kernel, as the framework grids hold it."""
-    return {
-        "name": kernel.name,
-        "sign": kernel.sign,
-        "num": list(kernel.num),
-        "den": "central" if kernel.central_den else list(kernel.den),
-    }
-
-
-def kernel_from_descriptor(data: dict) -> KernelSpec:
-    if data.get("den") == "central":
-        return KernelSpec(
-            data["name"], data["sign"], tuple(data["num"]), central_den=True
-        )
-    return KernelSpec(
-        data["name"], data["sign"], tuple(data["num"]), tuple(data["den"])
-    )
-
-
 def _int_values(values: Sequence[Fraction], what: str) -> list[int]:
     out = []
     for v in values:
@@ -1179,16 +1155,6 @@ def check_conj51(p: int) -> CheckResult:
     return _first_failure(
         _chain(members, p, 2, claim=claim) for claim, members in chains
     )
-
-
-CONJ52_START = {
-    ("R", "ratio_step"): 3,
-    ("R", "ratio_bound"): 3,
-    ("R", "root_step"): 5,
-    ("S", "ratio_step"): 3,
-    ("S", "ratio_bound"): 3,
-    ("S", "root_step"): 1,
-}
 
 
 def check_conj52(seq: str, claim: str, n: int) -> CheckResult:

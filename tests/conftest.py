@@ -19,23 +19,33 @@ if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(2_000_000)
 
 
-@pytest.fixture(scope="session")
-def cli():
-    """Run the command line tool in a subprocess and return the completed run.
-
-    The child imports the same congrkit as the tests: the package's parent
-    directory goes first on its PYTHONPATH."""
+def _child(*args: str) -> subprocess.CompletedProcess:
+    """Run the interpreter with args in a subprocess that imports the same
+    congrkit as the tests: the package's parent directory goes first on its
+    PYTHONPATH."""
     env = dict(os.environ)
     src = str(Path(congrkit.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, timeout=600, env=env
+    )
 
-    def run(*args: str) -> subprocess.CompletedProcess:
-        return subprocess.run(
-            [sys.executable, "-m", "congrkit", *args],
-            capture_output=True,
-            timeout=600,
-            env=env,
-        )
+
+@pytest.fixture(scope="session")
+def cli():
+    """Run the command line tool in a subprocess and return the completed run."""
+    return lambda *args: _child("-m", "congrkit", *args)
+
+
+@pytest.fixture(scope="session")
+def python():
+    """Run Python source in a fresh interpreter; return its stdout, decoded,
+    and fail on a nonzero exit."""
+
+    def run(source: str) -> str:
+        done = _child("-c", source)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout.decode()
 
     return run
 

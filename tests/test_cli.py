@@ -2,7 +2,6 @@
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 
@@ -200,7 +199,7 @@ def _crash_thm13_at_7(monkeypatch, error):
         return fam.check(p)
 
     monkeypatch.setitem(
-        registry.FAMILIES, "thm13", dataclasses.replace(fam, check=check)
+        registry.FAMILIES, "thm13", fam._replace(check=check)
     )
 
 
@@ -238,7 +237,7 @@ def _fail_thm13_at_7(monkeypatch):
         return fam.check(p)
 
     monkeypatch.setitem(
-        registry.FAMILIES, "thm13", dataclasses.replace(fam, check=check)
+        registry.FAMILIES, "thm13", fam._replace(check=check)
     )
 
 
@@ -311,6 +310,71 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys):
     # seven primes, one chunk each at both job counts: 2 workers, then 7
     assert opened == [2, 7, 7, 7]
     assert reports[1] == reports[2] == reports[0]
+
+
+# Modules that a command loads only when it runs a family that needs them.
+_LAZY = ("congrkit.sequences", "congrkit.verify", "congrkit.qalgebra")
+_START_UP = """
+import json, os, sys
+from congrkit import cli, registry
+
+def loaded():
+    watched = %r + ("dataclasses", "inspect")
+    return [name for name in watched if name in sys.modules]
+
+def run(*argv):
+    stdout = sys.stdout
+    with open(os.devnull, "w") as sys.stdout:
+        assert cli.main(list(argv)) in (0, 1)
+    sys.stdout = stdout
+""" % (_LAZY,)
+
+
+def test_start_up_imports_no_checker_module_or_dataclasses(python):
+    # each case in a fresh interpreter: its sys.modules is the command's own
+    probes = {
+        "enumerate": "cli.build_parser(); registry.all_jobs()",
+        "qverify": 'run("qverify", "thm31q", "--max-n", "6")',
+        "verify": 'run("verify", "thm13", "--max-p", "13")',
+    }
+    seen = {
+        case: json.loads(python(_START_UP + code + "\nprint(json.dumps(loaded()))"))
+        for case, code in probes.items()
+    }
+    assert seen == {
+        "enumerate": [],
+        "qverify": ["congrkit.qalgebra"],
+        "verify": ["congrkit.sequences", "congrkit.verify"],
+    }
+
+
+def test_pool_starts_with_its_checkers_loaded(python):
+    # the stand-in Pool of test_pool_has_no_more_workers_than_chunks, in a
+    # fresh interpreter, notes the checker modules loaded when it opens
+    source = _START_UP + """
+import multiprocessing
+
+opened = []
+
+class InlinePool:
+    def __init__(self, processes):
+        opened.append(loaded())
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize):
+        return list(map(fn, tasks))
+
+multiprocessing.Pool = InlinePool
+before = loaded()
+run("verify", "--all", "--max-n", "2", "--max-p", "13", "--max-m", "1", "--jobs", "2")
+print(json.dumps([before, opened]))
+"""
+    assert json.loads(python(source)) == [[], [list(_LAZY)]]
 
 
 def test_checker_crash_on_pinned_instance(monkeypatch, capsys):
