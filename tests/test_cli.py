@@ -336,6 +336,11 @@ def test_start_up_imports_no_checker_module_or_dataclasses(python):
         "enumerate": "cli.build_parser(); registry.all_jobs()",
         "qverify": 'run("qverify", "thm31q", "--max-n", "6")',
         "verify": 'run("verify", "thm13", "--max-p", "13")',
+        # the package's sequence exports, served on first access
+        "exports": "from congrkit import *\n"
+        "from congrkit import sequences\n"
+        "assert (R, R_poly, S, S_poly, S_m_poly) == (sequences.R, "
+        "sequences.R_poly, sequences.S, sequences.S_poly, sequences.S_m_poly)",
     }
     seen = {
         case: json.loads(python(_START_UP + code + "\nprint(json.dumps(loaded()))"))
@@ -345,6 +350,7 @@ def test_start_up_imports_no_checker_module_or_dataclasses(python):
         "enumerate": [],
         "qverify": ["congrkit.qalgebra"],
         "verify": ["congrkit.sequences", "congrkit.verify"],
+        "exports": ["congrkit.sequences"],
     }
 
 
