@@ -25,8 +25,11 @@ stderr, and writes no report to stdout or --out.
 
 Imports follow what the command runs.  At module level this module imports
 only the registry, which declares every family without importing a checker
-module: verify, qalgebra or sequences load on a family's first check, csv
-only for a CSV report, datetime only for --stamp, traceback only on a
+module.  A family's theme module (residues, prefixes, displays, framework,
+scans or identities), qalgebra or sequences loads on its first check, and
+brings only what its checkers read: ``verify thm11`` compiles residues and
+no sequences, polynomials or kernels.  The verify facade never loads.  csv
+loads only for a CSV report, datetime only for --stamp, traceback only on a
 crash and multiprocessing only for a pool, which loads its job list's
 checker modules before it forks so that its workers share them.
 """

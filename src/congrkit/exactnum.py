@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import threading
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Union
 
 __all__ = [
     "DenominatorNotInvertible",
@@ -117,6 +118,11 @@ def legendre_symbol(a: int, p: int) -> int:
         raise ValueError("legendre_symbol: %r is not an odd prime" % (p,))
     r = pow(a % p, (p - 1) // 2, p)
     return r - p if r == p - 1 else r
+
+
+def _dot(weights: Iterable[int], row: Iterable[int]) -> int:
+    """sum_k weights[k] * row[k] over the shorter of the two."""
+    return sum(map(operator.mul, weights, row))
 
 
 _MEMO_LOCK = threading.Lock()  # guards every memo table's check-and-extend

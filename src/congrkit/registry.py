@@ -13,10 +13,14 @@ framework sweeps, so repeated runs enumerate identical instances in
 identical order; ``run_instance`` takes only picklable arguments and is safe
 to fan out across worker processes.
 
-A family names its checker by module and function.  The module is imported
-on the family's first check, or by ``load_checkers``, so this module and its
+A family names its checker by module and function: the theme module that
+defines it (residues, prefixes, displays, framework, scans, identities),
+qalgebra or sequences, never the verify facade.  The module is imported on
+the family's first check, or by ``load_checkers``, so this module and its
 grids import no checker module: listing or enumerating families never
-compiles verify, qalgebra or sequences.
+compiles one, and a single-family run compiles only its own theme.  kernels
+loads only in the thm41-thm44 grids and in the kernel decoder of
+``run_instance``.
 
 Range overrides are passed as a bounds mapping with keys ``max_n``,
 ``max_p`` and ``max_m``.  Grids consume the bounds they understand and
@@ -32,16 +36,13 @@ import importlib
 import random
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
 
 from .exactnum import primes_up_to
-from .kernels import (
-    PAPER_KERNELS,
-    KernelSpec,
-    kernel_descriptor,
-    kernel_from_descriptor,
-)
 from .result import CheckResult
+
+if TYPE_CHECKING:
+    from .kernels import KernelSpec
 
 __all__ = [
     "Family",
@@ -161,6 +162,8 @@ def _scaled_lists(rng: random.Random, d0: int, m: int) -> tuple[list[int], list[
 
 
 def _grid_thm41(bounds: dict) -> list[dict]:
+    from .kernels import KernelSpec, kernel_descriptor
+
     rng = random.Random("thm41-%d" % _SEED)
     out = []
     for i in range(100):
@@ -198,6 +201,8 @@ def _grid_cor41(bounds: dict) -> list[dict]:
 
 
 def _grid_thm42(bounds: dict) -> list[dict]:
+    from .kernels import KernelSpec, kernel_descriptor
+
     rng = random.Random("thm42-%d" % _SEED)
     out = []
     for i in range(100):
@@ -214,6 +219,8 @@ def _grid_thm42(bounds: dict) -> list[dict]:
 
 
 def _grid_thm43(bounds: dict) -> list[dict]:
+    from .kernels import KernelSpec, kernel_descriptor
+
     rng = random.Random("thm43-%d" % _SEED)
     out = []
     for i in range(100):
@@ -250,6 +257,8 @@ def _grid_thm43(bounds: dict) -> list[dict]:
 
 
 def _grid_thm44(bounds: dict) -> list[dict]:
+    from .kernels import PAPER_KERNELS, KernelSpec, kernel_descriptor
+
     rng = random.Random("thm44-%d" % _SEED)
     pool = ("f5", "f6", "f7", "f8", "f9", "f10")
     out = []
@@ -461,7 +470,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.1 (1.6)-(1.11)",
             partial(_p_grid, 1999),
-            _Checker("verify", "check_thm11"),
+            _Checker("residues", "check_thm11"),
             ("p",),
         ),
         Family(
@@ -469,7 +478,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.2 (1.12)",
             partial(_p_grid, 997),
-            _Checker("verify", "check_thm12"),
+            _Checker("residues", "check_thm12"),
             ("p",),
         ),
         Family(
@@ -477,7 +486,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Remark 1.1",
             _grid_remark11,
-            _Checker("verify", "check_remark11"),
+            _Checker("identities", "check_remark11"),
             ("n", "d"),
         ),
         Family(
@@ -485,7 +494,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.3 (1.13)",
             partial(_p_grid, 997),
-            _Checker("verify", "check_thm13"),
+            _Checker("prefixes", "check_thm13"),
             ("p",),
         ),
         Family(
@@ -493,7 +502,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.3 (1.14)/(1.15)",
             partial(_n_grid, 500),
-            _Checker("verify", "check_thm13_ii"),
+            _Checker("prefixes", "check_thm13_ii"),
             ("n",),
         ),
         Family(
@@ -501,7 +510,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.4 (1.19)/(1.20)",
             partial(_n_grid, 300),
-            _Checker("verify", "check_thm14_i"),
+            _Checker("prefixes", "check_thm14_i"),
             ("n",),
         ),
         Family(
@@ -509,7 +518,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.4(ii)",
             partial(_p_grid, 499, least=5),
-            _Checker("verify", "check_thm14_ii"),
+            _Checker("prefixes", "check_thm14_ii"),
             ("p",),
         ),
         Family(
@@ -517,7 +526,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.5(i) (1.21)-(1.26)",
             _grid_thm15i,
-            _Checker("verify", "check_thm15_i_grid"),
+            _Checker("displays", "check_thm15_i_grid"),
             ("m", "n", "variant"),
         ),
         Family(
@@ -525,7 +534,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.5(ii) (1.27)-(1.35)",
             _grid_thm15ii,
-            _Checker("verify", "check_thm15_ii"),
+            _Checker("displays", "check_thm15_ii"),
             ("n", "a", "b"),
         ),
         Family(
@@ -533,7 +542,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Remark 1.3 (1.36)",
             partial(_n_grid, 100),
-            _Checker("verify", "check_remark13"),
+            _Checker("displays", "check_remark13"),
             ("n",),
         ),
         Family(
@@ -541,7 +550,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Theorem 1.5(ii) via Theorem 4.4 kernels",
             _grid_thm15ii,
-            _Checker("verify", "check_xval15"),
+            _Checker("displays", "check_xval15"),
             ("n", "a", "b"),
         ),
         Family(
@@ -549,7 +558,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Corollary 1.1 (1.37)/(1.38)",
             partial(_n_grid, 150),
-            _Checker("verify", "check_cor11"),
+            _Checker("prefixes", "check_cor11"),
             ("n",),
         ),
         Family(
@@ -557,7 +566,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Lemma 2.2 (2.2)",
             partial(_n_grid, 50, start=0),
-            _Checker("verify", "check_lemma22"),
+            _Checker("identities", "check_lemma22"),
             ("n",),
         ),
         Family(
@@ -565,7 +574,7 @@ FAMILIES: dict[str, Family] = {
             "congruences",
             "Lemma 2.3 (2.6)",
             _grid_lemma23,
-            _Checker("verify", "check_lemma23"),
+            _Checker("identities", "check_lemma23"),
             ("n", "k"),
         ),
         Family(
@@ -573,42 +582,42 @@ FAMILIES: dict[str, Family] = {
             "framework",
             "Theorem 4.1 (4.1)/(4.2)",
             _grid_thm41,
-            _Checker("verify", "check_thm41"),
+            _Checker("framework", "check_thm41"),
         ),
         Family(
             "cor41",
             "framework",
             "Corollary 4.1 (4.4)-(4.8)",
             _grid_cor41,
-            _Checker("verify", "check_cor41"),
+            _Checker("framework", "check_cor41"),
         ),
         Family(
             "thm42",
             "framework",
             "Theorem 4.2 (4.9)",
             _grid_thm42,
-            _Checker("verify", "check_thm42"),
+            _Checker("framework", "check_thm42"),
         ),
         Family(
             "thm43",
             "framework",
             "Theorem 4.3 (4.10)-(4.12)",
             _grid_thm43,
-            _Checker("verify", "check_thm43"),
+            _Checker("framework", "check_thm43"),
         ),
         Family(
             "thm44",
             "framework",
             "Theorem 4.4 (4.14)",
             _grid_thm44,
-            _Checker("verify", "check_thm44"),
+            _Checker("framework", "check_thm44"),
         ),
         Family(
             "lemma42",
             "framework",
             "Lemma 4.2 (4.16)",
             _grid_lemma42,
-            _Checker("verify", "check_lemma42"),
+            _Checker("framework", "check_lemma42"),
         ),
         Family(
             "qlucas",
@@ -663,7 +672,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.1 (5.1)/(5.2)",
             _grid_conj51,
-            _Checker("verify", "check_conj51"),
+            _Checker("residues", "check_conj51"),
             ("p",),
         ),
         Family(
@@ -671,14 +680,14 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.2 growth surrogates",
             _grid_conj52,
-            _Checker("verify", "check_conj52"),
+            _Checker("scans", "check_conj52"),
         ),
         Family(
             "conj53",
             "conjectures",
             "Conjecture 5.3 irreducibility",
             partial(_n_grid, 8),
-            _Checker("verify", "conj53_witness"),
+            _Checker("scans", "conj53_witness"),
             ("n",),
         ),
         Family(
@@ -686,7 +695,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.4 (5.3)-(5.5)",
             partial(_kind_grid, 3),
-            _Checker("verify", "check_conj54"),
+            _Checker("scans", "check_conj54"),
             ("n", "p"),
             _pin_kind,
         ),
@@ -695,7 +704,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.5 (5.7)/(5.8)",
             partial(_kind_grid, 2),
-            _Checker("verify", "check_conj55"),
+            _Checker("scans", "check_conj55"),
             ("n", "p"),
             _pin_kind,
         ),
@@ -704,7 +713,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.6 (5.9)",
             partial(_n_grid, 200),
-            _Checker("verify", "check_conj56"),
+            _Checker("scans", "check_conj56"),
             ("n",),
         ),
         Family(
@@ -712,7 +721,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Remark 5.2 (5.6)",
             partial(_n_grid, 50),
-            _Checker("verify", "check_remark52"),
+            _Checker("scans", "check_remark52"),
             ("n",),
         ),
         Family(
@@ -720,7 +729,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Remark 5.3",
             partial(_n_grid, 200),
-            _Checker("verify", "check_remark53"),
+            _Checker("scans", "check_remark53"),
             ("n",),
         ),
         Family(
@@ -728,7 +737,7 @@ FAMILIES: dict[str, Family] = {
             "conjectures",
             "Conjecture 5.8(i) (5.11)/(5.12)",
             partial(_mn_grid, 4, 60),
-            _Checker("verify", "check_conj58i"),
+            _Checker("scans", "check_conj58i"),
             ("m", "n"),
         ),
     )
@@ -742,9 +751,15 @@ SCAN_SELECTORS = tuple(
 
 Q_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.group == "q-analogues")
 
+def _decode_kernel(descriptor: dict) -> KernelSpec:
+    from .kernels import kernel_from_descriptor
+
+    return kernel_from_descriptor(descriptor)
+
+
 # Params whose JSON form differs from the checker's argument type.
 _DECODE: dict[str, Callable] = {
-    "kernel": kernel_from_descriptor,
+    "kernel": _decode_kernel,
     "a_seq": lambda pairs: [Fraction(num, den) for num, den in pairs],
 }
 

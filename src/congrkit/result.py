@@ -12,12 +12,17 @@ Statuses:
 
 A checker states its claim and gets its result from ``verdict`` (or
 ``equal`` for an exact equality), the one place a claim becomes PASS or
-FAIL; ``show`` is the one renderer of compared values.
+FAIL; ``show`` is the one renderer of compared values.  The claim shapes
+that several checker modules share build on them: ``_chain`` (members in
+one residue class mod p^e), ``_divisibility`` (modulus | value, per claim)
+and ``_first_failure`` (the first result that is not PASS).
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Iterable, Optional, Sequence
+
+from .exactnum import DenominatorNotInvertible, Rational, residue_of_rational
 
 __all__ = [
     "CheckResult",
@@ -166,3 +171,51 @@ def verdict(
 def equal(lhs: Any, rhs: Any, witness: Optional[dict[str, Any]] = None) -> CheckResult:
     """The claim lhs == rhs, both sides shown."""
     return verdict(lhs == rhs, show(lhs), show(rhs), witness=witness)
+
+
+def _chain(
+    members: Sequence[tuple[str, Rational]],
+    p: int,
+    e: int,
+    claim: str = "",
+    note: str = "",
+) -> CheckResult:
+    """All member values must land in one residue class mod p**e."""
+    modulus = str(p) if e == 1 else "%d^%d" % (p, e)
+    reduced = []
+    for label, value in members:
+        try:
+            reduced.append((label, residue_of_rational(value, p, e).value))
+        except DenominatorNotInvertible as exc:
+            witness = {"term": label}
+            if claim:
+                witness["claim"] = claim
+            return CheckResult(
+                ILL_POSED, modulus=modulus, witness=witness, note=str(exc)
+            )
+    first_label, first = reduced[0]
+    label, value = next((m for m in reduced if m[1] != first), reduced[0])
+    witness = {"left": first_label, "right": label}
+    if claim:
+        witness["claim"] = claim
+    return verdict(value == first, show(first), show(value), modulus, witness, note)
+
+
+def _divisibility(
+    claims: Sequence[tuple[str, int, int]], note: str = ""
+) -> CheckResult:
+    """Each claim (label, value, modulus) requires modulus | value."""
+    label, value, modulus = next((c for c in claims if c[1] % c[2]), claims[-1])
+    residue = value % modulus
+    witness = {"claim": label, "residue": residue}
+    lhs = show(value) if residue else "0"
+    return verdict(not residue, lhs, "0", str(modulus), witness, note)
+
+
+def _first_failure(results: Iterable[CheckResult]) -> CheckResult:
+    """The first result that is not PASS, else the last one.  A lazy iterable
+    builds no result after the first failure."""
+    for res in results:
+        if not res.ok:
+            return res
+    return res

@@ -1,4 +1,5 @@
-"""Integer sequence and polynomial families built from binomial sums.
+"""Integer sequence and polynomial families built from binomial sums, and
+the row and prefix-sum layer that the checker modules share.
 
 Every generator is a direct summation in exact arithmetic over the rows
 built here, the package's single source of binomial rows: _binom_row
@@ -6,7 +7,9 @@ built here, the package's single source of binomial rows: _binom_row
 _central_rows (binomial(2k, k) and its quotient by 2k - 1).  Sums whose
 terms contain a 2k - 1 denominator are folded through binomial(2k, k) /
 (2k - 1), which is an integer for all k >= 0 (equal to -1 at k = 0), so
-those families stay in integer arithmetic from end to end.
+those families stay in integer arithmetic from end to end.  The checkers
+combine rows through _row_product, _pair_rows and _mixed_row, and weight
+them through _weighted.
 
 SEQUENCES maps each integer sequence's name to its defining sum and, where
 one is known, a linear recurrence; values_of(name, n_max) reads a prefix of
@@ -18,19 +21,27 @@ coefficient, so a prefix costs O(n) big-int steps instead of O(n^2).  A
 remainder in that division raises ArithmeticError.  The recurrence families
 at the bottom and R_polys read the defining sums, never the recurrence
 prefixes, so that the recurrence checks stay an independent test of the sums.
+_weighted_prefix sums a weighted power of values_of(name, ...), and
+_poly_prefix sums polynomial terms coefficientwise; both grow one memo of
+running sums, so every prefix-sum checker reads the same table.
 
-Module-level value caches are grown tables of exactnum.
+Module-level value caches are grown tables of exactnum.  Poly is imported by
+the functions that build one, so a checker that reads integer values alone
+never loads polynomials.
 """
 from __future__ import annotations
 
 import math
 import operator
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from functools import reduce
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactnum import _memo_grow, _memo_table
-from .polynomials import Poly
+from .exactnum import _dot, _memo_cache, _memo_grow, _memo_table
 from .result import CheckResult, FAIL, PASS
+
+if TYPE_CHECKING:
+    from .polynomials import Poly
 
 __all__ = [
     "R",
@@ -106,6 +117,46 @@ def _diag_row(n: int) -> list[int]:
     return row
 
 
+def _row_product(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Termwise product of equal-length rows; at least one row."""
+    return list(reduce(lambda x, y: map(operator.mul, x, y), rows))
+
+
+def _pair_rows(n: int, a_list: Sequence[int]) -> list[int]:
+    """Products binomial(a*n-1, k) * binomial(-a*n-1, k) over the list, k < n."""
+    return _row_product(
+        _binom_row(sign * a * n - 1, n) for a in a_list for sign in (1, -1)
+    )
+
+
+def _mixed_row(n: int, a: int, b: int) -> list[int]:
+    """binomial(n-1, k)^a binomial(-n-1, k)^b for k < n."""
+    pos = _binom_row(n - 1, n)
+    neg = _binom_row(-n - 1, n)
+    return [pos[k] ** a * neg[k] ** b for k in range(n)]
+
+
+_WEIGHTS = {
+    "unit": lambda k: 1,
+    "index": lambda k: k,
+    "odd": lambda k: 2 * k + 1,
+    "cubic": lambda k: 4 * k**3 - 1,
+    "stepcube": lambda k: 3 * k * k + 3 * k + 1,
+}
+
+
+@_memo_cache()
+def _weight_row(name: str, n: int, signed: int) -> tuple[int, ...]:
+    """The named weight at k < n, times (-1)^k when signed."""
+    w = _WEIGHTS[name]
+    return tuple(-w(k) if signed and k % 2 else w(k) for k in range(n))
+
+
+def _weighted(row: Sequence[int], name: str, signed: int = 0) -> int:
+    """sum_k w(k) row[k] for the named weight, times (-1)^k when signed."""
+    return _dot(_weight_row(name, len(row), signed), row)
+
+
 # -- the two headline families ---------------------------------------------
 
 
@@ -136,6 +187,8 @@ def R_poly(n: int) -> Poly:
     """The polynomial with x^k coefficient binomial(n+k,2k) binomial(2k,k)/(2k-1)."""
     if n < 0:
         raise ValueError("R_poly: n must be >= 0")
+    from .polynomials import Poly
+
     return Poly(_R_coeffs(n))
 
 
@@ -150,6 +203,8 @@ def S_poly(n: int) -> Poly:
     """The polynomial with x^k coefficient binomial(n,k)^2 binomial(2k,k) (2k+1)."""
     if n < 0:
         raise ValueError("S_poly: n must be >= 0")
+    from .polynomials import Poly
+
     return Poly(_S_coeffs(n))
 
 
@@ -170,6 +225,8 @@ def S_m_poly(m: int, n: int) -> Poly:
         return out
 
     factors = _memo_grow(table, n, grow)
+    from .polynomials import Poly
+
     return Poly([c**m * f for c, f in zip(_binom_row(n, n + 1), factors)])
 
 
@@ -374,6 +431,59 @@ def R_polys(n_max: int) -> list[Poly]:
     return _memo_prefix(_R_POLY_CACHE, n_max, R_poly)
 
 
+# -- memoized prefix sums -------------------------------------------------------
+
+_PREFIX_SUMS: dict[object, list] = _memo_table({})
+
+
+def _prefix_sum(
+    key: object, n: int, terms: Callable[[int, int], list], add=operator.add, zero=0
+) -> object:
+    """Entry n of the running sums memoized as _PREFIX_SUMS[key], whose entry 0
+    is zero and entry j + 1 is add(entry j, term j).
+
+    terms(lo, hi) returns the terms lo..hi-1.
+    """
+    table = _PREFIX_SUMS.setdefault(key, [zero])
+
+    def grow(start: int, upto: int) -> list:
+        acc, out = table[start - 1], []
+        for term in terms(start - 1, upto):
+            acc = add(acc, term)
+            out.append(acc)
+        return out
+
+    return _memo_grow(table, n, grow)[n]
+
+
+def _add_coeffs(acc: list[int], poly: Poly) -> list[int]:
+    """Coefficient lists of a running polynomial sum, one slot longer per term."""
+    out = acc + [0]
+    for i, c in enumerate(poly.coeffs):
+        out[i] += c
+    return out
+
+
+def _weighted_prefix(name: str, n: int, weight: str = "unit", power: int = 1) -> int:
+    """sum_{j<n} w(j) v(j)^power over the values of SEQUENCES[name], for the
+    named weight w of _WEIGHTS."""
+    w = _WEIGHTS[weight]
+
+    def terms(lo: int, hi: int) -> list[int]:
+        vals = values_of(name, hi - 1)[lo:]
+        return [w(j) * v**power for j, v in enumerate(vals, lo)]
+
+    return _prefix_sum((name, weight, power), n, terms)
+
+
+def _poly_prefix(key: object, n: int, term: Callable[[int], Poly]) -> list[int]:
+    """Coefficients of sum_{j<n} term(j), for terms of degree at most j,
+    memoized as _PREFIX_SUMS[key]."""
+    return _prefix_sum(
+        key, n, lambda lo, hi: map(term, range(lo, hi)), _add_coeffs, []
+    )
+
+
 # -- recurrence cross-checks ---------------------------------------------------
 #
 # These read the defining sums R(n) and S(n), not the recurrence prefixes: a
@@ -395,6 +505,8 @@ def check_recurrence_R(n_max: int) -> CheckResult:
 
 def check_recurrence_R_poly(n_max: int) -> CheckResult:
     """Same recurrence at polynomial level, with the linear-in-x multipliers."""
+    from .polynomials import Poly
+
     polys = R_polys(n_max)
     for n in range(n_max - 2):
         lhs = (

@@ -312,8 +312,22 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch, capsys):
     assert reports[1] == reports[2] == reports[0]
 
 
-# Modules that a command loads only when it runs a family that needs them.
-_LAZY = ("congrkit.sequences", "congrkit.verify", "congrkit.qalgebra")
+# Modules that a command loads only when it runs a family that needs them:
+# the checker modules, the layers below them that not every checker reads,
+# and the verify facade, which no command loads.
+_LAZY = (
+    "congrkit.displays",
+    "congrkit.framework",
+    "congrkit.identities",
+    "congrkit.prefixes",
+    "congrkit.residues",
+    "congrkit.scans",
+    "congrkit.kernels",
+    "congrkit.polynomials",
+    "congrkit.qalgebra",
+    "congrkit.sequences",
+    "congrkit.verify",
+)
 _START_UP = """
 import json, os, sys
 from congrkit import cli, registry
@@ -335,7 +349,11 @@ def test_start_up_imports_no_checker_module_or_dataclasses(python):
     probes = {
         "enumerate": "cli.build_parser(); registry.all_jobs()",
         "qverify": 'run("qverify", "thm31q", "--max-n", "6")',
-        "verify": 'run("verify", "thm13", "--max-p", "13")',
+        "thm11": 'run("verify", "thm11", "--p", "3")',
+        "thm12": 'run("verify", "thm12", "--p", "3")',
+        "conj51": 'run("scan", "conj51", "--max-p", "20")',
+        "thm13": 'run("verify", "thm13", "--p", "3")',
+        "thm14ii": 'run("verify", "thm14ii", "--p", "5")',
         # the package's sequence exports, served on first access
         "exports": "from congrkit import *\n"
         "from congrkit import sequences\n"
@@ -347,9 +365,14 @@ def test_start_up_imports_no_checker_module_or_dataclasses(python):
         for case, code in probes.items()
     }
     assert seen == {
-        "enumerate": [],
-        "qverify": ["congrkit.qalgebra"],
-        "verify": ["congrkit.sequences", "congrkit.verify"],
+        # the thm41-thm44 grids build their kernels
+        "enumerate": ["congrkit.kernels"],
+        "qverify": ["congrkit.polynomials", "congrkit.qalgebra"],
+        "thm11": ["congrkit.residues"],
+        "thm12": ["congrkit.residues"],
+        "conj51": ["congrkit.residues"],
+        "thm13": ["congrkit.prefixes", "congrkit.sequences"],
+        "thm14ii": ["congrkit.prefixes", "congrkit.sequences"],
         "exports": ["congrkit.sequences"],
     }
 
@@ -380,7 +403,9 @@ before = loaded()
 run("verify", "--all", "--max-n", "2", "--max-p", "13", "--max-m", "1", "--jobs", "2")
 print(json.dumps([before, opened]))
 """
-    assert json.loads(python(source)) == [[], [list(_LAZY)]]
+    # every checker module and what it reads, but not the verify facade
+    pooled = [name for name in _LAZY if name != "congrkit.verify"]
+    assert json.loads(python(source)) == [[], [pooled]]
 
 
 def test_checker_crash_on_pinned_instance(monkeypatch, capsys):

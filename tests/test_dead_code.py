@@ -3,13 +3,16 @@ module's __all__ lists exactly what it defines for export and only names that
 the package or its tests read, every module-level list or dict is a known
 fixed table or a registered memo, lru_cache is applied only through
 exactnum's registering decorator, no checker names its family or params
-(registry.run_instance stamps them), and only result.py turns a claim into
-PASS or FAIL, apart from the listed hand-built results."""
+(registry.run_instance stamps them), only result.py turns a claim into
+PASS or FAIL, apart from the listed hand-built results, and no checker
+module imports the verify facade or another checker module but
+sequences."""
 
 import ast
 import pathlib
 
 import congrkit
+from congrkit import registry
 from congrkit.result import CheckResult
 
 PACKAGE = pathlib.Path(congrkit.__file__).parent
@@ -128,9 +131,9 @@ TABLES = {
     "cli.py": {"_QVERIFY_ALIASES"},
     "exactnum.py": {"_MEMOS"},
     "kernels.py": {"PAPER_KERNELS"},
+    "prefixes.py": {"_COR11_POWER"},
     "registry.py": {"FAMILIES", "_DECODE", "CONJ52_START"},
-    "sequences.py": {"SEQUENCES"},
-    "verify.py": {"_WEIGHTS", "_COR11_POWER"},
+    "sequences.py": {"SEQUENCES", "_WEIGHTS"},
 }
 
 _CONTAINERS = (ast.List, ast.Dict, ast.ListComp, ast.DictComp)
@@ -209,21 +212,13 @@ def test_no_check_result_in_the_package_names_its_family_or_params():
 # a PASS row whose fields no claim produces.  Every other result comes from
 # result.verdict or result.equal.
 HAND_BUILT = {
+    "displays.py": {"check_thm15_i_grid", "check_thm15_ii", "check_xval15"},
+    "framework.py": {"check_thm43"},
+    "prefixes.py": {"check_thm14_i"},
     "qalgebra.py": {"check_conj58_q"},
+    "residues.py": {"check_thm11", "check_thm12"},
+    "scans.py": {"check_remark52", "check_conj58i", "conj53_witness"},
     "sequences.py": {"_check_recurrence", "check_recurrence_R_poly"},
-    "verify.py": {
-        "_chain",
-        "check_thm11",
-        "check_thm12",
-        "check_thm14_i",
-        "check_thm15_i_grid",
-        "check_thm15_ii",
-        "check_xval15",
-        "check_thm43",
-        "check_remark52",
-        "check_conj58i",
-        "conj53_witness",
-    },
 }
 
 
@@ -266,3 +261,39 @@ def test_no_conditional_status_outside_result_py():
         & {"PASS", "FAIL"}
     )
     assert not found, "PASS/FAIL chosen outside result.verdict: %s" % ", ".join(found)
+
+
+def _imported_modules(tree: ast.Module, module: str) -> set[str]:
+    """The congrkit modules that module's source imports, at any depth of
+    its tree (function-level imports included), by their file names."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module.split(".")[0] + ".py")
+            elif node.level == 1:  # from . import a, b
+                out.update(alias.name + ".py" for alias in node.names)
+            elif node.module and node.module.startswith("congrkit."):
+                out.add(node.module.split(".")[1] + ".py")
+        elif isinstance(node, ast.Import):
+            out.update(
+                alias.name.split(".")[1] + ".py"
+                for alias in node.names
+                if alias.name.startswith("congrkit.")
+            )
+    return out - {module}
+
+
+def test_no_checker_module_imports_the_facade_or_another_checker_module():
+    # a checker module is one the registry names; sequences is the shared
+    # row and prefix layer, so the others may read it
+    checkers = {fam.check.module + ".py" for fam in registry.FAMILIES.values()}
+    assert "verify.py" not in checkers
+    trees = _trees()
+    found = sorted(
+        "%s imports %s" % (module, other)
+        for module in checkers
+        for other in _imported_modules(trees[module], module)
+        if other == "verify.py" or other in checkers - {"sequences.py"}
+    )
+    assert not found, "; ".join(found)

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from congrkit import exactnum, qalgebra, sequences, verify
+from congrkit import displays, exactnum, qalgebra, sequences
 from congrkit.exactnum import (
     DenominatorNotInvertible,
     bernoulli_number,
@@ -266,12 +266,12 @@ def test_clear_memos_resets_every_registered_memo(cold_memos):
     qalgebra.qbinom(10, 5)
     sequences.R(20)  # grows the central rows
     qalgebra.cyclotomic(12)
-    verify._poly_prefix(("S_m", 2), 10, partial(sequences.S_m_poly, 2))
-    verify._grid_products(2, 5)
+    sequences._poly_prefix(("S_m", 2), 10, partial(sequences.S_m_poly, 2))
+    displays._grid_products(2, 5)
     cold_memos()
     assert exactnum._BERNOULLI == [Fraction(1)]
     assert (sequences._CENTRAL, sequences._CENTRAL_OVER) == ([1], [-1])
-    assert verify._PREFIX_SUMS == {}
+    assert sequences._PREFIX_SUMS == {}
     for memo, seed in exactnum._MEMOS:
         if seed is None:
             assert memo.cache_info().currsize == 0, memo

@@ -8,6 +8,7 @@ from functools import partial
 import pytest
 
 from congrkit import FAIL, ILL_POSED, PASS, sequences, verify
+from congrkit import displays, framework, identities, prefixes, residues, scans
 from congrkit.exactnum import (
     bernoulli_poly_eval,
     legendre_symbol,
@@ -27,6 +28,7 @@ from congrkit.sequences import (
     S_values,
     T_seq,
     _central_rows,
+    _weighted_prefix,
 )
 from congrkit.registry import instances_for, run_instance
 from congrkit.verify import (
@@ -55,16 +57,15 @@ from congrkit.verify import (
     check_xval15,
     conj53_witness,
 )
-from congrkit.verify import (
+from congrkit.prefixes import _thm14ii_members
+from congrkit.residues import (
     _R_residues,
     _central_offset_power_sum,
     _central_square_power_sums,
-    _irreducible_mod,
     _offset_pair_sums,
     _prime_table,
-    _thm14ii_members,
-    _weighted_prefix,
 )
+from congrkit.scans import _irreducible_mod
 
 
 # -- result plumbing --------------------------------------------------------------
@@ -157,8 +158,8 @@ def test_ratio_sum_identity_instances():
 
 
 def test_remark11_fails_on_raised_ratio_sum(monkeypatch):
-    original = verify.ratio_sum
-    monkeypatch.setattr(verify, "ratio_sum", lambda n, d, b: original(n, d, b) + 1)
+    original = identities.ratio_sum
+    monkeypatch.setattr(identities, "ratio_sum", lambda n, d, b: original(n, d, b) + 1)
     r = check_remark11(3, 2)
     assert r.status == FAIL
     assert r.witness == {"difference": "1"}
@@ -282,9 +283,9 @@ def test_triangular_sum_lemma():
 
 def test_lemma23_fails_on_raised_binomial(monkeypatch):
     # binomial(-2, 1) goes from -2 to -1: the signed ratio halves from 4 to 2
-    original = verify.binomial
+    original = identities.binomial
     monkeypatch.setattr(
-        verify, "binomial", lambda n, k: original(n, k) + ((n, k) == (-2, 1))
+        identities, "binomial", lambda n, k: original(n, k) + ((n, k) == (-2, 1))
     )
     r = check_lemma23(2, 1)
     assert r.status == FAIL
@@ -354,6 +355,14 @@ def test_half_value_square_congruence():
 #
 # Each control raises one entry of one binomial row of a default-grid instance
 # (or lemma42's binomial(n + 1, 1)); every other row is served unchanged.
+
+
+def _raise_binom_row(raise_row, module, top, index):
+    """Raise one entry of the binomial row of top wherever module's checkers
+    read it: through module's own _binom_row and through the row helpers of
+    sequences (_pair_rows, _mixed_row), which call sequences._binom_row."""
+    raise_row(module, "_binom_row", top, index)
+    raise_row(sequences, "_binom_row", top, index)
 
 
 _FRAMEWORK_CONTROLS = (
@@ -431,7 +440,7 @@ def test_framework_families_fail_on_raised_row(
     params = instances_for(family)[index]
     assert {key: params[key] for key in instance} == instance
     assert run_instance(family, params).status == PASS
-    raise_row(verify, "_binom_row", top, k)
+    _raise_binom_row(raise_row, framework, top, k)
     r = run_instance(family, params)
     assert r.status == FAIL
     assert r.witness == witness
@@ -442,9 +451,9 @@ def test_lemma42_fails_on_raised_binomial(monkeypatch):
     # binomial(12, 1) goes from 12 to 13 in the rhs weights
     params = instances_for("lemma42")[0]
     assert params["n"] == 11
-    original = verify.binomial
+    original = framework.binomial
     monkeypatch.setattr(
-        verify, "binomial", lambda n, k: original(n, k) + ((n, k) == (12, 1))
+        framework, "binomial", lambda n, k: original(n, k) + ((n, k) == (12, 1))
     )
     r = run_instance("lemma42", params)
     assert r.status == FAIL
@@ -468,10 +477,11 @@ def test_growth_scan_run():
     assert R(6) * R(4) > R(5) ** 2
 
 
-def _serve_edited(monkeypatch, name, index, value):
-    """Serve verify.values_of(name, n_max) as copies whose entry index is
-    value(copy); every other sequence is served unchanged."""
-    original = verify.values_of
+def _serve_edited(monkeypatch, module, name, index, value):
+    """Serve module.values_of(name, n_max) as copies whose entry index is
+    value(copy); every other sequence is served unchanged.  The prefix sums
+    read sequences.values_of, through sequences._weighted_prefix."""
+    original = module.values_of
 
     def values_of(seq, n_max):
         vals = list(original(seq, n_max))
@@ -479,7 +489,7 @@ def _serve_edited(monkeypatch, name, index, value):
             vals[index] = value(vals)
         return vals
 
-    monkeypatch.setattr(verify, "values_of", values_of)
+    monkeypatch.setattr(module, "values_of", values_of)
 
 
 @pytest.mark.parametrize(
@@ -499,7 +509,9 @@ def _serve_edited(monkeypatch, name, index, value):
 @pytest.mark.parametrize("n", (5, 40))
 def test_conj52_fails_on_moved_term(monkeypatch, seq, claim, at, factor, n):
     """Serve term(n + at) := factor * term(n + at - 1), which breaks the claim."""
-    _serve_edited(monkeypatch, seq, n + at, lambda vals: factor * vals[n + at - 1])
+    _serve_edited(
+        monkeypatch, scans, seq, n + at, lambda vals: factor * vals[n + at - 1]
+    )
     r = run_instance("conj52", {"seq": seq, "claim": claim, "n": n})
     assert r.status == FAIL
 
@@ -724,7 +736,8 @@ def test_prime_checkers_never_read_the_exact_rows(monkeypatch):
     def refuse(upto):
         raise AssertionError("exact central rows read through %d" % upto)
 
-    monkeypatch.setattr(verify, "_central_rows", refuse)
+    monkeypatch.setattr(sequences, "_central_rows", refuse)
+    assert not hasattr(residues, "_central_rows")
     assert check_thm11(1999).status == PASS
     assert check_thm12(997).status == PASS
     assert run_instance("conj51", {"p": 983}).status == PASS
@@ -786,14 +799,14 @@ def shifted_over(monkeypatch):
         over[1] += 1
         return list(central), over
 
-    monkeypatch.setattr(verify, "_central_rows", rows)
+    monkeypatch.setattr(identities, "_central_rows", rows)
 
 
 @pytest.fixture
 def shifted_table(monkeypatch):
     """Serve the residue tables of the prime families with binomial(2,1)/1
     raised by one."""
-    original = verify._prime_table
+    original = residues._prime_table
 
     def table(p, e):
         t = original(p, e)
@@ -801,7 +814,7 @@ def shifted_table(monkeypatch):
         over[1] += 1
         return t._replace(over=over)
 
-    monkeypatch.setattr(verify, "_prime_table", table)
+    monkeypatch.setattr(residues, "_prime_table", table)
 
 
 @pytest.mark.parametrize("p", (7, 13))
@@ -830,7 +843,7 @@ def test_conj51_fails_on_shifted_row(shifted_table):
 @pytest.mark.parametrize("p", (7, 13))
 def test_thm13_fails_on_shifted_row(monkeypatch, cold_memos, p):
     # R_0 + p moves the prefix sum by p, nonzero mod p^2
-    _serve_edited(monkeypatch, "R", 0, lambda vals: vals[0] + p)
+    _serve_edited(monkeypatch, sequences, "R", 0, lambda vals: vals[0] + p)
     r = check_thm13(p)
     assert r.status == FAIL
     assert r.witness == {"left": "prefix sum", "right": "closed form"}
@@ -846,7 +859,7 @@ def test_lemma22_fails_on_shifted_row(shifted_over):
 
 @pytest.mark.parametrize("p", (7, 13))
 def test_thm14ii_fails_on_raised_S_value(monkeypatch, p):
-    _raise_listed_value(monkeypatch, "S")
+    _raise_listed_value(monkeypatch, prefixes, "S")
     r = check_thm14_ii(p)
     assert r.status == FAIL
     assert r.witness == {
@@ -869,7 +882,7 @@ def test_thm14ii_fails_on_raised_S_value(monkeypatch, p):
         # the k = 0 coefficient of R_poly(3) goes from -1 to -2
         (sequences, 3, 0, {"claim": "value at -1"}, "-8"),
         # binomial(-3, 1) goes from -3 to -2
-        (verify, -3, 1, {"claim": "reciprocal odd-weight sum"}, "-3"),
+        (prefixes, -3, 1, {"claim": "reciprocal odd-weight sum"}, "-3"),
     ),
 )
 def test_thm13ii_fails_on_raised_row(raise_row, module, top, index, witness, lhs):
@@ -882,7 +895,7 @@ def test_thm13ii_fails_on_raised_row(raise_row, module, top, index, witness, lhs
 
 def test_remark13_fails_on_raised_row(raise_row):
     # binomial(3, 1) goes from 3 to 4 in the second half only
-    raise_row(verify, "_binom_row", 3, 1)
+    _raise_binom_row(raise_row, displays, 3, 1)
     r = check_remark13(3)
     assert r.status == FAIL
     assert r.witness == {"halved sum": "-9/2"}
@@ -908,11 +921,11 @@ def test_thm14i_fails_on_raised_row(cold_memos, raise_row):
 
 def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
     def grow():
-        s_polys = verify._poly_prefix(("S_m", 2), 60, partial(verify.S_m_poly, 2))
-        return verify._weighted_prefix("S", 301), s_polys
+        s_polys = sequences._poly_prefix(("S_m", 2), 60, partial(sequences.S_m_poly, 2))
+        return sequences._weighted_prefix("S", 301), s_polys
 
     def tables():
-        sums = verify._PREFIX_SUMS
+        sums = sequences._PREFIX_SUMS
         return list(sums["S", "unit", 1]), list(sums["S_m", 2])
 
     results = race(grow)
@@ -944,8 +957,8 @@ def test_weighted_prefixes_match_direct_sums(cold_memos, name, weight, power):
     for j in range(60):
         direct.append(direct[-1] + w(j) * fn(j) ** power)
     # one cold jump to n = 60, then every shorter prefix from the grown table
-    assert verify._weighted_prefix(name, 60, weight, power) == direct[60]
-    grown = [verify._weighted_prefix(name, n, weight, power) for n in range(61)]
+    assert _weighted_prefix(name, 60, weight, power) == direct[60]
+    grown = [_weighted_prefix(name, n, weight, power) for n in range(61)]
     assert grown == direct
 
 
@@ -955,14 +968,14 @@ def test_weighted_prefixes_match_direct_sums(cold_memos, name, weight, power):
 # from cold prefix tables (cold_memos, which clears them again afterwards).
 
 
-def _raise_listed_value(monkeypatch, name):
-    """Serve verify.values_of(name, n_max) copies with entry 1 raised by one."""
-    _serve_edited(monkeypatch, name, 1, lambda vals: vals[1] + 1)
+def _raise_listed_value(monkeypatch, module, name):
+    """Serve module.values_of(name, n_max) copies with entry 1 raised by one."""
+    _serve_edited(monkeypatch, module, name, 1, lambda vals: vals[1] + 1)
 
 
 def test_conj54_divisibility_fails_on_raised_R_value(monkeypatch, cold_memos):
     # R_1^2 goes from 1 to 4: the tripled square prefix up to n = 4 is 2037
-    _raise_listed_value(monkeypatch, "R")
+    _raise_listed_value(monkeypatch, sequences, "R")
     r = run_instance("conj54", {"kind": "divisibility", "n": 4})
     assert r.status == FAIL
     assert r.witness == {"claim": "tripled square prefix", "residue": 1}
@@ -970,7 +983,7 @@ def test_conj54_divisibility_fails_on_raised_R_value(monkeypatch, cold_memos):
 
 
 def test_conj54_prime_fails_on_raised_R_value(monkeypatch, cold_memos):
-    _raise_listed_value(monkeypatch, "R")
+    _raise_listed_value(monkeypatch, sequences, "R")
     r = run_instance("conj54", {"kind": "prime", "p": 13})
     assert r.status == FAIL
     assert r.witness == {
@@ -996,21 +1009,21 @@ def test_conj54_prime_fails_on_raised_R_value(monkeypatch, cold_memos):
 )
 def test_conj55_fails_on_raised_S_value(monkeypatch, cold_memos, params, witness):
     # 1 * S_1 moves the weighted prefix by 1 from n = 2 on
-    _raise_listed_value(monkeypatch, "S")
+    _raise_listed_value(monkeypatch, sequences, "S")
     r = run_instance("conj55", params)
     assert r.status == FAIL
     assert r.witness == witness
 
 
 def test_conj56_fails_on_raised_small_value(monkeypatch, cold_memos):
-    _raise_listed_value(monkeypatch, "s")
+    _raise_listed_value(monkeypatch, sequences, "s")
     r = run_instance("conj56", {"n": 2})
     assert r.status == FAIL
     assert r.witness == {"claim": "plain prefix", "residue": 1}
 
 
 def test_remark53_fails_on_raised_plus_value(monkeypatch, cold_memos):
-    _raise_listed_value(monkeypatch, "Splus")
+    _raise_listed_value(monkeypatch, sequences, "Splus")
     r = run_instance("remark53", {"n": 2})
     assert r.status == FAIL
     assert r.witness == {"claim": "plus prefix", "residue": 1}
@@ -1019,31 +1032,31 @@ def test_remark53_fails_on_raised_plus_value(monkeypatch, cold_memos):
 def test_remark52_fails_on_raised_R_poly_coefficient(monkeypatch, cold_memos):
     # x added to R_2 adds (2 * 2 + 1) x to the odd-weighted prefix: 3 acc[1]
     # moves by 15
-    original = verify.R_poly
+    original = scans.R_poly
 
     def poly(j):
         return original(j) + (Poly.term(1, 1) if j == 2 else Poly())
 
-    monkeypatch.setattr(verify, "R_poly", poly)
+    monkeypatch.setattr(scans, "R_poly", poly)
     r = run_instance("remark52", {"n": 4})
     assert r.status == FAIL
     assert r.witness == {"x_power": 1}
     assert int(r.lhs) == int(r.rhs) + 15
 
 
-def _raise_S_m_poly(monkeypatch):
-    """Serve verify.S_m_poly(m, j) with x^2 added at j = 3: the prefix
+def _raise_S_m_poly(monkeypatch, module):
+    """Serve module.S_m_poly(m, j) with x^2 added at j = 3: the prefix
     coefficient of x^2 moves by 1 from n = 4 on."""
-    original = verify.S_m_poly
+    original = module.S_m_poly
 
     def poly(m, j):
         return original(m, j) + (Poly.term(1, 2) if j == 3 else Poly())
 
-    monkeypatch.setattr(verify, "S_m_poly", poly)
+    monkeypatch.setattr(module, "S_m_poly", poly)
 
 
 def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
-    _raise_S_m_poly(monkeypatch)
+    _raise_S_m_poly(monkeypatch, scans)
     r = run_instance("conj58i", {"m": 2, "n": 5})
     assert r.status == FAIL
     assert r.witness == {"x_power": 2}
@@ -1052,7 +1065,7 @@ def test_conj58i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
 
 def test_thm14i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
     # the scalar prefix reads values_of("S"), which the raised polynomial leaves
-    _raise_S_m_poly(monkeypatch)
+    _raise_S_m_poly(monkeypatch, prefixes)
     r = check_thm14_i(5)
     assert r.status == FAIL
     assert r.witness == {"claim": "polynomial prefix sum", "x_power": 2}
@@ -1069,9 +1082,9 @@ def test_thm14i_fails_on_raised_S_m_poly_coefficient(monkeypatch, cold_memos):
 def _display_sums(n, a, b):
     """The ten integral-sum displays; flag marks the ones scaled by 1/n."""
     central, _ = _central_rows(n)
-    same = verify._mixed_row(n, a, a)
-    mixed = verify._mixed_row(n, a, b)
-    tri = verify._triangle
+    same = sequences._mixed_row(n, a, a)
+    mixed = sequences._mixed_row(n, a, b)
+    tri = displays._triangle
     m = a + b
     sums = []
     q1 = sum(Fraction(same[k], 4 * k * k - 1) for k in range(n))
@@ -1157,7 +1170,7 @@ def _reference_thm15_ii(n, a, b):
                 witness={"claim": label},
             )
     m = a + b
-    mixed = verify._mixed_row(n, a, b)
+    mixed = sequences._mixed_row(n, a, b)
     factor = math.gcd(a + b - 1, 2)
     total = factor * sum(
         (-1 if (k * m) % 2 else 1) * (2 * k + 1) * mixed[k] for k in range(n)
@@ -1186,18 +1199,18 @@ def _reference_thm15_ii(n, a, b):
 def _reference_xval15(n, a, b):
     params = {"n": n, "a": a, "b": b}
     m = a + b
-    same = verify._mixed_row(n, a, a)
-    mixed = verify._mixed_row(n, a, b)
-    plans = verify._xval_plans(m % 2)
+    same = sequences._mixed_row(n, a, a)
+    mixed = sequences._mixed_row(n, a, b)
+    plans = displays._xval_plans(m % 2)
     for i, (label, kname, signed, c, correction) in enumerate(plans):
-        kern = verify.PAPER_KERNELS[kname]
+        kern = displays.PAPER_KERNELS[kname]
         if signed:
-            kvals = [verify.bar(kern, k, m) for k in range(n)]
+            kvals = [displays.bar(kern, k, m) for k in range(n)]
             row = mixed
         else:
-            kvals = [verify.delta(kern, k) for k in range(n)]
+            kvals = [displays.delta(kern, k) for k in range(n)]
             row = same
-        w = [verify._xval_weights(k, m % 2)[i] for k in range(n)]
+        w = [displays._xval_weights(k, m % 2)[i] for k in range(n)]
         for k in range(n):
             expected = c * kvals[k] + (correction if k == 0 else 0)
             if w[k] != expected:
@@ -1230,7 +1243,7 @@ def _reference_xval15(n, a, b):
 
 def _reference_thm15_i_grid(m, n, variant):
     """The grid verdict from check_thm15_i on every pattern, in grid order."""
-    patterns = list(itertools.product(verify._GRID_VALUES, repeat=m))
+    patterns = list(itertools.product(displays._GRID_VALUES, repeat=m))
     params = {"m": m, "n": n, "variant": variant}
     for tup in patterns:
         r = check_thm15_i(n, tup, variant)
@@ -1281,7 +1294,7 @@ def test_display_families_match_exact_oracles(cold_memos, family):
 def test_display_families_match_exact_oracles_on_raised_row(
     cold_memos, raise_row, family, top, index, n
 ):
-    raise_row(verify, "_binom_row", top, index)
+    _raise_binom_row(raise_row, displays, top, index)
     fails = 0
     for params in instances_for(family, {"max_n": 20}):
         if params["n"] == n:
@@ -1303,7 +1316,7 @@ def test_display_families_match_exact_oracles_on_raised_row(
 def test_xval15_matches_exact_oracle_on_perturbed_kernel(
     monkeypatch, cold_memos, kernel, first_k
 ):
-    monkeypatch.setitem(verify.PAPER_KERNELS, kernel.name, kernel)
+    monkeypatch.setitem(displays.PAPER_KERNELS, kernel.name, kernel)
     for params in instances_for("xval15", {"max_n": 20}):
         got = run_instance("xval15", params)
         assert got == _reference_xval15(**params), params
@@ -1317,7 +1330,7 @@ def test_xval15_matches_exact_oracle_on_perturbed_kernel(
 
 def test_thm15ii_fails_on_raised_row(cold_memos, raise_row):
     # binomial(4, 2) goes from 6 to 7 in the n = 5 row
-    raise_row(verify, "_binom_row", 4, 2)
+    _raise_binom_row(raise_row, displays, 4, 2)
     r = check_thm15_ii(5, 1, 1)
     assert r.status == FAIL
     assert r.witness == {"claim": "quarter weight"}
@@ -1326,7 +1339,7 @@ def test_thm15ii_fails_on_raised_row(cold_memos, raise_row):
 
 def test_thm15i_fails_on_raised_row(cold_memos, raise_row):
     # binomial(14, 2) goes from 91 to 92 in the a = 3 row at n = 5
-    raise_row(verify, "_binom_row", 14, 2)
+    _raise_binom_row(raise_row, displays, 14, 2)
     r = check_thm15_i_grid(2, 5, "stepcube_paired")
     assert r.status == FAIL
     assert r.witness == {"a_list": [-3, -3], "claim": "gcd-weighted"}
@@ -1336,7 +1349,7 @@ def test_thm15i_fails_on_raised_row(cold_memos, raise_row):
 def test_xval15_fails_on_perturbed_kernel(monkeypatch, cold_memos):
     # f7 = 2 (-1)^(km) / (k + 1) with numerator 3 instead of 2
     monkeypatch.setitem(
-        verify.PAPER_KERNELS, "f7", KernelSpec("f7", "km", (3,), (1, 1))
+        displays.PAPER_KERNELS, "f7", KernelSpec("f7", "km", (3,), (1, 1))
     )
     r = check_xval15(4, 1, 2)
     assert r.status == FAIL
@@ -1361,9 +1374,9 @@ def test_display_caches_agree_under_thread_races(cold_memos, race):
     def tables():
         return [
             (
-                verify._grid_products(m, n),
-                verify._display_weights(n, odd),
-                verify._xval_kernel_rows(n, odd),
+                displays._grid_products(m, n),
+                displays._display_weights(n, odd),
+                displays._xval_kernel_rows(n, odd),
             )
             for n in (7, 16)
             for m in (2, 3)
