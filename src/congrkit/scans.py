@@ -6,9 +6,9 @@ a PASS supports the conjecture there and proves nothing beyond it.  conj52
 checks exact surrogates of its growth claims (cross-multiplied ratios and
 powers, squared bounds), so no limit is ever asserted.  conj54 and conj55
 take n alone for their divisibility form and p alone for their closed form
-mod a prime power.  conj53 hunts for a prime modulo which both coefficient
-polynomials are irreducible, and reports INCONCLUSIVE when none of its
-candidates certifies them.  The prefix-sum scans read the shared prefix
+mod a prime power.  conj53 hunts, for each of the two coefficient
+polynomials, for a prime modulo which it is irreducible, and reports
+INCONCLUSIVE when no candidate prime certifies one of them.  The prefix-sum scans read the shared prefix
 table of sequences._weighted_prefix and sequences._poly_prefix.  conj51,
 a residue-table sum, is checked in residues.
 """
