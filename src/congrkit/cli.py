@@ -25,13 +25,10 @@ stderr, and writes no report to stdout or --out.
 
 Imports follow what the command runs.  At module level this module imports
 only the registry, which declares every family without importing a checker
-module.  A family's theme module (residues, prefixes, displays, framework,
-scans or identities), qalgebra or sequences loads on its first check, and
-brings only what its checkers read: ``verify thm11`` compiles residues and
-no sequences, polynomials or kernels.  The verify facade never loads.  csv
-loads only for a CSV report, datetime only for --stamp, traceback only on a
-crash and multiprocessing only for a pool, which loads its job list's
-checker modules before it forks so that its workers share them.
+module; a family's checker module loads on its first check.  csv loads only
+for a CSV report, datetime only for --stamp, traceback only on a crash and
+multiprocessing only for a pool, which loads its job list's checker modules
+before it forks so that its workers share them.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import argparse
 import io
 import json
 import sys
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import __version__, registry
 from .registry import THM15_VARIANTS
@@ -55,8 +52,6 @@ _QVERIFY_ALIASES = {"thm31": "thm31q", "thm32": "thm32q", "conj58": "conj58q"}
 _SEQUENCE_NAMES = (
     "R", "S", "schroder", "t", "T", "Tplus", "Tminus", "s", "Splus", "Sminus"
 )
-
-_PIN_KEYS = ("n", "p", "d", "k", "a", "b", "m", "s", "t", "a_prime", "variant")
 
 
 # -- serialization ---------------------------------------------------------------
@@ -183,7 +178,7 @@ def _stamp(args: argparse.Namespace) -> Optional[str]:
 
 def _pins_from(args: argparse.Namespace) -> dict:
     pins = {}
-    for key in _PIN_KEYS:
+    for key, _ in _PINS:
         value = getattr(args, key, None)
         if value is not None:
             pins[key] = value
@@ -259,51 +254,39 @@ def _execute(
     return [chunk for chunk, _ in done], summary
 
 
-def _finish_checks(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    pairs: list[tuple[str, dict]],
-    config: dict,
-    pinned: bool = False,
-) -> int:
-    try:
-        chunks, summary = _execute(pairs, args.jobs, args.format)
-    except _InstanceCrash as crash:
-        family, params, message, trace = crash.args
-        if pinned and message is not None:
-            parser.error(message)
-        sys.stderr.write(
-            "congrkit: checker crashed on %s %s\n%s" % (family, _compact(params), trace)
-        )
-        return 3
-    _write(emit_report(config, chunks, summary, args.format, _stamp(args)), args.out)
-    return 0 if not summary["fail"] and not summary["ill_posed"] else 1
-
-
 def _run_checks(
-    args: argparse.Namespace,
-    parser: argparse.ArgumentParser,
-    names: list[str],
-    multi: bool,
+    args: argparse.Namespace, parser: argparse.ArgumentParser, family: str
 ) -> int:
+    """Run one family's grid, every family's when family is "all", or the one
+    instance the pins name; write the report and return the exit code."""
     pins = _pins_from(args)
-    bounds = _bounds_from(args)
     if pins:
-        if multi:
+        if family == "all":
             parser.error("explicit parameters go with a single family")
-        fam = registry.get_family(names[0])
+        fam = registry.get_family(family)
         try:
             params = fam.instance_from_pins(pins)
         except ValueError as exc:
             parser.error(str(exc))
-        pairs = [(fam.name, params)]
-        config = _config(args, family=fam.name, params=params)
+        pairs = [(family, params)]
+        config = _config(args, family, params=params)
     else:
+        bounds = _bounds_from(args)
+        names = registry.family_names() if family == "all" else [family]
         pairs = registry.all_jobs(names, bounds)
-        config = _config(
-            args, family="all" if multi else names[0], bounds=bounds
+        config = _config(args, family, bounds=bounds)
+    try:
+        chunks, summary = _execute(pairs, args.jobs, args.format)
+    except _InstanceCrash as crash:
+        name, params, message, trace = crash.args
+        if pins and message is not None:
+            parser.error(message)
+        sys.stderr.write(
+            "congrkit: checker crashed on %s %s\n%s" % (name, _compact(params), trace)
         )
-    return _finish_checks(args, parser, pairs, config, pinned=bool(pins))
+        return 3
+    _write(emit_report(config, chunks, summary, args.format, _stamp(args)), args.out)
+    return 0 if not summary["fail"] and not summary["ill_posed"] else 1
 
 
 # -- subcommand handlers -------------------------------------------------------------
@@ -321,33 +304,47 @@ def _cmd_list(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    from . import sequences
-
-    values = sequences.values_of(args.name, args.max)
-    config = {
-        "command": "seq",
-        "name": args.name,
-        "max": args.max,
-        "format": args.format,
-    }
+def _dump(
+    args: argparse.Namespace,
+    config: dict,
+    key: str,
+    header: tuple[str, str],
+    values: Sequence,
+    text: Callable[[], list[str]],
+) -> int:
+    """Write a seq or poly dump: the values as strings under key in JSON, as
+    (index, value) rows under header in CSV, or the lines of text()."""
+    config["format"] = args.format
     if args.format == "json":
         payload = _json_bytes(
             {
                 "version": __version__,
                 "timestamp": _stamp(args),
                 "config": config,
-                "values": [str(v) for v in values],
+                key: [str(v) for v in values],
             }
         )
     elif args.format == "csv":
-        payload = _csv_bytes([("n", "value"), *enumerate(values)])
+        payload = _csv_bytes([header, *enumerate(values)])
     else:
-        payload = _text_bytes(
-            ["%s(%d) = %d" % (args.name, n, v) for n, v in enumerate(values)]
-        )
+        payload = _text_bytes(text())
     _write(payload, args.out)
     return 0
+
+
+def _cmd_seq(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from . import sequences
+
+    values = sequences.values_of(args.name, args.max)
+    config = {"command": "seq", "name": args.name, "max": args.max}
+    return _dump(
+        args,
+        config,
+        "values",
+        ("n", "value"),
+        values,
+        lambda: ["%s(%d) = %d" % (args.name, n, v) for n, v in enumerate(values)],
+    )
 
 
 def _cmd_poly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -367,50 +364,34 @@ def _cmd_poly(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     config = {"command": "poly", "name": args.name, "n": args.n}
     if args.m is not None:
         config["m"] = args.m
-    config["format"] = args.format
-    if args.format == "json":
-        payload = _json_bytes(
-            {
-                "version": __version__,
-                "timestamp": _stamp(args),
-                "config": config,
-                "coeffs": [str(c) for c in poly.coeffs],
-            }
-        )
-    elif args.format == "csv":
-        payload = _csv_bytes([("power", "coefficient"), *enumerate(poly.coeffs)])
-    else:
-        payload = _text_bytes(["%s = %s" % (label, poly.render())])
-    _write(payload, args.out)
-    return 0
+    return _dump(
+        args,
+        config,
+        "coeffs",
+        ("power", "coefficient"),
+        poly.coeffs,
+        lambda: ["%s = %s" % (label, poly.render())],
+    )
 
 
 def _cmd_verify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     if args.all:
         if args.family:
             parser.error("give a family or --all, not both")
-        return _run_checks(args, parser, registry.family_names(), multi=True)
+        return _run_checks(args, parser, "all")
     if not args.family:
         parser.error("family required (or --all)")
-    return _run_checks(args, parser, [args.family], multi=False)
+    return _run_checks(args, parser, _QVERIFY_ALIASES.get(args.family, args.family))
 
 
 def _cmd_scan(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    bounds = _bounds_from(args)
-    if args.selector in ("conj54", "conj55"):
+    if args.family in ("conj54", "conj55"):
         # one explicit bound narrows the mixed scan to the matching sweep
-        if bounds["max_n"] is not None and bounds["max_p"] is None:
-            bounds["max_p"] = 0
-        elif bounds["max_p"] is not None and bounds["max_n"] is None:
-            bounds["max_n"] = 0
-    pairs = registry.all_jobs([args.selector], bounds)
-    config = _config(args, family=args.selector, bounds=bounds)
-    return _finish_checks(args, parser, pairs, config)
-
-
-def _cmd_qverify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    name = _QVERIFY_ALIASES.get(args.family, args.family)
-    return _run_checks(args, parser, [name], multi=False)
+        if args.max_n is not None and args.max_p is None:
+            args.max_p = 0
+        elif args.max_p is not None and args.max_n is None:
+            args.max_n = 0
+    return _run_checks(args, parser, args.family)
 
 
 # -- parser assembly -----------------------------------------------------------------
@@ -445,18 +426,26 @@ def _run_flags(p: argparse.ArgumentParser) -> None:
     )
 
 
+# The params the command line may pin, in flag order, each with its type.
+_PINS = (
+    ("n", _nonneg),
+    ("p", _positive),
+    ("d", _nonneg),
+    ("k", _nonneg),
+    ("a", int),
+    ("b", int),
+    ("m", _positive),
+    ("s", _nonneg),
+    ("t", _nonneg),
+    ("a_prime", _nonneg),
+    ("variant", str),
+)
+
+
 def _pin_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=_nonneg)
-    p.add_argument("--p", type=_positive)
-    p.add_argument("--d", type=_nonneg)
-    p.add_argument("--k", type=_nonneg)
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
-    p.add_argument("--m", type=_positive)
-    p.add_argument("--s", type=_nonneg)
-    p.add_argument("--t", type=_nonneg)
-    p.add_argument("--a-prime", dest="a_prime", type=_nonneg)
-    p.add_argument("--variant", choices=THM15_VARIANTS)
+    for key, kind in _PINS:
+        choices = THM15_VARIANTS if key == "variant" else None
+        p.add_argument("--" + key.replace("_", "-"), type=kind, choices=choices)
 
 
 def _bound_flags(p: argparse.ArgumentParser) -> None:
@@ -508,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="scan one of the open questions")
     p_scan.add_argument(
-        "selector", choices=registry.SCAN_SELECTORS, metavar="conjecture"
+        "family", choices=registry.SCAN_SELECTORS, metavar="conjecture"
     )
     _bound_flags(p_scan)
     _run_flags(p_scan)
@@ -520,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     _pin_flags(p_q)
     _bound_flags(p_q)
     _run_flags(p_q)
-    p_q.set_defaults(handler=_cmd_qverify)
+    p_q.set_defaults(handler=_cmd_verify, all=False)
 
     return parser
 

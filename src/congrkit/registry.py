@@ -1,9 +1,10 @@
 """Catalogue of every registered check family.
 
-``FAMILIES`` is the one declaration of each family: its name, group, anchor
-label, default grid, checker and explicit-parameter pins.  A grid maps a
-bounds dictionary to a list of parameter dictionaries, and the checker takes
-those parameters as keyword arguments: ``run_instance`` calls
+``_TABLE`` declares each family once, in one row under its group: its name,
+anchor label, default grid, checker and explicit-parameter pins;
+``FAMILIES``, ``GROUPS`` and the scan and q-family selectors derive from it.
+A grid maps a bounds dictionary to a list of parameter dictionaries, and the
+checker takes those parameters as keyword arguments: ``run_instance`` calls
 ``check(**params)``, after decoding the two parameters whose JSON form
 differs from the checker's argument type (a kernel descriptor, and lemma42's
 ``[num, den]`` pairs).  A checker returns its verdict alone; ``run_instance``
@@ -13,14 +14,11 @@ framework sweeps, so repeated runs enumerate identical instances in
 identical order; ``run_instance`` takes only picklable arguments and is safe
 to fan out across worker processes.
 
-A family names its checker by module and function: the theme module that
-defines it (residues, prefixes, displays, framework, scans, identities),
-qalgebra or sequences, never the verify facade.  The module is imported on
-the family's first check, or by ``load_checkers``, so this module and its
-grids import no checker module: listing or enumerating families never
-compiles one, and a single-family run compiles only its own theme.  kernels
-loads only in the thm41-thm44 grids and in the kernel decoder of
-``run_instance``.
+A row names its checker as ``"module.function"``, never through the verify
+facade.  The module is imported on the family's first check, or by
+``load_checkers``, so listing or enumerating families compiles no checker
+module.  kernels loads only in the thm41-thm44 grids and in the kernel
+decoder of ``run_instance``.
 
 Range overrides are passed as a bounds mapping with keys ``max_n``,
 ``max_p`` and ``max_m``.  Grids consume the bounds they understand and
@@ -85,8 +83,10 @@ def _p_grid(default: int, bounds: dict, least: int = 3) -> list[dict]:
 
 
 def _n_max_grid(default: int, bounds: dict) -> list[dict]:
-    """One instance checking indices up to max_n."""
-    return [{"n_max": _cap(bounds, "max_n", default)}]
+    """One instance checking indices up to max_n, none below the first
+    recurrence window at max_n = 3."""
+    top = _cap(bounds, "max_n", default)
+    return [{"n_max": top}] if top >= 3 else []
 
 
 def _mn_grid(m_default: int, n_default: int, bounds: dict) -> list[dict]:
@@ -389,14 +389,13 @@ def _pin_kind(pins: dict) -> dict:
 
 
 class _Checker:
-    """A checker named by its module and function.  The module is imported
-    on the first call (or by load), so enumerating grids imports none."""
+    """A checker named as "module.function".  The module is imported on the
+    first call (or by load), so enumerating grids imports none."""
 
     __slots__ = ("module", "name", "_fn")
 
-    def __init__(self, module: str, name: str) -> None:
-        self.module = module
-        self.name = name
+    def __init__(self, dotted: str) -> None:
+        self.module, self.name = dotted.split(".")
         self._fn: Optional[Callable[..., CheckResult]] = None
 
     def load(self) -> Callable[..., CheckResult]:
@@ -418,7 +417,7 @@ class Family(NamedTuple):
     anchor: str
     grid: Callable[[dict], list[dict]]
     check: Callable[..., CheckResult]
-    pins: tuple[str, ...] = ()
+    pins: tuple[str, ...]
     pin_build: Optional[Callable[[dict], dict]] = None
 
     def instance_from_pins(self, pins: dict) -> dict:
@@ -441,315 +440,111 @@ class Family(NamedTuple):
         return {key: pins[key] for key in self.pins}
 
 
-FAMILIES: dict[str, Family] = {
-    fam.name: fam
-    for fam in (
-        Family(
-            "rec_r",
-            "sequences",
-            "Recurrence (1.3)",
-            partial(_n_max_grid, 200),
-            _Checker("sequences", "check_recurrence_R"),
-        ),
-        Family(
-            "rec_r_poly",
-            "sequences",
-            "Recurrence (1.5)",
-            partial(_n_max_grid, 100),
-            _Checker("sequences", "check_recurrence_R_poly"),
-        ),
-        Family(
-            "rec_s",
-            "sequences",
-            "Recurrence (1.18)",
-            partial(_n_max_grid, 200),
-            _Checker("sequences", "check_recurrence_S"),
-        ),
-        Family(
-            "thm11",
-            "congruences",
-            "Theorem 1.1 (1.6)-(1.11)",
-            partial(_p_grid, 1999),
-            _Checker("residues", "check_thm11"),
-            ("p",),
-        ),
-        Family(
-            "thm12",
-            "congruences",
-            "Theorem 1.2 (1.12)",
-            partial(_p_grid, 997),
-            _Checker("residues", "check_thm12"),
-            ("p",),
-        ),
-        Family(
-            "remark11",
-            "congruences",
-            "Remark 1.1",
-            _grid_remark11,
-            _Checker("identities", "check_remark11"),
-            ("n", "d"),
-        ),
-        Family(
-            "thm13",
-            "congruences",
-            "Theorem 1.3 (1.13)",
-            partial(_p_grid, 997),
-            _Checker("prefixes", "check_thm13"),
-            ("p",),
-        ),
-        Family(
-            "thm13ii",
-            "congruences",
-            "Theorem 1.3 (1.14)/(1.15)",
-            partial(_n_grid, 500),
-            _Checker("prefixes", "check_thm13_ii"),
-            ("n",),
-        ),
-        Family(
-            "thm14i",
-            "congruences",
-            "Theorem 1.4 (1.19)/(1.20)",
-            partial(_n_grid, 300),
-            _Checker("prefixes", "check_thm14_i"),
-            ("n",),
-        ),
-        Family(
-            "thm14ii",
-            "congruences",
-            "Theorem 1.4(ii)",
-            partial(_p_grid, 499, least=5),
-            _Checker("prefixes", "check_thm14_ii"),
-            ("p",),
-        ),
-        Family(
-            "thm15i",
-            "congruences",
-            "Theorem 1.5(i) (1.21)-(1.26)",
-            _grid_thm15i,
-            _Checker("displays", "check_thm15_i_grid"),
-            ("m", "n", "variant"),
-        ),
-        Family(
-            "thm15ii",
-            "congruences",
-            "Theorem 1.5(ii) (1.27)-(1.35)",
-            _grid_thm15ii,
-            _Checker("displays", "check_thm15_ii"),
-            ("n", "a", "b"),
-        ),
-        Family(
-            "remark13",
-            "congruences",
-            "Remark 1.3 (1.36)",
-            partial(_n_grid, 100),
-            _Checker("displays", "check_remark13"),
-            ("n",),
-        ),
-        Family(
-            "xval15",
-            "congruences",
-            "Theorem 1.5(ii) via Theorem 4.4 kernels",
-            _grid_thm15ii,
-            _Checker("displays", "check_xval15"),
-            ("n", "a", "b"),
-        ),
-        Family(
-            "cor11",
-            "congruences",
-            "Corollary 1.1 (1.37)/(1.38)",
-            partial(_n_grid, 150),
-            _Checker("prefixes", "check_cor11"),
-            ("n",),
-        ),
-        Family(
-            "lemma22",
-            "congruences",
-            "Lemma 2.2 (2.2)",
-            partial(_n_grid, 50, start=0),
-            _Checker("identities", "check_lemma22"),
-            ("n",),
-        ),
-        Family(
-            "lemma23",
-            "congruences",
-            "Lemma 2.3 (2.6)",
-            _grid_lemma23,
-            _Checker("identities", "check_lemma23"),
-            ("n", "k"),
-        ),
-        Family(
-            "thm41",
-            "framework",
-            "Theorem 4.1 (4.1)/(4.2)",
-            _grid_thm41,
-            _Checker("framework", "check_thm41"),
-        ),
-        Family(
-            "cor41",
-            "framework",
-            "Corollary 4.1 (4.4)-(4.8)",
-            _grid_cor41,
-            _Checker("framework", "check_cor41"),
-        ),
-        Family(
-            "thm42",
-            "framework",
-            "Theorem 4.2 (4.9)",
-            _grid_thm42,
-            _Checker("framework", "check_thm42"),
-        ),
-        Family(
-            "thm43",
-            "framework",
-            "Theorem 4.3 (4.10)-(4.12)",
-            _grid_thm43,
-            _Checker("framework", "check_thm43"),
-        ),
-        Family(
-            "thm44",
-            "framework",
-            "Theorem 4.4 (4.14)",
-            _grid_thm44,
-            _Checker("framework", "check_thm44"),
-        ),
-        Family(
-            "lemma42",
-            "framework",
-            "Lemma 4.2 (4.16)",
-            _grid_lemma42,
-            _Checker("framework", "check_lemma42"),
-        ),
-        Family(
-            "qlucas",
-            "q-analogues",
-            "Lemma 3.1 (3.1)",
-            _grid_qlucas,
-            _Checker("qalgebra", "check_q_lucas"),
-            ("a", "b", "s", "t", "d"),
-        ),
-        Family(
-            "lemma32",
-            "q-analogues",
-            "Lemma 3.2 (3.2)",
-            _grid_lemma32,
-            _Checker("qalgebra", "check_lemma32"),
-            ("n", "k"),
-        ),
-        Family(
-            "thm31q",
-            "q-analogues",
-            "Theorem 3.1 (3.3)/(3.4)",
-            _grid_thm31q,
-            _Checker("qalgebra", "check_theorem31_q"),
-            ("n", "k"),
-        ),
-        Family(
-            "thm32q",
-            "q-analogues",
-            "Theorem 3.2 (3.7)/(3.8)",
-            _grid_thm32q,
-            _Checker("qalgebra", "check_theorem32_q"),
-            ("n", "a", "b", "a_prime"),
-        ),
-        Family(
-            "conj57",
-            "q-analogues",
-            "Conjecture 5.7 (5.10)",
-            partial(_n_grid, 25),
-            _Checker("qalgebra", "check_conj57"),
-            ("n",),
-        ),
-        Family(
-            "conj58q",
-            "q-analogues",
-            "Conjecture 5.8(ii) (5.13)/(5.14)",
-            partial(_mn_grid, 3, 20),
-            _Checker("qalgebra", "check_conj58_q"),
-            ("m", "n"),
-        ),
-        Family(
-            "conj51",
-            "conjectures",
-            "Conjecture 5.1 (5.1)/(5.2)",
-            _grid_conj51,
-            _Checker("residues", "check_conj51"),
-            ("p",),
-        ),
-        Family(
-            "conj52",
-            "conjectures",
-            "Conjecture 5.2 growth surrogates",
-            _grid_conj52,
-            _Checker("scans", "check_conj52"),
-        ),
-        Family(
-            "conj53",
-            "conjectures",
-            "Conjecture 5.3 irreducibility",
-            partial(_n_grid, 8),
-            _Checker("scans", "conj53_witness"),
-            ("n",),
-        ),
-        Family(
-            "conj54",
-            "conjectures",
-            "Conjecture 5.4 (5.3)-(5.5)",
-            partial(_kind_grid, 3),
-            _Checker("scans", "check_conj54"),
-            ("n", "p"),
-            _pin_kind,
-        ),
-        Family(
-            "conj55",
-            "conjectures",
-            "Conjecture 5.5 (5.7)/(5.8)",
-            partial(_kind_grid, 2),
-            _Checker("scans", "check_conj55"),
-            ("n", "p"),
-            _pin_kind,
-        ),
-        Family(
-            "conj56",
-            "conjectures",
-            "Conjecture 5.6 (5.9)",
-            partial(_n_grid, 200),
-            _Checker("scans", "check_conj56"),
-            ("n",),
-        ),
-        Family(
-            "remark52",
-            "conjectures",
-            "Remark 5.2 (5.6)",
-            partial(_n_grid, 50),
-            _Checker("scans", "check_remark52"),
-            ("n",),
-        ),
-        Family(
-            "remark53",
-            "conjectures",
-            "Remark 5.3",
-            partial(_n_grid, 200),
-            _Checker("scans", "check_remark53"),
-            ("n",),
-        ),
-        Family(
-            "conj58i",
-            "conjectures",
-            "Conjecture 5.8(i) (5.11)/(5.12)",
-            partial(_mn_grid, 4, 60),
-            _Checker("scans", "check_conj58i"),
-            ("m", "n"),
-        ),
-    )
+# One row per family, by group: name, anchor label, default grid, checker as
+# "module.function", the params the command line may pin and, for a family
+# whose pins choose between grid branches, the builder of its instance.
+_TABLE = {
+    "sequences": (
+        ("rec_r", "Recurrence (1.3)", partial(_n_max_grid, 200),
+         "sequences.check_recurrence_R", ()),
+        ("rec_r_poly", "Recurrence (1.5)", partial(_n_max_grid, 100),
+         "sequences.check_recurrence_R_poly", ()),
+        ("rec_s", "Recurrence (1.18)", partial(_n_max_grid, 200),
+         "sequences.check_recurrence_S", ()),
+    ),
+    "congruences": (
+        ("thm11", "Theorem 1.1 (1.6)-(1.11)", partial(_p_grid, 1999),
+         "residues.check_thm11", ("p",)),
+        ("thm12", "Theorem 1.2 (1.12)", partial(_p_grid, 997),
+         "residues.check_thm12", ("p",)),
+        ("remark11", "Remark 1.1", _grid_remark11,
+         "identities.check_remark11", ("n", "d")),
+        ("thm13", "Theorem 1.3 (1.13)", partial(_p_grid, 997),
+         "prefixes.check_thm13", ("p",)),
+        ("thm13ii", "Theorem 1.3 (1.14)/(1.15)", partial(_n_grid, 500),
+         "prefixes.check_thm13_ii", ("n",)),
+        ("thm14i", "Theorem 1.4 (1.19)/(1.20)", partial(_n_grid, 300),
+         "prefixes.check_thm14_i", ("n",)),
+        ("thm14ii", "Theorem 1.4(ii)", partial(_p_grid, 499, least=5),
+         "prefixes.check_thm14_ii", ("p",)),
+        ("thm15i", "Theorem 1.5(i) (1.21)-(1.26)", _grid_thm15i,
+         "displays.check_thm15_i_grid", ("m", "n", "variant")),
+        ("thm15ii", "Theorem 1.5(ii) (1.27)-(1.35)", _grid_thm15ii,
+         "displays.check_thm15_ii", ("n", "a", "b")),
+        ("remark13", "Remark 1.3 (1.36)", partial(_n_grid, 100),
+         "displays.check_remark13", ("n",)),
+        ("xval15", "Theorem 1.5(ii) via Theorem 4.4 kernels", _grid_thm15ii,
+         "displays.check_xval15", ("n", "a", "b")),
+        ("cor11", "Corollary 1.1 (1.37)/(1.38)", partial(_n_grid, 150),
+         "prefixes.check_cor11", ("n",)),
+        ("lemma22", "Lemma 2.2 (2.2)", partial(_n_grid, 50, start=0),
+         "identities.check_lemma22", ("n",)),
+        ("lemma23", "Lemma 2.3 (2.6)", _grid_lemma23,
+         "identities.check_lemma23", ("n", "k")),
+    ),
+    "framework": (
+        ("thm41", "Theorem 4.1 (4.1)/(4.2)", _grid_thm41,
+         "framework.check_thm41", ()),
+        ("cor41", "Corollary 4.1 (4.4)-(4.8)", _grid_cor41,
+         "framework.check_cor41", ()),
+        ("thm42", "Theorem 4.2 (4.9)", _grid_thm42,
+         "framework.check_thm42", ()),
+        ("thm43", "Theorem 4.3 (4.10)-(4.12)", _grid_thm43,
+         "framework.check_thm43", ()),
+        ("thm44", "Theorem 4.4 (4.14)", _grid_thm44,
+         "framework.check_thm44", ()),
+        ("lemma42", "Lemma 4.2 (4.16)", _grid_lemma42,
+         "framework.check_lemma42", ()),
+    ),
+    "q-analogues": (
+        ("qlucas", "Lemma 3.1 (3.1)", _grid_qlucas,
+         "qalgebra.check_q_lucas", ("a", "b", "s", "t", "d")),
+        ("lemma32", "Lemma 3.2 (3.2)", _grid_lemma32,
+         "qalgebra.check_lemma32", ("n", "k")),
+        ("thm31q", "Theorem 3.1 (3.3)/(3.4)", _grid_thm31q,
+         "qalgebra.check_theorem31_q", ("n", "k")),
+        ("thm32q", "Theorem 3.2 (3.7)/(3.8)", _grid_thm32q,
+         "qalgebra.check_theorem32_q", ("n", "a", "b", "a_prime")),
+        ("conj57", "Conjecture 5.7 (5.10)", partial(_n_grid, 25),
+         "qalgebra.check_conj57", ("n",)),
+        ("conj58q", "Conjecture 5.8(ii) (5.13)/(5.14)", partial(_mn_grid, 3, 20),
+         "qalgebra.check_conj58_q", ("m", "n")),
+    ),
+    "conjectures": (
+        ("conj51", "Conjecture 5.1 (5.1)/(5.2)", _grid_conj51,
+         "residues.check_conj51", ("p",)),
+        ("conj52", "Conjecture 5.2 growth surrogates", _grid_conj52,
+         "scans.check_conj52", ()),
+        ("conj53", "Conjecture 5.3 irreducibility", partial(_n_grid, 8),
+         "scans.conj53_witness", ("n",)),
+        ("conj54", "Conjecture 5.4 (5.3)-(5.5)", partial(_kind_grid, 3),
+         "scans.check_conj54", ("n", "p"), _pin_kind),
+        ("conj55", "Conjecture 5.5 (5.7)/(5.8)", partial(_kind_grid, 2),
+         "scans.check_conj55", ("n", "p"), _pin_kind),
+        ("conj56", "Conjecture 5.6 (5.9)", partial(_n_grid, 200),
+         "scans.check_conj56", ("n",)),
+        ("remark52", "Remark 5.2 (5.6)", partial(_n_grid, 50),
+         "scans.check_remark52", ("n",)),
+        ("remark53", "Remark 5.3", partial(_n_grid, 200),
+         "scans.check_remark53", ("n",)),
+        ("conj58i", "Conjecture 5.8(i) (5.11)/(5.12)", partial(_mn_grid, 4, 60),
+         "scans.check_conj58i", ("m", "n")),
+    ),
 }
 
-GROUPS = ("sequences", "congruences", "framework", "q-analogues", "conjectures")
+FAMILIES: dict[str, Family] = {
+    name: Family(name, group, anchor, grid, _Checker(check), *pin_fields)
+    for group, rows in _TABLE.items()
+    for name, anchor, grid, check, *pin_fields in rows
+}
 
-SCAN_SELECTORS = tuple(
-    name for name, fam in FAMILIES.items() if fam.group == "conjectures"
+GROUPS = tuple(_TABLE)
+
+# the last two groups: qverify takes the q-analogues, scan the conjectures
+Q_FAMILIES, SCAN_SELECTORS = (
+    tuple(row[0] for row in rows) for rows in list(_TABLE.values())[-2:]
 )
 
-Q_FAMILIES = tuple(name for name, fam in FAMILIES.items() if fam.group == "q-analogues")
 
 def _decode_kernel(descriptor: dict) -> KernelSpec:
     from .kernels import kernel_from_descriptor

@@ -116,14 +116,8 @@ class CheckResult:
 def summarize(results: list[CheckResult]) -> dict[str, int]:
     counts = {"pass": 0, "fail": 0, "ill_posed": 0, "inconclusive": 0}
     for r in results:
-        if r.status == PASS:
-            counts["pass"] += 1
-        elif r.status == FAIL:
-            counts["fail"] += 1
-        elif r.status == ILL_POSED:
-            counts["ill_posed"] += 1
-        else:
-            counts["inconclusive"] += 1
+        # the four statuses, lower-cased, are exactly its keys
+        counts[r.status.lower()] += 1
     return counts
 
 

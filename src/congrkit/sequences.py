@@ -490,8 +490,16 @@ def _poly_prefix(key: object, n: int, term: Callable[[int], Poly]) -> list[int]:
 # check of the recurrence against values it generated could never fail.
 
 
+def _windows(n_max: int) -> range:
+    """The n whose relation reads the terms n to n + 3 <= n_max: at least one,
+    so that a PASS has checked a relation."""
+    if n_max < 3:
+        raise ValueError("a recurrence check needs n_max >= 3, got %d" % n_max)
+    return range(n_max - 2)
+
+
 def _check_recurrence(n_max: int, vals: list[int], rec: _Recurrence) -> CheckResult:
-    for n in range(n_max - 2):
+    for n in _windows(n_max):
         lhs = sum(c * v for c, v in zip(rec(n), vals[n : n + 4]))
         if lhs != 0:
             return CheckResult(FAIL, lhs=str(lhs), rhs="0", witness={"n": n})
@@ -507,8 +515,9 @@ def check_recurrence_R_poly(n_max: int) -> CheckResult:
     """Same recurrence at polynomial level, with the linear-in-x multipliers."""
     from .polynomials import Poly
 
+    windows = _windows(n_max)
     polys = R_polys(n_max)
-    for n in range(n_max - 2):
+    for n in windows:
         lhs = (
             (n + 1) * polys[n]
             - Poly((3 * n + 5, 4 * n + 10)) * polys[n + 1]

@@ -2,15 +2,8 @@
 
 Each checker lives in the module of its theme, and this module only
 re-exports them for library use; the command line and the registry import
-the theme modules directly and never load this one.
-
-* residues   - prime residue tables: thm11, thm12, conj51;
-* prefixes   - prefix sums: thm13, thm13ii, thm14i, thm14ii, cor11;
-* displays   - the Theorem 1.5 displays: thm15i, thm15ii, remark13, xval15;
-* framework  - the Section 4 kernel framework: thm41-thm44, cor41, lemma42;
-* scans      - the Section 5 scans: conj52-conj56, conj58i, remark52,
-               remark53;
-* identities - closed forms: remark11, lemma22, lemma23.
+the theme modules directly and never load this one.  The registry's table
+names each family's checker by its module.
 
 No theme module imports another: the claim helpers they share live in
 result and the row and prefix-sum helpers in sequences.

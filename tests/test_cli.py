@@ -450,3 +450,16 @@ def test_thm15i_rejects_pinned_n_zero(capsys):
         cli_module.main(argv)
     assert stop.value.code == 2
     assert "need m, n >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("family", ("rec_r", "rec_r_poly", "rec_s"))
+def test_recurrence_families_have_no_instance_below_the_first_window(
+    capsys, family
+):
+    for max_n in ("0", "2"):
+        assert registry.instances_for(family, {"max_n": int(max_n)}) == []
+        assert cli_module.main(["verify", family, "--max-n", max_n]) == 0
+        assert capsys.readouterr().out.splitlines()[2:] == [
+            "summary pass=0 fail=0 ill_posed=0 inconclusive=0"
+        ]
+    assert registry.instances_for(family, {"max_n": 3}) == [{"n_max": 3}]

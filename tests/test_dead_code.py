@@ -56,13 +56,21 @@ def _exports(tree: ast.Module, name: str = "__all__") -> "list[str] | None":
 
 def _references(tree: ast.Module) -> set[str]:
     """Names read, attributes accessed and names imported anywhere in tree,
-    and the functions a registry _Checker names by string."""
+    and the checker functions the registry's _TABLE rows name by string."""
     out = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             out.add(node.id)
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Checker":
-            out.update(arg.value for arg in node.args if isinstance(arg, ast.Constant))
+        elif (
+            isinstance(node, ast.Assign)
+            and getattr(node.targets[0], "id", None) == "_TABLE"
+        ):
+            # a row's fourth field is its checker, as "module.function"
+            out.update(
+                row.elts[3].value.rpartition(".")[2]
+                for rows in node.value.values
+                for row in rows.elts
+            )
         elif isinstance(node, ast.Attribute):
             out.add(node.attr)
         elif isinstance(node, ast.alias):
@@ -132,7 +140,7 @@ TABLES = {
     "exactnum.py": {"_MEMOS"},
     "kernels.py": {"PAPER_KERNELS"},
     "prefixes.py": {"_COR11_POWER"},
-    "registry.py": {"FAMILIES", "_DECODE", "CONJ52_START"},
+    "registry.py": {"FAMILIES", "_DECODE", "CONJ52_START", "_TABLE"},
     "sequences.py": {"SEQUENCES", "_WEIGHTS"},
 }
 

@@ -246,6 +246,18 @@ def test_recurrences_hold_at_depth():
     assert check_recurrence_S(200).status == PASS
 
 
+@pytest.mark.parametrize(
+    "check", (check_recurrence_R, check_recurrence_R_poly, check_recurrence_S)
+)
+def test_recurrence_checks_refuse_a_range_without_a_window(check):
+    # the first window reads the terms 0 to 3, so below n_max = 3 a PASS
+    # would have checked no relation
+    for n_max in (0, 1, 2):
+        with pytest.raises(ValueError, match="n_max >= 3"):
+            check(n_max)
+    assert check(3).status == PASS
+
+
 # Negative controls: one raised row entry, from a cold value cache, must make
 # each recurrence cross-check FAIL at the first window that reads it.
 
