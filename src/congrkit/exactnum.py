@@ -17,6 +17,12 @@ Conventions that matter downstream:
 * two_square_decompose(p) normalizes the odd part x of p = x**2 + y**2 to
   x == 1 (mod 4) (sign choice) and returns y even and positive.
 
+The rows binomial(2k, k) and binomial(2k, k) / (2k - 1) that the sequence
+layer and the prime checkers share are grown here (_central_rows), as are
+the exact prefixes of linear recurrences (_recurrence_prefix): each term
+past the seeds is one exact division by the leading coefficient, and a
+remainder raises ArithmeticError (_exact_div).
+
 Every memo of the package is registered in _MEMOS, as one of two kinds.  A
 grown table (_memo_table: a list, or a dict of lists by a small key) grows
 only through _memo_grow, which appends entries computed outside _MEMO_LOCK
@@ -170,6 +176,66 @@ def _memo_grow(table: list, upto: int, grow: Callable[[int, int], list]) -> list
         with _MEMO_LOCK:
             table.extend(fresh[len(table) - start :])
     return table
+
+
+def _exact_div(a: int, b: int) -> int:
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("expected exact division: %d / %d" % (a, b))
+    return q
+
+
+# -- the shared central rows and recurrence prefixes ----------------------------
+
+_CENTRAL = _memo_table([1])  # binomial(2k, k)
+_CENTRAL_OVER = _memo_table([-1])  # binomial(2k, k) // (2k - 1)
+
+
+def _central_grow(start: int, upto: int) -> list[int]:
+    c, out = _CENTRAL[start - 1], []
+    for k in range(start, upto + 1):
+        c = c * (2 * (2 * k - 1)) // k
+        out.append(c)
+    return out
+
+
+def _central_over_grow(start: int, upto: int) -> list[int]:
+    return [_CENTRAL[k] // (2 * k - 1) for k in range(start, upto + 1)]
+
+
+def _central_rows(upto: int) -> tuple[list[int], list[int]]:
+    """The shared rows through index upto; callers must not mutate them."""
+    central = _memo_grow(_CENTRAL, upto, _central_grow)
+    return central, _memo_grow(_CENTRAL_OVER, upto, _central_over_grow)
+
+
+# n -> (c0, ..., cd), the coefficients of an order-d recurrence at n
+_Recurrence = Callable[[int], tuple[int, ...]]
+
+
+def _recurrence_prefix(
+    cache: list[int],
+    n_max: int,
+    seed: Callable[[int], int],
+    rec: _Recurrence,
+) -> list[int]:
+    """cache[: n_max + 1], extending cache with seed(i) for i < d and beyond
+    that with the term the coefficients rec(i - d) force, divided exactly;
+    d is the order, one less than the length of rec's tuple."""
+    order = len(rec(0)) - 1
+
+    def grow(start: int, upto: int) -> list[int]:
+        vals = cache[max(start - order, 0) : start]
+        head = len(vals)
+        for i in range(start, upto + 1):
+            if i < order:
+                vals.append(seed(i))
+            else:
+                *low, lead = rec(i - order)
+                vals.append(_exact_div(_dot(low, vals[-order:]), -lead))
+        return vals[head:]
+
+    return _memo_grow(cache, n_max, grow)[: n_max + 1]
 
 
 _BERNOULLI: list[Fraction] = _memo_table([Fraction(1)])

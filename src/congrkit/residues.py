@@ -1,20 +1,34 @@
-"""Prime residue tables: the checkers of thm11, thm12 and conj51.
+"""Prime-indexed congruences: the checkers of thm11, thm12 and conj51.
 
-The prime-indexed sums of thm11 (mod p^2), thm12 (mod p) and conj51
-(mod p^2) are reduced mod p^e term by term, and never read the exact
-central-binomial rows.  Each checker call builds one table per prime mod
-p^e: j! and 1/j! for j < p, and binomial(2k, k)/(2k - 1) = 2 Catalan(k-1)
-for k <= (p+1)/2.  Every term is a product of table entries and a power of
-1/2, 1/8, 1/16 or 1/32; all their denominators are prime to p, and
-reduction mod p^e is a ring homomorphism on those rationals, so the residue
-of the sum is the sum of the term residues: the same lhs, rhs and witness
-that an exact sum reduced at the end gives.  Past k = (p+1)/2, p divides
-binomial(2k, k) (Kummer's theorem: k + k carries in base p) and not 2k - 1,
-so those terms vanish mod p, and mod p^2 as well in the central-square sums
-and, but for k = p - 1, in the offset sum.  The boundary terms that remain
-are p times a unit: the k = (p+1)/2 square term from the table, and the
-offset sum's k = (p+1)/2 and k = p - 1 terms exactly.  thm12 takes
-binomial(p+1, j) mod p at k = (p+1)/2 from Lucas's theorem.
+thm11 (mod p^2) and conj51 (mod p^2) read exact values from tables grown
+once per process and shared by all primes, so a prime costs a few big-int
+reductions mod p^2:
+
+* power-sum prefixes U[j + 1] = b U[j] + c_j, U[0] = 0, over the row
+  c_k = binomial(2k, k)^2 / (2k - 1) for b = -16, 8 and 32, and for conj51
+  also over d_k = binomial(2k, k) binomial(2k, k+1) / (2k - 1) for b = 8.
+  Both rows are integers, read from exactnum's central rows.
+* the values b^n R_poly(n)(a/b) at x = a/b = 1, -2 and -1/2, grown by
+  recurrence (1.5) of R_poly, which check_recurrence_R_poly states,
+  evaluated at a/b and scaled by b^(n+3) (_R_rec_at), and seeded for n < 3
+  by the defining sum.  At x = 1 it is recurrence (1.3), sequences._R_rec.
+
+Kummer's theorem cuts each power sum at h = (p+1)/2.  For h <= k < p,
+k + k carries once in base p, so p divides binomial(2k, k) once and 2k - 1
+only at k = h, where 2k - 1 = p.  So c_k vanishes mod p^2 past h, and c_h
+is p times a unit.  For h < k < p - 1 the offset term d_k carries p in both
+binomials and vanishes too.  At k = h, 2k - 1 = p cancels the p of
+binomial(2k, k) and binomial(2k, k+1) keeps its own; at k = p - 1,
+p + (p-2) adds without a carry, so binomial(2k, k+1) is a unit: both d_h
+and d_{p-1} are p times a unit.  The prefix holds the k = h terms exactly,
+so sum_{k<p} c_k / b^k = U[h + 1] / b^h mod p^2, as b is prime to p, and
+conj51 adds the row entry d_{p-1} exactly.
+
+thm12 (mod p) needs a sum for each offset d, so it builds one table per
+prime mod p: j! and 1/j! for j < p, and binomial(2k, k)/(2k - 1) for
+k <= (p+1)/2, and sums products of their slices.  Its terms past
+k = (p+1)/2 vanish mod p, and it takes binomial(p+1, j) mod p at
+k = (p+1)/2 from Lucas's theorem.
 
 This module reads exactnum and result alone, so a run of these three
 families loads neither sequences nor polynomials.
@@ -22,13 +36,18 @@ families loads neither sequences nor polynomials.
 
 from __future__ import annotations
 
-import math
 import operator
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from functools import partial
+from typing import Callable, Iterable, NamedTuple
 
 from .exactnum import (
+    _Recurrence,
+    _central_rows,
     _dot,
+    _memo_grow,
+    _memo_table,
+    _recurrence_prefix,
     binomial,
     central_binomial_over_2k_minus_1,
     is_prime,
@@ -40,7 +59,92 @@ from .result import FAIL, PASS, CheckResult, _chain, _first_failure
 __all__ = ["check_thm11", "check_thm12", "check_conj51"]
 
 
-# -- residue-first sums over prime-indexed ranges ---------------------------------
+# -- values grown once and shared by all primes ------------------------------------
+
+
+def _square_terms(lo: int, hi: int) -> Iterable[int]:
+    """c_k = binomial(2k, k)^2 / (2k - 1) for lo <= k < hi."""
+    central, over = _central_rows(hi - 1)
+    return map(operator.mul, central[lo:hi], over[lo:hi])
+
+
+def _offset_terms(lo: int, hi: int) -> Iterable[int]:
+    """d_k = binomial(2k, k) binomial(2k, k+1) / (2k - 1) for lo <= k < hi;
+    binomial(2k, k+1) = k Catalan(k)."""
+    central, over = _central_rows(hi - 1)
+    return (over[k] * (central[k] // (k + 1) * k) for k in range(lo, hi))
+
+
+# (terms, b) -> [U[0], U[1], ...] with U[j + 1] = b U[j] + terms(j)
+_POWER_PREFIXES: dict[tuple[Callable, int], list[int]] = _memo_table({})
+
+
+def _power_sum(terms: Callable[[int, int], Iterable[int]], base: int, p: int) -> int:
+    """sum_{k<=h} t_k / base^k mod p^2 for the row t of terms, with
+    h = (p+1)/2: U[h + 1] / base^h, from the shared prefix U."""
+    table = _POWER_PREFIXES.setdefault((terms, base), [0])
+
+    def grow(start: int, upto: int) -> list[int]:
+        acc, out = table[start - 1], []
+        for t in terms(start - 1, upto):
+            acc = acc * base + t
+            out.append(acc)
+        return out
+
+    m, h = p * p, (p + 1) // 2
+    return _memo_grow(table, h + 1, grow)[h + 1] * pow(base, -h, m) % m
+
+
+def _offset_power_sum(p: int) -> int:
+    """sum_{k<p} d_k / 8^k mod p^2: the shared prefix through k = h, and the
+    exact row entry d_{p-1} (at p = 3 it is the k = h term)."""
+    m = p * p
+    acc = _power_sum(_offset_terms, 8, p)
+    if p > 3:
+        (boundary,) = _offset_terms(p - 1, p)
+        acc += boundary * pow(8, 1 - p, m)
+    return acc % m
+
+
+def _R_rec_at(a: int, b: int) -> _Recurrence:
+    """The recurrence of b^n R_poly(n)(a/b): check_recurrence_R_poly's
+    relation at x = a/b, times b^(n+3)."""
+
+    def rec(n: int) -> tuple[int, int, int, int]:
+        return (
+            (n + 1) * b**3,
+            -((3 * n + 5) * b + (4 * n + 10) * a) * b,
+            (3 * n + 7) * b + (4 * n + 6) * a,
+            -(n + 3),
+        )
+
+    return rec
+
+
+def _R_seed_at(a: int, b: int, n: int) -> int:
+    """b^n R_poly(n)(a/b) from the defining sum: the x^k coefficient of
+    R_poly(n) is binomial(n+k, 2k) binomial(2k, k)/(2k - 1)."""
+    return sum(
+        binomial(n + k, 2 * k)
+        * central_binomial_over_2k_minus_1(k)
+        * a**k
+        * b ** (n - k)
+        for k in range(n + 1)
+    )
+
+
+# (a, b) -> [b^n R_poly(n)(a/b) for n = 0, 1, ...]
+_R_AT: dict[tuple[int, int], list[int]] = _memo_table({})
+
+
+def _R_value_at(a: int, b: int, n: int) -> int:
+    """b^n R_poly(n)(a/b), exact, from the shared prefix for the point a/b."""
+    cache = _R_AT.setdefault((a, b), [])
+    seed = partial(_R_seed_at, a, b)
+    return _recurrence_prefix(cache, n, seed, _R_rec_at(a, b))[n]
+
+
+# -- per-prime residue tables mod p ------------------------------------------------
 
 
 class _PrimeTable(NamedTuple):
@@ -76,75 +180,6 @@ def _prime_table(p: int, e: int) -> _PrimeTable:
     return _PrimeTable(p, m, fact, inv, over)
 
 
-def _horner(coeffs: Sequence[int], x: int, modulus: int) -> int:
-    """sum_k coeffs[k] * x^k mod modulus, by Horner's rule in x^b over blocks
-    of b ~ sqrt(len(coeffs)) terms; each block is one dot product with the
-    powers of x below x^b."""
-    size = math.isqrt(len(coeffs)) + 1
-    powers = [1]
-    for _ in range(size):
-        powers.append(powers[-1] * x % modulus)
-    step = powers.pop()
-    acc = 0
-    for i in reversed(range(0, len(coeffs), size)):
-        acc = (acc * step + _dot(coeffs[i : i + size], powers)) % modulus
-    return acc
-
-
-def _R_residues(t: _PrimeTable, points: Sequence[int]) -> list[int]:
-    """R_poly((p-1)/2) at each point, mod p^e.  With n = (p-1)/2 its x^k
-    coefficient is binomial(n+k, 2k) over[k], and n + k < p."""
-    n = (t.p - 1) // 2
-    m = t.modulus
-    coeffs = [
-        f * i * j * o % m
-        for f, i, j, o in zip(t.fact[n:], t.inv[::2], t.inv[n::-1], t.over)
-    ]
-    return [_horner(coeffs, x, m) for x in points]
-
-
-def _central_square_power_sums(t: _PrimeTable, bases: Sequence[int]) -> list[int]:
-    """sum_{k<p} binomial(2k,k)^2 / ((2k-1) * base^k) mod p^2, per base; t is
-    the table mod p^2.
-
-    With h = (p+1)/2, every k in [h, p) has p <= k + k < 2p, one carry in
-    base p, so p exactly divides binomial(2k, k) (Kummer) and p^2 its square.
-    2k - 1 is prime to p there except at k = h, where it is p.  So the terms
-    past h vanish mod p^2, and the k = h term is binomial(p+1, h) over[h] =
-    p (p+1) (p-1)! / h!^2 over[h], p times a unit.  Below h, 2k < p and
-    binomial(2k, k) = (2k)! / k!^2."""
-    p, m, fact, inv, over = t
-    h = (p + 1) // 2
-    terms = [f * i * i * o % m for f, i, o in zip(fact[::2], inv, over)]
-    terms.append(p * (p + 1) * fact[p - 1] * inv[h] * inv[h] * over[h] % m)
-    return [_horner(terms, pow(base, -1, m), m) for base in bases]
-
-
-def _central_offset_power_sum(t: _PrimeTable) -> int:
-    """sum_{k<p} binomial(2k,k) binomial(2k,k+1) / ((2k-1) 8^k) mod p^2; t is
-    the table mod p^2.
-
-    With h = (p+1)/2, every k with h < k < p - 1 has one carry in both k + k
-    and (k+1) + (k-1) in base p, so p divides both binomials (Kummer), while
-    2k - 1 is prime to p: those terms vanish mod p^2.  Two boundary terms
-    stay, each p times a unit.  At k = h, 2k - 1 = p cancels the p of
-    binomial(2k, k), and binomial(2k, k+1) keeps its own.  At k = p - 1,
-    binomial(2k, k) keeps its p, but p + (p-2) adds without a carry, so
-    binomial(2k, k+1) is a unit.  (At p = 3 the two coincide in one unit
-    term.)  Both are taken exactly.  Below h, binomial(2k, k+1) =
-    (2k)! / ((k+1)! (k-1)!), and 0 at k = 0."""
-    p, m, fact, inv, over = t
-    h = (p + 1) // 2
-    terms = [0] + [
-        f * i * j * o % m for f, i, j, o in zip(fact[2::2], inv[2:], inv, over[1:])
-    ]
-    acc = _horner(terms, pow(8, -1, m), m)
-    for k in {h, p - 1}:
-        boundary = central_binomial_over_2k_minus_1(k) * binomial(2 * k, k + 1)
-        acc += boundary * pow(8, -k, m)
-    return acc % m
-
-
 def _offset_pair_sums(t: _PrimeTable, offsets: range) -> dict[int, int]:
     """sum_{k<p} binomial(2k,k) binomial(2k,k+d) / ((2k-1) 8^k) mod p for
     each d in offsets (d >= 0); t is the table mod p.
@@ -178,9 +213,11 @@ def check_thm11(p: int) -> CheckResult:
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm11: p must be an odd prime")
     chi = legendre_symbol(2, p)
-    table = _prime_table(p, 2)
-    r_plain, r_neg2, r_half = _R_residues(table, (1, -2, -pow(2, -1, p * p)))
-    g16, g8, g32 = _central_square_power_sums(table, (-16, 8, 32))
+    n, m = (p - 1) // 2, p * p
+    r_plain = _R_value_at(1, 1, n) % m
+    r_neg2 = _R_value_at(-2, 1, n) % m
+    r_half = _R_value_at(-1, 2, n) * pow(2, -n, m) % m
+    g16, g8, g32 = (_power_sum(_square_terms, base, p) for base in (-16, 8, 32))
     if p % 4 == 1:
         dec = two_square_decompose(p)
         x, y = dec.x, dec.y
@@ -270,14 +307,13 @@ def check_conj51(p: int) -> CheckResult:
         raise ValueError("conj51: p must be a prime congruent to 3 mod 4")
     chi = legendre_symbol(2, p)
     c = binomial((p + 1) // 2, (p + 1) // 4)
-    table = _prime_table(p, 2)
     chains = (
         ("base 8", [
-            ("power sum", _central_square_power_sums(table, (8,))[0]),
+            ("power sum", _power_sum(_square_terms, 8, p)),
             ("closed form", -chi * Fraction((p + 1) * c, (1 << (p - 1)) + 1)),
         ]),
         ("offset base 8", [
-            ("offset power sum, tripled", 3 * _central_offset_power_sum(table)),
+            ("offset power sum, tripled", 3 * _offset_power_sum(p)),
             ("closed form", p + chi * Fraction(2 * p, c)),
         ]),
     )

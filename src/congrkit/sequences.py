@@ -1,15 +1,17 @@
 """Integer sequence and polynomial families built from binomial sums, and
 the row and prefix-sum layer that the checker modules share.
 
-Every generator is a direct summation in exact arithmetic over the rows
-built here, the package's single source of binomial rows: _binom_row
-(binomial(top, k), any integer top), _diag_row (binomial(n + k, 2k)) and
-_central_rows (binomial(2k, k) and its quotient by 2k - 1).  Sums whose
-terms contain a 2k - 1 denominator are folded through binomial(2k, k) /
-(2k - 1), which is an integer for all k >= 0 (equal to -1 at k = 0), so
-those families stay in integer arithmetic from end to end.  The checkers
-combine rows through _row_product, _pair_rows and _mixed_row, and weight
-them through _weighted.
+Every generator is a direct summation in exact arithmetic over the
+package's binomial rows: _binom_row (binomial(top, k), any integer top) and
+_diag_row (binomial(n + k, 2k)), built here, and _central_rows
+(binomial(2k, k) and its quotient by 2k - 1), which exactnum grows for this
+layer and the prime checkers alike and which this module re-exports, with
+its tables, as it does _exact_div and _recurrence_prefix.  Sums whose terms
+contain a 2k - 1 denominator are folded through binomial(2k, k) / (2k - 1),
+which is an integer for all k >= 0 (equal to -1 at k = 0), so those
+families stay in integer arithmetic from end to end.  The checkers combine
+rows through _row_product, _pair_rows and _mixed_row, and weight them
+through _weighted.
 
 SEQUENCES maps each integer sequence's name to its defining sum and, where
 one is known, a linear recurrence; values_of(name, n_max) reads a prefix of
@@ -37,7 +39,18 @@ from fractions import Fraction
 from functools import reduce
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
-from .exactnum import _dot, _memo_cache, _memo_grow, _memo_table
+from .exactnum import (
+    _CENTRAL,
+    _CENTRAL_OVER,
+    _Recurrence,
+    _central_rows,
+    _dot,
+    _exact_div,
+    _memo_cache,
+    _memo_grow,
+    _memo_table,
+    _recurrence_prefix,
+)
 from .result import CheckResult, FAIL, PASS
 
 if TYPE_CHECKING:
@@ -70,34 +83,6 @@ __all__ = [
 ]
 
 # -- shared incremental rows ------------------------------------------------
-
-_CENTRAL = _memo_table([1])  # binomial(2k, k)
-_CENTRAL_OVER = _memo_table([-1])  # binomial(2k, k) // (2k - 1)
-
-
-def _central_grow(start: int, upto: int) -> list[int]:
-    c, out = _CENTRAL[start - 1], []
-    for k in range(start, upto + 1):
-        c = c * (2 * (2 * k - 1)) // k
-        out.append(c)
-    return out
-
-
-def _central_over_grow(start: int, upto: int) -> list[int]:
-    return [_CENTRAL[k] // (2 * k - 1) for k in range(start, upto + 1)]
-
-
-def _central_rows(upto: int) -> tuple[list[int], list[int]]:
-    """The shared rows through index upto; callers must not mutate them."""
-    central = _memo_grow(_CENTRAL, upto, _central_grow)
-    return central, _memo_grow(_CENTRAL_OVER, upto, _central_over_grow)
-
-
-def _exact_div(a: int, b: int) -> int:
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("expected exact division: %d / %d" % (a, b))
-    return q
 
 
 def _binom_row(top: int, count: int) -> list[int]:
@@ -328,10 +313,6 @@ def S_cminus(n: int) -> int:
 
 # -- the recurrences (1.3), (1.18) and the large-Schroeder one ------------------
 
-# n -> (c0, ..., cd), the coefficients of an order-d recurrence at n
-_Recurrence = Callable[[int], tuple[int, ...]]
-
-
 def _R_rec(n: int) -> tuple[int, int, int, int]:
     """c with c0 R(n) + c1 R(n+1) + c2 R(n+2) + c3 R(n+3) = 0."""
     return n + 1, -(7 * n + 15), 7 * n + 13, -(n + 3)
@@ -377,32 +358,6 @@ def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list
 
     def grow(start: int, upto: int) -> list:
         return [make(i) for i in range(start, upto + 1)]
-
-    return _memo_grow(cache, n_max, grow)[: n_max + 1]
-
-
-def _recurrence_prefix(
-    cache: list[int],
-    n_max: int,
-    seed: Callable[[int], int],
-    rec: _Recurrence,
-) -> list[int]:
-    """cache[: n_max + 1], extending cache with seed(i) for i < d and beyond
-    that with the term the coefficients rec(i - d) force, divided exactly;
-    d is the order, one less than the length of rec's tuple."""
-    order = len(rec(0)) - 1
-
-    def grow(start: int, upto: int) -> list[int]:
-        vals = cache[max(start - order, 0) : start]
-        head = len(vals)
-        for i in range(start, upto + 1):
-            if i < order:
-                vals.append(seed(i))
-            else:
-                *low, lead = rec(i - order)
-                top = sum(map(operator.mul, low, vals[-order:]))
-                vals.append(_exact_div(top, -lead))
-        return vals[head:]
 
     return _memo_grow(cache, n_max, grow)[: n_max + 1]
 

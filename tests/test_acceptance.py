@@ -53,6 +53,17 @@ SMALL_REPORT_SHA256 = {
     "text": "0ead9fec6f3cb48f6605f71c89ee161697f28cdd5339c043294584cc038ef834",
 }
 
+# sha256 of two prime-family reports at --format json past the default grid,
+# taken before thm11 and conj51 read values shared by all primes
+WIDE_REPORT_SHA256 = {
+    ("verify", "thm11", "--max-p", "3000"): (
+        "3f4e49028016138a194abaf3d60d98c3a40d262c6a2015c3c348d341191a2354"
+    ),
+    ("scan", "conj51", "--max-p", "3000"): (
+        "0e862ba995cd045fd2befc1094db5196e251ccc315a25ceba1f2231f947dc467"
+    ),
+}
+
 # sha256 of `congrkit list`
 GOLDEN_LIST_SHA256 = "eb34482d4b7649d82166f4865d443dda7c0d8621b93ba7edcc40966f80c4c682"
 
@@ -305,6 +316,13 @@ def test_csv_and_text_report_bytes_identical_across_worker_counts(cli, fmt):
     assert runs[1].stdout == payload
     assert runs[2].stdout == payload
     assert hashlib.sha256(payload).hexdigest() == SMALL_REPORT_SHA256[fmt]
+
+
+@pytest.mark.parametrize("args", sorted(WIDE_REPORT_SHA256))
+def test_prime_family_reports_are_pinned_past_the_default_grid(cli, args):
+    run = cli(*args, "--format", "json")
+    assert run.returncode == 0
+    assert hashlib.sha256(run.stdout).hexdigest() == WIDE_REPORT_SHA256[args]
 
 
 def _dump(params):

@@ -6,7 +6,7 @@ from functools import partial
 
 import pytest
 
-from congrkit import displays, exactnum, qalgebra, sequences
+from congrkit import displays, exactnum, qalgebra, residues, sequences
 from congrkit.exactnum import (
     DenominatorNotInvertible,
     bernoulli_number,
@@ -268,6 +268,7 @@ def test_clear_memos_resets_every_registered_memo(cold_memos):
     qalgebra.cyclotomic(12)
     sequences._poly_prefix(("S_m", 2), 10, partial(sequences.S_m_poly, 2))
     displays._grid_products(2, 5)
+    residues.check_thm11(13)  # grows the shared power-sum prefixes and R values
     cold_memos()
     assert exactnum._BERNOULLI == [Fraction(1)]
     assert (sequences._CENTRAL, sequences._CENTRAL_OVER) == ([1], [-1])

@@ -58,12 +58,16 @@ from congrkit.verify import (
     conj53_witness,
 )
 from congrkit.prefixes import _thm14ii_members
+from congrkit.exactnum import _recurrence_prefix
 from congrkit.residues import (
-    _R_residues,
-    _central_offset_power_sum,
-    _central_square_power_sums,
+    _R_rec_at,
+    _R_seed_at,
+    _R_value_at,
     _offset_pair_sums,
+    _offset_power_sum,
+    _power_sum,
     _prime_table,
+    _square_terms,
 )
 from congrkit.scans import _irreducible_mod
 
@@ -621,7 +625,7 @@ def test_max_p_is_exclusive_for_scans_and_inclusive_elsewhere():
     assert top_prime("thm14ii", {"max_p": 19}) == 19
 
 
-# -- exact oracles for the residue-first prime sums ----------------------------------
+# -- exact oracles for the prime sums ------------------------------------------------
 #
 # These are the sums the prime checkers built before reducing mod p^e term by
 # term: exact integers over base^(p-1), reduced once at the end.
@@ -693,16 +697,58 @@ def _mod(value, p, e):
 def test_residue_sums_match_exact_oracle_mod_p_squared(p):
     n = (p - 1) // 2
     m = p * p
-    table = _prime_table(p, 2)
-    assert _R_residues(table, (1, -2, -pow(2, -1, m))) == [
+    assert [
+        _R_value_at(1, 1, n) % m,
+        _R_value_at(-2, 1, n) % m,
+        _R_value_at(-1, 2, n) * pow(2, -n, m) % m,
+    ] == [
         R(n) % m,
         R_poly(n)(-2) % m,
         _mod(_exact_R_at_minus_half(n), p, 2),
     ]
-    assert _central_square_power_sums(table, (-16, 8, 32)) == [
+    assert [_power_sum(_square_terms, base, p) for base in (-16, 8, 32)] == [
         _mod(_exact_power_sum(p, base), p, 2) for base in (-16, 8, 32)
     ]
-    assert _central_offset_power_sum(table) == _mod(_exact_offset_power_sum(p), p, 2)
+    assert _offset_power_sum(p) == _mod(_exact_offset_power_sum(p), p, 2)
+
+
+# the points a/b at which thm11 reads b^n R_poly(n)(a/b)
+R_POINTS = ((1, 1), (-2, 1), (-1, 2))
+
+
+def _R_defining_sums(a, b, n_max):
+    """b^n R_poly(n)(a/b) for n <= n_max, from R_poly's coefficients."""
+    return [
+        sum(c * a**k * b ** (n - k) for k, c in enumerate(poly.coeffs))
+        for n, poly in enumerate(sequences.R_polys(n_max))
+    ]
+
+
+def test_R_point_prefixes_match_the_defining_sums(cold_memos):
+    for a, b in R_POINTS:
+        _R_value_at(a, b, 300)
+        assert residues._R_AT[a, b] == _R_defining_sums(a, b, 300)
+
+
+@pytest.mark.parametrize("index", range(4))
+@pytest.mark.parametrize("a, b", R_POINTS)
+def test_R_point_recurrence_with_a_changed_coefficient_raises_or_mismatches(
+    a, b, index
+):
+    def changed(n):
+        coeffs = list(_R_rec_at(a, b)(n))
+        coeffs[index] += 1
+        return tuple(coeffs)
+
+    seed = partial(_R_seed_at, a, b)
+    assert _recurrence_prefix([], 60, seed, _R_rec_at(a, b)) == _R_defining_sums(
+        a, b, 60
+    )
+    try:
+        values = _recurrence_prefix([], 60, seed, changed)
+    except ArithmeticError:
+        return
+    assert values != _R_defining_sums(a, b, 60)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100)
@@ -732,14 +778,22 @@ def test_residue_sums_drop_exactly_the_terms_that_vanish_mod_p_squared(p):
     assert square[h] % m and offset[h] % m and offset[p - 1] % m
 
 
-def test_prime_checkers_never_read_the_exact_rows(monkeypatch):
+def test_thm12_never_reads_the_exact_rows(monkeypatch):
     def refuse(upto):
         raise AssertionError("exact central rows read through %d" % upto)
 
     monkeypatch.setattr(sequences, "_central_rows", refuse)
-    assert not hasattr(residues, "_central_rows")
-    assert check_thm11(1999).status == PASS
+    monkeypatch.setattr(residues, "_central_rows", refuse)
     assert check_thm12(997).status == PASS
+
+
+def test_thm11_and_conj51_never_build_a_prime_table(monkeypatch):
+    # their values come from tables shared by all primes
+    def refuse(p, e):
+        raise AssertionError("residue table built for p = %d" % p)
+
+    monkeypatch.setattr(residues, "_prime_table", refuse)
+    assert check_thm11(1999).status == PASS
     assert run_instance("conj51", {"p": 983}).status == PASS
 
 
@@ -790,8 +844,9 @@ def test_thm14ii_residues_match_exact_oracle_mod_p_squared(p):
 
 
 @pytest.fixture
-def shifted_over(monkeypatch):
-    """Serve copies of the central rows with binomial(2,1)/1 raised by one."""
+def shifted_over(monkeypatch, cold_memos):
+    """Serve copies of the central rows with binomial(2,1)/1 raised by one to
+    identities and to residues, whose power-sum prefixes start cold."""
 
     def rows(upto):
         central, over = _central_rows(upto)
@@ -800,12 +855,12 @@ def shifted_over(monkeypatch):
         return list(central), over
 
     monkeypatch.setattr(identities, "_central_rows", rows)
+    monkeypatch.setattr(residues, "_central_rows", rows)
 
 
 @pytest.fixture
 def shifted_table(monkeypatch):
-    """Serve the residue tables of the prime families with binomial(2,1)/1
-    raised by one."""
+    """Serve thm12's residue tables with binomial(2,1)/1 raised by one."""
     original = residues._prime_table
 
     def table(p, e):
@@ -818,7 +873,7 @@ def shifted_table(monkeypatch):
 
 
 @pytest.mark.parametrize("p", (7, 13))
-def test_thm11_fails_on_shifted_row(shifted_table, p):
+def test_thm11_fails_on_shifted_row(shifted_over, p):
     r = check_thm11(p)
     assert r.status == FAIL
     assert r.witness["claim"] == "base -16"
@@ -833,7 +888,7 @@ def test_thm12_fails_on_shifted_row_and_names_offset(shifted_table, p, d):
     assert r.witness["residue"] == int(r.lhs) != 0
 
 
-def test_conj51_fails_on_shifted_row(shifted_table):
+def test_conj51_fails_on_shifted_row(shifted_over):
     r = run_instance("conj51", {"p": 7})
     assert r.status == FAIL
     assert r.witness["claim"] == "base 8"
@@ -934,6 +989,29 @@ def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
     assert results == [grow()] * 4
     assert [len(t) for t in grown] == [302, 61]
     assert grown == tables()
+
+
+def test_shared_prime_tables_stay_aligned_under_thread_races(cold_memos, race):
+    def grow():
+        values = [_R_value_at(a, b, 400) for a, b in R_POINTS]
+        sums = [_power_sum(_square_terms, base, 797) for base in (-16, 8, 32)]
+        return values, sums, _offset_power_sum(787)
+
+    def tables():
+        return {
+            key: list(table)
+            for memo in (residues._R_AT, residues._POWER_PREFIXES)
+            for key, table in memo.items()
+        }
+
+    results = race(grow)
+    grown = tables()
+    cold_memos()
+    assert results == [grow()] * 4
+    assert grown == tables()
+    # R through n = 400, the square prefixes through h + 1 = 400 at p = 797,
+    # the offset prefix through 395 at p = 787
+    assert sorted(map(len, grown.values())) == [396] + [401] * 6
 
 
 # the direct sums of the checkers' weighted prefixes, weights written out here
