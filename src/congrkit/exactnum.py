@@ -21,7 +21,14 @@ The rows binomial(2k, k) and binomial(2k, k) / (2k - 1) that the sequence
 layer and the prime checkers share are grown here (_central_rows), as are
 the exact prefixes of linear recurrences (_recurrence_prefix): each term
 past the seeds is one exact division by the leading coefficient, and a
-remainder raises ArithmeticError (_exact_div).
+remainder raises ArithmeticError (_exact_div).  The paper's recurrence
+(1.5) of R_poly is stated once, as _R_poly_rec; every other form of it is
+derived: at a point x = a/b it grows the values b^n R_poly(n)(a/b) into
+one table per point (_R_AT, read through _R_values_at), and at x = 1 it is
+recurrence (1.3) of R(n), whose values are that table's (1, 1) row.  The
+running sums of a row, U[j + 1] = step(U[j], t_j), are grown here as well
+(_prefix_sum, into _PREFIX_SUMS), for the sequence layer and the prime
+checkers alike.
 
 Every memo of the package is registered in _MEMOS, as one of two kinds.  A
 grown table (_memo_table: a list, or a dict of lists by a small key) grows
@@ -222,9 +229,9 @@ def _recurrence_prefix(
     """cache[: n_max + 1], extending cache with seed(i) for i < d and beyond
     that with the term the coefficients rec(i - d) force, divided exactly;
     d is the order, one less than the length of rec's tuple."""
-    order = len(rec(0)) - 1
 
     def grow(start: int, upto: int) -> list[int]:
+        order = len(rec(0)) - 1
         vals = cache[max(start - order, 0) : start]
         head = len(vals)
         for i in range(start, upto + 1):
@@ -236,6 +243,81 @@ def _recurrence_prefix(
         return vals[head:]
 
     return _memo_grow(cache, n_max, grow)[: n_max + 1]
+
+
+_PREFIX_SUMS: dict[object, list] = _memo_table({})
+
+
+def _prefix_sum(
+    key: object, n: int, terms: Callable[[int, int], list], step=operator.add, zero=0
+) -> object:
+    """Entry n of the running sums memoized as _PREFIX_SUMS[key], whose entry 0
+    is zero and entry j + 1 is step(entry j, term j).
+
+    terms(lo, hi) returns the terms lo..hi-1.
+    """
+    table = _PREFIX_SUMS.setdefault(key, [zero])
+
+    def grow(start: int, upto: int) -> list:
+        acc, out = table[start - 1], []
+        for term in terms(start - 1, upto):
+            acc = step(acc, term)
+            out.append(acc)
+        return out
+
+    return _memo_grow(table, n, grow)[n]
+
+
+# -- recurrence (1.5) of R_poly and its values at rational points ----------------
+
+
+def _R_poly_rec(n: int) -> tuple[tuple[int, int], ...]:
+    """Recurrence (1.5): the pairs (c_j, d_j) with
+    sum_j (c_j + d_j x) R_poly(n + j)(x) = 0 over j = 0, ..., 3."""
+    return (
+        (n + 1, 0),
+        (-(3 * n + 5), -(4 * n + 10)),
+        (3 * n + 7, 4 * n + 6),
+        (-(n + 3), 0),
+    )
+
+
+def _R_rec_at(a: int, b: int) -> _Recurrence:
+    """The recurrence of b^n R_poly(n)(a/b): (1.5) at x = a/b, times
+    b^(n+4).  At x = 1 it is recurrence (1.3) of R(n)."""
+
+    def rec(n: int) -> tuple[int, ...]:
+        pairs = _R_poly_rec(n)
+        top = len(pairs) - 1
+        return tuple(
+            (c * b + d * a) * b ** (top - j) for j, (c, d) in enumerate(pairs)
+        )
+
+    return rec
+
+
+def _R_seed_at(a: int, b: int, n: int) -> int:
+    """b^n R_poly(n)(a/b) from the defining sum: the x^k coefficient of
+    R_poly(n) is binomial(n+k, 2k) binomial(2k, k)/(2k - 1)."""
+    return sum(
+        binomial(n + k, 2 * k)
+        * central_binomial_over_2k_minus_1(k)
+        * a**k
+        * b ** (n - k)
+        for k in range(n + 1)
+    )
+
+
+# (a, b) -> [b^n R_poly(n)(a/b) for n = 0, 1, ...]; the (1, 1) row is R(n)
+_R_AT: dict[tuple[int, int], list[int]] = _memo_table({})
+
+
+def _R_values_at(a: int, b: int, n_max: int) -> list[int]:
+    """[b^n R_poly(n)(a/b) for n <= n_max], exact, from the shared prefix
+    for the point a/b, seeded for n < 3 by the defining sum."""
+    cache = _R_AT.setdefault((a, b), [])
+    seed = functools.partial(_R_seed_at, a, b)
+    return _recurrence_prefix(cache, n_max, seed, _R_rec_at(a, b))
 
 
 _BERNOULLI: list[Fraction] = _memo_table([Fraction(1)])

@@ -1,17 +1,17 @@
 """Prime-indexed congruences: the checkers of thm11, thm12 and conj51.
 
-thm11 (mod p^2) and conj51 (mod p^2) read exact values from tables grown
-once per process and shared by all primes, so a prime costs a few big-int
-reductions mod p^2:
+thm11 (mod p^2) and conj51 (mod p^2) read exact values from tables that
+exactnum grows once per process and all primes share, so a prime costs a
+few big-int reductions mod p^2:
 
 * power-sum prefixes U[j + 1] = b U[j] + c_j, U[0] = 0, over the row
   c_k = binomial(2k, k)^2 / (2k - 1) for b = -16, 8 and 32, and for conj51
   also over d_k = binomial(2k, k) binomial(2k, k+1) / (2k - 1) for b = 8.
-  Both rows are integers, read from exactnum's central rows.
-* the values b^n R_poly(n)(a/b) at x = a/b = 1, -2 and -1/2, grown by
-  recurrence (1.5) of R_poly, which check_recurrence_R_poly states,
-  evaluated at a/b and scaled by b^(n+3) (_R_rec_at), and seeded for n < 3
-  by the defining sum.  At x = 1 it is recurrence (1.3), sequences._R_rec.
+  Both rows are integers, read from exactnum's central rows, and the
+  prefixes are running sums of exactnum._prefix_sum.
+* the values b^n R_poly(n)(a/b) at x = a/b = 1, -2 and -1/2, read from
+  exactnum._R_values_at, which grows them by recurrence (1.5) at a/b.  The
+  x = 1 row is the one table of R(n) that sequences.values_of reads too.
 
 Kummer's theorem cuts each power sum at h = (p+1)/2.  For h <= k < p,
 k + k carries once in base p, so p divides binomial(2k, k) once and 2k - 1
@@ -38,18 +38,14 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import partial
 from typing import Callable, Iterable, NamedTuple
 
 from .exactnum import (
-    _Recurrence,
+    _R_values_at,
     _central_rows,
     _dot,
-    _memo_grow,
-    _memo_table,
-    _recurrence_prefix,
+    _prefix_sum,
     binomial,
-    central_binomial_over_2k_minus_1,
     is_prime,
     legendre_symbol,
     two_square_decompose,
@@ -75,24 +71,13 @@ def _offset_terms(lo: int, hi: int) -> Iterable[int]:
     return (over[k] * (central[k] // (k + 1) * k) for k in range(lo, hi))
 
 
-# (terms, b) -> [U[0], U[1], ...] with U[j + 1] = b U[j] + terms(j)
-_POWER_PREFIXES: dict[tuple[Callable, int], list[int]] = _memo_table({})
-
-
 def _power_sum(terms: Callable[[int, int], Iterable[int]], base: int, p: int) -> int:
     """sum_{k<=h} t_k / base^k mod p^2 for the row t of terms, with
-    h = (p+1)/2: U[h + 1] / base^h, from the shared prefix U."""
-    table = _POWER_PREFIXES.setdefault((terms, base), [0])
-
-    def grow(start: int, upto: int) -> list[int]:
-        acc, out = table[start - 1], []
-        for t in terms(start - 1, upto):
-            acc = acc * base + t
-            out.append(acc)
-        return out
-
+    h = (p+1)/2: U[h + 1] / base^h, from the shared prefix U with
+    U[j + 1] = base U[j] + t_j, keyed by (terms, base)."""
     m, h = p * p, (p + 1) // 2
-    return _memo_grow(table, h + 1, grow)[h + 1] * pow(base, -h, m) % m
+    u = _prefix_sum((terms, base), h + 1, terms, lambda acc, t: acc * base + t)
+    return u * pow(base, -h, m) % m
 
 
 def _offset_power_sum(p: int) -> int:
@@ -106,78 +91,38 @@ def _offset_power_sum(p: int) -> int:
     return acc % m
 
 
-def _R_rec_at(a: int, b: int) -> _Recurrence:
-    """The recurrence of b^n R_poly(n)(a/b): check_recurrence_R_poly's
-    relation at x = a/b, times b^(n+3)."""
-
-    def rec(n: int) -> tuple[int, int, int, int]:
-        return (
-            (n + 1) * b**3,
-            -((3 * n + 5) * b + (4 * n + 10) * a) * b,
-            (3 * n + 7) * b + (4 * n + 6) * a,
-            -(n + 3),
-        )
-
-    return rec
-
-
-def _R_seed_at(a: int, b: int, n: int) -> int:
-    """b^n R_poly(n)(a/b) from the defining sum: the x^k coefficient of
-    R_poly(n) is binomial(n+k, 2k) binomial(2k, k)/(2k - 1)."""
-    return sum(
-        binomial(n + k, 2 * k)
-        * central_binomial_over_2k_minus_1(k)
-        * a**k
-        * b ** (n - k)
-        for k in range(n + 1)
-    )
-
-
-# (a, b) -> [b^n R_poly(n)(a/b) for n = 0, 1, ...]
-_R_AT: dict[tuple[int, int], list[int]] = _memo_table({})
-
-
-def _R_value_at(a: int, b: int, n: int) -> int:
-    """b^n R_poly(n)(a/b), exact, from the shared prefix for the point a/b."""
-    cache = _R_AT.setdefault((a, b), [])
-    seed = partial(_R_seed_at, a, b)
-    return _recurrence_prefix(cache, n, seed, _R_rec_at(a, b))[n]
-
-
 # -- per-prime residue tables mod p ------------------------------------------------
 
 
 class _PrimeTable(NamedTuple):
-    """Residues mod p^e for one odd prime p: fact[j] = j! and inv[j] = 1/j!
+    """Residues mod p for one odd prime p: fact[j] = j! and inv[j] = 1/j!
     for j < p, and over[k] = binomial(2k, k)/(2k - 1) for k <= (p+1)/2.
 
     over[0] = -1, and above it over[k] = 2 Catalan(k-1) = 2 (2k-2)! /
     ((k-1)! k!), whose factorials stay below p up to k = (p+1)/2."""
 
     p: int
-    modulus: int
     fact: list[int]
     inv: list[int]
     over: list[int]
 
 
-def _prime_table(p: int, e: int) -> _PrimeTable:
-    """The residue table of the odd prime p mod p^e."""
-    m = p**e
+def _prime_table(p: int) -> _PrimeTable:
+    """The residue table of the odd prime p mod p."""
     acc, fact = 1, [1]
     for j in range(1, p):
-        acc = acc * j % m
+        acc = acc * j % p
         fact.append(acc)
-    acc = pow(acc, -1, m)
+    acc = pow(acc, -1, p)
     inv = [acc]  # from 1/(p-1)! down to 1/0!, then reversed
     for j in range(p - 1, 0, -1):
-        acc = acc * j % m
+        acc = acc * j % p
         inv.append(acc)
     inv.reverse()
-    over = [-1 % m] + [
-        2 * f * i * j % m for f, i, j in zip(fact[::2], inv, inv[1 : (p + 3) // 2])
+    over = [-1 % p] + [
+        2 * f * i * j % p for f, i, j in zip(fact[::2], inv, inv[1 : (p + 3) // 2])
     ]
-    return _PrimeTable(p, m, fact, inv, over)
+    return _PrimeTable(p, fact, inv, over)
 
 
 def _offset_pair_sums(t: _PrimeTable, offsets: range) -> dict[int, int]:
@@ -190,7 +135,7 @@ def _offset_pair_sums(t: _PrimeTable, offsets: range) -> dict[int, int]:
     sums sliced table rows.  At k = (p+1)/2, 2k = p + 1 has base-p digits
     1, 1 and k + d <= p, so by Lucas's theorem binomial(p+1, k+d) is 0 mod p
     unless k + d = p, that is d = n, where it is 1."""
-    p, _, fact, inv, over = t
+    p, fact, inv, over = t
     n = (p - 1) // 2
     inv8 = pow(8, -1, p)
     z = []  # over[k] (2k)! / 8^k mod p, k <= n
@@ -214,9 +159,9 @@ def check_thm11(p: int) -> CheckResult:
         raise ValueError("check_thm11: p must be an odd prime")
     chi = legendre_symbol(2, p)
     n, m = (p - 1) // 2, p * p
-    r_plain = _R_value_at(1, 1, n) % m
-    r_neg2 = _R_value_at(-2, 1, n) % m
-    r_half = _R_value_at(-1, 2, n) * pow(2, -n, m) % m
+    r_plain = _R_values_at(1, 1, n)[n] % m
+    r_neg2 = _R_values_at(-2, 1, n)[n] % m
+    r_half = _R_values_at(-1, 2, n)[n] * pow(2, -n, m) % m
     g16, g8, g32 = (_power_sum(_square_terms, base, p) for base in (-16, 8, 32))
     if p % 4 == 1:
         dec = two_square_decompose(p)
@@ -283,7 +228,7 @@ def check_thm12(p: int) -> CheckResult:
     if p < 3 or not is_prime(p):
         raise ValueError("check_thm12: p must be an odd prime")
     n = (p - 1) // 2
-    acc = _offset_pair_sums(_prime_table(p, 1), range(n % 2, n + 1, 2))
+    acc = _offset_pair_sums(_prime_table(p), range(n % 2, n + 1, 2))
     for d, residue in acc.items():
         if residue:
             return CheckResult(

@@ -20,12 +20,16 @@ R and S by the third-order recurrences (1.3) and (1.18), schroder by its
 second-order one.  Past as many seed terms from the defining sum as the
 recurrence's order, each term is one exact division by the leading
 coefficient, so a prefix costs O(n) big-int steps instead of O(n^2).  A
-remainder in that division raises ArithmeticError.  The recurrence families
-at the bottom and R_polys read the defining sums, never the recurrence
-prefixes, so that the recurrence checks stay an independent test of the sums.
-_weighted_prefix sums a weighted power of values_of(name, ...), and
-_poly_prefix sums polynomial terms coefficientwise; both grow one memo of
-running sums, so every prefix-sum checker reads the same table.
+remainder in that division raises ArithmeticError.  Recurrence (1.5) of
+R_poly is stated once, in exactnum: (1.3) is its value at x = 1, the
+multipliers of check_recurrence_R_poly are its terms as polynomials, and
+the values of R are the x = 1 row of exactnum's point table, which the
+prime checkers read as well.  The recurrence families at the bottom and
+R_polys read the defining sums, never the recurrence prefixes, so that the
+recurrence checks stay an independent test of the sums.  _weighted_prefix
+sums a weighted power of values_of(name, ...), and _poly_prefix sums
+polynomial terms coefficientwise; both grow running sums through
+exactnum._prefix_sum, so every prefix-sum checker reads the same table.
 
 Module-level value caches are grown tables of exactnum.  Poly is imported by
 the functions that build one, so a checker that reads integer values alone
@@ -42,6 +46,9 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequen
 from .exactnum import (
     _CENTRAL,
     _CENTRAL_OVER,
+    _R_poly_rec,
+    _R_rec_at,
+    _R_values_at,
     _Recurrence,
     _central_rows,
     _dot,
@@ -49,6 +56,7 @@ from .exactnum import (
     _memo_cache,
     _memo_grow,
     _memo_table,
+    _prefix_sum,
     _recurrence_prefix,
 )
 from .result import CheckResult, FAIL, PASS
@@ -313,9 +321,8 @@ def S_cminus(n: int) -> int:
 
 # -- the recurrences (1.3), (1.18) and the large-Schroeder one ------------------
 
-def _R_rec(n: int) -> tuple[int, int, int, int]:
-    """c with c0 R(n) + c1 R(n+1) + c2 R(n+2) + c3 R(n+3) = 0."""
-    return n + 1, -(7 * n + 15), 7 * n + 13, -(n + 3)
+# c with c0 R(n) + c1 R(n+1) + c2 R(n+2) + c3 R(n+3) = 0: (1.5) at x = 1
+_R_rec = _R_rec_at(1, 1)
 
 
 def _S_rec(n: int) -> tuple[int, int, int, int]:
@@ -364,7 +371,10 @@ def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list
 
 def values_of(name: str, n_max: int) -> list[int]:
     """[v(0), ..., v(n_max)] of SEQUENCES[name], grown by its recurrence when
-    it has one and from its defining sum otherwise, into a monotone cache."""
+    it has one and from its defining sum otherwise, into a monotone cache.
+    R is the x = 1 row of exactnum's point table, shared with thm11."""
+    if name == "R":
+        return _R_values_at(1, 1, n_max)
     fn, rec = SEQUENCES[name]
     cache = _VALUES.setdefault(name, [])
     if rec is None:
@@ -387,28 +397,6 @@ def R_polys(n_max: int) -> list[Poly]:
 
 
 # -- memoized prefix sums -------------------------------------------------------
-
-_PREFIX_SUMS: dict[object, list] = _memo_table({})
-
-
-def _prefix_sum(
-    key: object, n: int, terms: Callable[[int, int], list], add=operator.add, zero=0
-) -> object:
-    """Entry n of the running sums memoized as _PREFIX_SUMS[key], whose entry 0
-    is zero and entry j + 1 is add(entry j, term j).
-
-    terms(lo, hi) returns the terms lo..hi-1.
-    """
-    table = _PREFIX_SUMS.setdefault(key, [zero])
-
-    def grow(start: int, upto: int) -> list:
-        acc, out = table[start - 1], []
-        for term in terms(start - 1, upto):
-            acc = add(acc, term)
-            out.append(acc)
-        return out
-
-    return _memo_grow(table, n, grow)[n]
 
 
 def _add_coeffs(acc: list[int], poly: Poly) -> list[int]:
@@ -433,7 +421,7 @@ def _weighted_prefix(name: str, n: int, weight: str = "unit", power: int = 1) ->
 
 def _poly_prefix(key: object, n: int, term: Callable[[int], Poly]) -> list[int]:
     """Coefficients of sum_{j<n} term(j), for terms of degree at most j,
-    memoized as _PREFIX_SUMS[key]."""
+    memoized as exactnum._PREFIX_SUMS[key]."""
     return _prefix_sum(
         key, n, lambda lo, hi: map(term, range(lo, hi)), _add_coeffs, []
     )
@@ -453,11 +441,14 @@ def _windows(n_max: int) -> range:
     return range(n_max - 2)
 
 
-def _check_recurrence(n_max: int, vals: list[int], rec: _Recurrence) -> CheckResult:
+def _check_recurrence(n_max: int, vals: Sequence, rec: Callable) -> CheckResult:
+    """rec(n) weighs vals[n], ..., vals[n + 3] to zero in every window; the
+    values and weights are integers, or polynomials, which FAIL renders."""
     for n in _windows(n_max):
         lhs = sum(c * v for c, v in zip(rec(n), vals[n : n + 4]))
         if lhs != 0:
-            return CheckResult(FAIL, lhs=str(lhs), rhs="0", witness={"n": n})
+            shown = lhs.render() if hasattr(lhs, "render") else str(lhs)
+            return CheckResult(FAIL, lhs=shown, rhs="0", witness={"n": n})
     return CheckResult(PASS, lhs="0", rhs="0")
 
 
@@ -467,21 +458,13 @@ def check_recurrence_R(n_max: int) -> CheckResult:
 
 
 def check_recurrence_R_poly(n_max: int) -> CheckResult:
-    """Same recurrence at polynomial level, with the linear-in-x multipliers."""
+    """Recurrence (1.5) of the R polynomials, with its linear-in-x
+    multipliers, checked on [0, n_max-3]."""
     from .polynomials import Poly
 
-    windows = _windows(n_max)
-    polys = R_polys(n_max)
-    for n in windows:
-        lhs = (
-            (n + 1) * polys[n]
-            - Poly((3 * n + 5, 4 * n + 10)) * polys[n + 1]
-            + Poly((3 * n + 7, 4 * n + 6)) * polys[n + 2]
-            - (n + 3) * polys[n + 3]
-        )
-        if not lhs.is_zero():
-            return CheckResult(FAIL, lhs=lhs.render(), rhs="0", witness={"n": n})
-    return CheckResult(PASS, lhs="0", rhs="0")
+    return _check_recurrence(
+        n_max, R_polys(n_max), lambda n: tuple(map(Poly, _R_poly_rec(n)))
+    )
 
 
 def check_recurrence_S(n_max: int) -> CheckResult:

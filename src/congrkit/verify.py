@@ -2,8 +2,11 @@
 
 Each checker lives in the module of its theme, and this module only
 re-exports them for library use; the command line and the registry import
-the theme modules directly and never load this one.  The registry's table
-names each family's checker by its module.
+the theme modules directly and never load this one.  The re-exports are
+served lazily, by a module __getattr__: a checker is found through the
+registry row that names it, as "module.function", and the few exported
+names without a row through _HOMES.  Its theme module is imported on the
+first read of the name, so importing this module loads none of them.
 
 No theme module imports another: the claim helpers they share live in
 result and the row and prefix-sum helpers in sequences.
@@ -29,42 +32,9 @@ CheckResult whose witness points at the first failing inner instance.
 
 from __future__ import annotations
 
-from .displays import (
-    check_remark13,
-    check_thm15_i,
-    check_thm15_i_grid,
-    check_thm15_ii,
-    check_xval15,
-)
-from .framework import (
-    check_cor41,
-    check_lemma42,
-    check_thm41,
-    check_thm42,
-    check_thm43,
-    check_thm44,
-)
-from .identities import check_lemma22, check_lemma23, check_remark11
-from .kernels import kernel_descriptor, kernel_from_descriptor
-from .prefixes import (
-    check_cor11,
-    check_thm13,
-    check_thm13_ii,
-    check_thm14_i,
-    check_thm14_ii,
-)
-from .registry import CONJ52_START, THM15_VARIANTS
-from .residues import check_conj51, check_thm11, check_thm12
-from .scans import (
-    check_conj52,
-    check_conj54,
-    check_conj55,
-    check_conj56,
-    check_conj58i,
-    check_remark52,
-    check_remark53,
-    conj53_witness,
-)
+import importlib
+
+from .registry import FAMILIES
 
 __all__ = [
     "check_thm11",
@@ -102,3 +72,20 @@ __all__ = [
     "CONJ52_START",
     "THM15_VARIANTS",
 ]
+
+# the exported names that no registry row names as a family's checker
+_HOMES = {
+    "check_thm15_i": "displays",
+    "kernel_from_descriptor": "kernels",
+    "kernel_descriptor": "kernels",
+    "CONJ52_START": "registry",
+    "THM15_VARIANTS": "registry",
+}
+
+
+def __getattr__(name: str):
+    if name in _HOMES:
+        return getattr(importlib.import_module("." + _HOMES[name], __package__), name)
+    if name in __all__:
+        return next(f.check for f in FAMILIES.values() if f.check.name == name).load()
+    raise AttributeError("module %r has no attribute %r" % (__name__, name))

@@ -3,6 +3,7 @@ FAIL, and names its checker by the module that defines it."""
 
 import ast
 import importlib
+import json
 from pathlib import Path
 
 from congrkit import registry, verify
@@ -98,3 +99,23 @@ def test_the_verify_facade_serves_every_name_it_exported():
         else:
             home = obj.__module__
         assert getattr(importlib.import_module(home), name) is obj, name
+
+
+# the modules whose checkers the facade re-exports
+THEMES = ("displays", "framework", "identities", "prefixes", "residues", "scans")
+
+
+def test_the_verify_facade_loads_a_theme_module_on_the_first_read_of_a_name(python):
+    source = """
+import json, sys
+import congrkit.verify as verify
+
+def loaded():
+    return [m for m in %r if "congrkit." + m in sys.modules]
+
+seen = [loaded()]
+verify.check_thm12
+seen.append(loaded())
+print(json.dumps(seen))
+""" % (THEMES,)
+    assert json.loads(python(source)) == [[], ["residues"]]

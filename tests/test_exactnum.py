@@ -272,7 +272,7 @@ def test_clear_memos_resets_every_registered_memo(cold_memos):
     cold_memos()
     assert exactnum._BERNOULLI == [Fraction(1)]
     assert (sequences._CENTRAL, sequences._CENTRAL_OVER) == ([1], [-1])
-    assert sequences._PREFIX_SUMS == {}
+    assert exactnum._PREFIX_SUMS == {}
     for memo, seed in exactnum._MEMOS:
         if seed is None:
             assert memo.cache_info().currsize == 0, memo

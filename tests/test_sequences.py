@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from congrkit import FAIL, PASS, sequences
+from congrkit import FAIL, PASS, exactnum, sequences
 from congrkit.exactnum import binomial
 from congrkit.polynomials import Poly
 from congrkit.sequences import (
@@ -292,10 +292,12 @@ def test_recurrence_prefixes_match_the_defining_sums(cold_memos):
     assert values_of("schroder", 300) == [schroder(n) for n in range(301)]
 
 
-def test_recurrence_prefix_raises_on_a_moved_seed(cold_memos, raise_row):
-    # binomial(1, 0) goes from 1 to 2 in the n = 1 diagonal row: R_1 drops
+def test_recurrence_prefix_raises_on_a_moved_seed(cold_memos, monkeypatch):
+    # R_values seeds exactnum's x = 1 row from the defining sum: R_1 drops
     # from 1 to 0, and the recurrence leaves a remainder by R_4 at the latest
-    raise_row(sequences, "_diag_row", 1)
+    seed = exactnum._R_seed_at
+    moved = lambda a, b, n: seed(a, b, n) - ((a, b, n) == (1, 1, 1))
+    monkeypatch.setattr(exactnum, "_R_seed_at", moved)
     with pytest.raises(ArithmeticError):
         R_values(10)
 
@@ -312,7 +314,7 @@ def test_memo_tables_stay_aligned_under_thread_races(cold_memos, race):
     # the recurrence prefixes read the central rows only through their seeds;
     # R(300) grows those rows to full length from every thread
     results = race(lambda: (R_values(300), S_values(300), R(300)))
-    assert len(sequences._VALUES["R"]) == 301
+    assert len(exactnum._R_AT[1, 1]) == 301
     assert len(sequences._VALUES["S"]) == 301
     expected = [R(n) for n in range(301)], [S(n) for n in range(301)], R(300)
     assert results == [expected] * 4

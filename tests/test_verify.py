@@ -7,7 +7,7 @@ from functools import partial
 
 import pytest
 
-from congrkit import FAIL, ILL_POSED, PASS, sequences, verify
+from congrkit import FAIL, ILL_POSED, PASS, exactnum, sequences, verify
 from congrkit import displays, framework, identities, prefixes, residues, scans
 from congrkit.exactnum import (
     bernoulli_poly_eval,
@@ -58,11 +58,8 @@ from congrkit.verify import (
     conj53_witness,
 )
 from congrkit.prefixes import _thm14ii_members
-from congrkit.exactnum import _recurrence_prefix
+from congrkit.exactnum import _R_rec_at, _R_seed_at, _R_values_at, _recurrence_prefix
 from congrkit.residues import (
-    _R_rec_at,
-    _R_seed_at,
-    _R_value_at,
     _offset_pair_sums,
     _offset_power_sum,
     _power_sum,
@@ -698,9 +695,9 @@ def test_residue_sums_match_exact_oracle_mod_p_squared(p):
     n = (p - 1) // 2
     m = p * p
     assert [
-        _R_value_at(1, 1, n) % m,
-        _R_value_at(-2, 1, n) % m,
-        _R_value_at(-1, 2, n) * pow(2, -n, m) % m,
+        _R_values_at(1, 1, n)[n] % m,
+        _R_values_at(-2, 1, n)[n] % m,
+        _R_values_at(-1, 2, n)[n] * pow(2, -n, m) % m,
     ] == [
         R(n) % m,
         R_poly(n)(-2) % m,
@@ -726,29 +723,40 @@ def _R_defining_sums(a, b, n_max):
 
 def test_R_point_prefixes_match_the_defining_sums(cold_memos):
     for a, b in R_POINTS:
-        _R_value_at(a, b, 300)
-        assert residues._R_AT[a, b] == _R_defining_sums(a, b, 300)
+        _R_values_at(a, b, 300)
+        assert exactnum._R_AT[a, b] == _R_defining_sums(a, b, 300)
 
 
 @pytest.mark.parametrize("index", range(4))
 @pytest.mark.parametrize("a, b", R_POINTS)
 def test_R_point_recurrence_with_a_changed_coefficient_raises_or_mismatches(
-    a, b, index
+    monkeypatch, cold_memos, a, b, index
 ):
-    def changed(n):
-        coeffs = list(_R_rec_at(a, b)(n))
-        coeffs[index] += 1
-        return tuple(coeffs)
-
+    # the single statement of (1.5) with the constant or the x part of its
+    # term index raised by one: rec_r and rec_r_poly, which derive their
+    # relations from it, FAIL, and the values it grows at a/b go wrong
     seed = partial(_R_seed_at, a, b)
     assert _recurrence_prefix([], 60, seed, _R_rec_at(a, b)) == _R_defining_sums(
         a, b, 60
     )
-    try:
-        values = _recurrence_prefix([], 60, seed, changed)
-    except ArithmeticError:
-        return
-    assert values != _R_defining_sums(a, b, 60)
+    stated = exactnum._R_poly_rec
+    for part in (0, 1):
+
+        def changed(n):
+            pairs = [list(pair) for pair in stated(n)]
+            pairs[index][part] += 1
+            return tuple(map(tuple, pairs))
+
+        for module in (exactnum, sequences):
+            monkeypatch.setattr(module, "_R_poly_rec", changed)
+        cold_memos()
+        assert sequences.check_recurrence_R(20).status == FAIL
+        assert sequences.check_recurrence_R_poly(20).status == FAIL
+        try:
+            values = _R_values_at(a, b, 60)
+        except ArithmeticError:
+            continue
+        assert values != _R_defining_sums(a, b, 60)
 
 
 @pytest.mark.parametrize("p", ODD_PRIMES_BELOW_100)
@@ -756,7 +764,7 @@ def test_offset_pair_sums_match_exact_oracle_for_every_offset(p):
     n = (p - 1) // 2
     exact = {**_exact_offset_pair_sums(p, 0), **_exact_offset_pair_sums(p, 1)}
     expected = {d: _mod(exact[d], p, 1) for d in range(n + 1)}
-    assert _offset_pair_sums(_prime_table(p, 1), range(n + 1)) == expected
+    assert _offset_pair_sums(_prime_table(p), range(n + 1)) == expected
     # the claimed parity vanishes; the other one must not, or this test
     # would compare zeros with zeros
     off_parity = [expected[d] for d in range(1 - n % 2, n + 1, 2)]
@@ -789,12 +797,30 @@ def test_thm12_never_reads_the_exact_rows(monkeypatch):
 
 def test_thm11_and_conj51_never_build_a_prime_table(monkeypatch):
     # their values come from tables shared by all primes
-    def refuse(p, e):
+    def refuse(p):
         raise AssertionError("residue table built for p = %d" % p)
 
     monkeypatch.setattr(residues, "_prime_table", refuse)
     assert check_thm11(1999).status == PASS
     assert run_instance("conj51", {"p": 983}).status == PASS
+
+
+def test_thm11_and_thm13_grow_R_once_per_process(monkeypatch, cold_memos):
+    # thm13's prefix sums read the x = 1 row of R that thm11 grew, and
+    # sequences holds no table of R of its own
+    grow, grown = exactnum._memo_grow, []
+
+    def logged(table, upto, fn):
+        if len(table) <= upto:
+            grown.append((table, upto))
+        return grow(table, upto, fn)
+
+    monkeypatch.setattr(exactnum, "_memo_grow", logged)
+    assert check_thm11(1999).status == PASS
+    assert check_thm13(997).status == PASS
+    row = exactnum._R_AT[1, 1]
+    assert [upto for table, upto in grown if table is row] == [999]
+    assert "R" not in sequences._VALUES
 
 
 # thm13 summed the exact R_values prefix; thm14ii weighted S over lcm(1..p-1)
@@ -863,8 +889,8 @@ def shifted_table(monkeypatch):
     """Serve thm12's residue tables with binomial(2,1)/1 raised by one."""
     original = residues._prime_table
 
-    def table(p, e):
-        t = original(p, e)
+    def table(p):
+        t = original(p)
         over = list(t.over)
         over[1] += 1
         return t._replace(over=over)
@@ -980,7 +1006,7 @@ def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
         return sequences._weighted_prefix("S", 301), s_polys
 
     def tables():
-        sums = sequences._PREFIX_SUMS
+        sums = exactnum._PREFIX_SUMS
         return list(sums["S", "unit", 1]), list(sums["S_m", 2])
 
     results = race(grow)
@@ -993,14 +1019,14 @@ def test_prefix_tables_stay_aligned_under_thread_races(cold_memos, race):
 
 def test_shared_prime_tables_stay_aligned_under_thread_races(cold_memos, race):
     def grow():
-        values = [_R_value_at(a, b, 400) for a, b in R_POINTS]
+        values = [_R_values_at(a, b, 400)[400] for a, b in R_POINTS]
         sums = [_power_sum(_square_terms, base, 797) for base in (-16, 8, 32)]
         return values, sums, _offset_power_sum(787)
 
     def tables():
         return {
             key: list(table)
-            for memo in (residues._R_AT, residues._POWER_PREFIXES)
+            for memo in (exactnum._R_AT, exactnum._PREFIX_SUMS)
             for key, table in memo.items()
         }
 
