@@ -21,7 +21,8 @@ The rows binomial(2k, k) and binomial(2k, k) / (2k - 1) that the sequence
 layer and the prime checkers share are grown here (_central_rows), as are
 the exact prefixes of linear recurrences (_recurrence_prefix): each term
 past the seeds is one exact division by the leading coefficient, and a
-remainder raises ArithmeticError (_exact_div).  The paper's recurrence
+remainder raises ArithmeticError (_exact_div, which divides ints or
+polynomials alike).  The paper's recurrence
 (1.5) of R_poly is stated once, as _R_poly_rec; every other form of it is
 derived: at a point x = a/b it grows the values b^n R_poly(n)(a/b) into
 one table per point (_R_AT, read through _R_values_at), and at x = 1 it is
@@ -185,10 +186,10 @@ def _memo_grow(table: list, upto: int, grow: Callable[[int, int], list]) -> list
     return table
 
 
-def _exact_div(a: int, b: int) -> int:
+def _exact_div(a, b):
     q, r = divmod(a, b)
     if r:
-        raise ArithmeticError("expected exact division: %d / %d" % (a, b))
+        raise ArithmeticError("expected exact division: %s / %s" % (a, b))
     return q
 
 

@@ -51,20 +51,29 @@ def _int_values(values: Sequence[Fraction], what: str) -> list[int]:
     return out
 
 
+def _shifted_rows(
+    name: str, n: int, a_list: Sequence[int], b_list: Sequence[int]
+) -> tuple[int, list[int]]:
+    """gcd(n, a_list, b_list) and the products over the pairs (a, b) of the
+    shifted rows binomial(a - 1, b + k), k < n; name prefixes a ValueError."""
+    m = len(a_list)
+    if n < 1 or m < 1 or len(b_list) != m:
+        raise ValueError("%s: need n >= 1 and matching parameter lists" % name)
+    if any(b < 0 for b in b_list):
+        raise ValueError("%s: shifts must be nonnegative" % name)
+    d = math.gcd(n, *a_list, *b_list)
+    return d, _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
+
+
 def check_thm41(
     n: int, kernel: KernelSpec, a_list: Sequence[int], b_list: Sequence[int]
 ) -> CheckResult:
     """Signed-difference kernel sums over shifted binomial products vanish
     mod the common gcd, and mod its square for doubly divisible kernels."""
+    d, rows = _shifted_rows("check_thm41", n, a_list, b_list)
     m = len(a_list)
-    if n < 1 or m < 1 or len(b_list) != m:
-        raise ValueError("check_thm41: need n >= 1 and matching parameter lists")
-    if any(b < 0 for b in b_list):
-        raise ValueError("check_thm41: shifts must be nonnegative")
     if not kernel_power_divisible(kernel, n - 1, 1, m):
         raise ValueError("check_thm41: kernel must be integer-valued with k | f(k)")
-    d = math.gcd(n, *a_list, *b_list)
-    rows = _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
     bars = _int_values([bar(kernel, k, m) for k in range(n)], "check_thm41: kernel")
     total = sum(bars[k] * rows[k] for k in range(n))
     claims = [("gcd congruence", total, d)]
@@ -81,15 +90,8 @@ def check_cor41(
     n: int, a_list: Sequence[int], b_list: Sequence[int]
 ) -> CheckResult:
     """Five fixed-weight specializations of the difference-kernel congruence."""
-    m = len(a_list)
-    if n < 1 or m < 1 or len(b_list) != m:
-        raise ValueError("check_cor41: need n >= 1 and matching parameter lists")
-    if any(b < 0 for b in b_list):
-        raise ValueError("check_cor41: shifts must be nonnegative")
-    d = math.gcd(n, *a_list, *b_list)
-    rows = _row_product(_binom_row(a - 1, b + n)[b:] for a, b in zip(a_list, b_list))
-
-    twist = m % 2  # (-1)^(km) is (-1)^k for odd m
+    d, rows = _shifted_rows("check_cor41", n, a_list, b_list)
+    twist = len(a_list) % 2  # (-1)^(km) is (-1)^k for odd m
     factor = math.gcd(sum(a_list) // d - 1, 2)
     claims = [
         ("plain alternating", _weighted(rows, "unit", twist), d),
@@ -133,18 +135,15 @@ def check_thm43(
         raise ValueError("check_thm43: a_list must be positive with minimum 1")
     if kernel.needs_m():
         raise ValueError("check_thm43: kernel sign must not depend on the factor count")
-    if strength == "integral":
-        if not central_times_kernel_in_Z(kernel, n):
-            raise ValueError(
-                "check_thm43: kernel times the central ratio must be an integer"
-            )
-    elif strength == "over_n":
-        if not central_times_kernel_in_kZ(kernel, n):
-            raise ValueError(
-                "check_thm43: kernel times the central ratio must lie in kZ"
-            )
-    else:
+    hypotheses = {
+        "integral": (central_times_kernel_in_Z, "be an integer"),
+        "over_n": (central_times_kernel_in_kZ, "lie in kZ"),
+    }
+    if strength not in hypotheses:
         raise ValueError("check_thm43: unknown strength %r" % (strength,))
+    holds, wording = hypotheses[strength]
+    if not holds(kernel, n):
+        raise ValueError("check_thm43: kernel times the central ratio must " + wording)
     pairs = _row_product((_binom_row(n, n + 1), _binom_row(-n, n + 1)))
     for k, c in enumerate(pairs):
         ratio = Fraction(k * c, binomial(2 * k - 1, k))

@@ -19,7 +19,7 @@ variants).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 from .exactnum import binomial
 
@@ -121,42 +121,36 @@ def bar(kernel: KernelSpec, k: int, m: int) -> Fraction:
 # Numeric precondition checks, run over 0 <= k <= upto.
 
 
+def _k_power_multiples(values: Iterable[tuple], power: int) -> bool:
+    """v is an integer multiple of k^power for every (k, v), so 0 at k = 0."""
+    return all(
+        v.denominator == 1 and not (v.numerator % k**power if k else v) for k, v in values
+    )
+
+
 def kernel_power_divisible(
     kernel: KernelSpec, upto: int, power: int, m: Optional[int] = None
 ) -> bool:
     """f integer-valued with k^power | f(k), so f(0) == 0."""
     if power < 1:
         raise ValueError("kernel_power_divisible: power must be >= 1")
+    return _k_power_multiples(((k, kernel.value(k, m)) for k in range(upto + 1)), power)
+
+
+def _central_times(kernel: KernelSpec, upto: int, m: Optional[int]) -> Iterator[tuple]:
+    """(k, binomial(2k-1, k) * f(k)) for 0 <= k <= upto, computed lazily."""
     for k in range(upto + 1):
-        v = kernel.value(k, m)
-        if v.denominator != 1:
-            return False
-        if (v.numerator % k**power if k else v.numerator) != 0:
-            return False
-    return True
+        yield k, kernel.value(k, m) * binomial(2 * k - 1, k)
 
 
 def central_times_kernel_in_Z(kernel: KernelSpec, upto: int, m: Optional[int] = None) -> bool:
     """binomial(2k-1, k) * f(k) is an integer for all k <= upto."""
-    for k in range(upto + 1):
-        v = kernel.value(k, m) * binomial(2 * k - 1, k)
-        if v.denominator != 1:
-            return False
-    return True
+    return all(v.denominator == 1 for _, v in _central_times(kernel, upto, m))
 
 
 def central_times_kernel_in_kZ(kernel: KernelSpec, upto: int, m: Optional[int] = None) -> bool:
     """binomial(2k-1, k) * f(k) is an integer multiple of k for all k <= upto."""
-    for k in range(upto + 1):
-        v = kernel.value(k, m) * binomial(2 * k - 1, k)
-        if v.denominator != 1:
-            return False
-        if k == 0:
-            if v != 0:
-                return False
-        elif v.numerator % k:
-            return False
-    return True
+    return _k_power_multiples(_central_times(kernel, upto, m), 1)
 
 
 PAPER_KERNELS: dict[str, KernelSpec] = {

@@ -5,15 +5,16 @@ and the q-polynomials of the q-analogue checks: a tuple of coefficients in
 ascending degree order with trailing zeros pruned, so the zero polynomial
 is the empty tuple and equality is plain tuple equality.  Coefficients are
 ints whenever possible; Fractions appear only when a computation genuinely
-leaves the integers (rational division, non-monic divmod).  Integral
-Fractions are collapsed to ints only when a Fraction is present at all, found
-by a C-level scan of the coefficient types, so integer arithmetic pays no
-per-coefficient Python-level type test.
+leaves the integers (rational division, non-monic divmod): divmod is one
+long-division loop, which divides by the leading coefficient only when that
+is not 1.  Integral Fractions are collapsed to ints only when a Fraction is
+present at all, found by a C-level scan of the coefficient types, so integer
+arithmetic pays no per-coefficient Python-level type test.
 
-Multiplication of integer polynomials routes through Kronecker
-substitution (pack into one big int, multiply, unpack), which turns the
-coefficient convolution into a single CPython big-int multiply.  That is
-what keeps the degree-1000-plus q-polynomial scans affordable.
+A constant factor scales the other one; integer polynomials otherwise
+multiply through Kronecker substitution (pack into one big int, multiply,
+unpack): the coefficient convolution becomes one CPython big-int multiply,
+which keeps the degree-1000-plus q-polynomial scans affordable.
 """
 from __future__ import annotations
 
@@ -127,18 +128,17 @@ class Poly:
         return Poly.const(other) + (-self)
 
     def __mul__(self, other: "Poly | Scalar") -> "Poly":
-        if isinstance(other, (int, Fraction)):
-            if other == 0:
-                return Poly()
-            return Poly(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
+        a = self.coeffs
+        b = (other,) if isinstance(other, (int, Fraction)) else other.coeffs
+        if len(a) > len(b):
+            a, b = b, a
+        if not a:
             return Poly()
+        if len(a) == 1:  # a scalar or a constant scales the other factor
+            return Poly(tuple(a[0] * c for c in b))
         if len(a) + len(b) >= _KRONECKER_CUTOFF and self.is_integral() and other.is_integral():
             return Poly(_kronecker_convolve(a, b))
         out: list[Scalar] = [0] * (len(a) + len(b) - 1)
-        if len(a) > len(b):
-            a, b = b, a
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
@@ -169,7 +169,7 @@ class Poly:
         return Poly((0,) * e + self.coeffs)
 
     def __divmod__(self, other: "Poly") -> tuple["Poly", "Poly"]:
-        """Exact long division over Q; integer fast path for monic divisors."""
+        """Exact long division over Q; a monic divisor keeps integer coefficients."""
         if not isinstance(other, Poly):
             return NotImplemented
         if other.is_zero():
@@ -178,21 +178,13 @@ class Poly:
         db = len(b) - 1
         if len(a) <= db:
             return Poly(), self
-        if b[-1] == 1 and other.is_integral() and self.is_integral():
-            q: list[Scalar] = [0] * (len(a) - db)
-            for i in range(len(a) - 1, db - 1, -1):
-                c = a[i]
-                if c:
-                    q[i - db] = c
-                    a[i] = 0
-                    for j in range(db):
-                        a[i - db + j] -= c * b[j]
-            return Poly(q), Poly(a)
-        lead = Fraction(b[-1])
-        q = [0] * (len(a) - db)
+        lead = b[-1]
+        q: list[Scalar] = [0] * (len(a) - db)
         for i in range(len(a) - 1, db - 1, -1):
-            if a[i]:
-                c = a[i] / lead if isinstance(a[i], Fraction) else Fraction(a[i]) / lead
+            c = a[i]
+            if c:
+                if lead != 1:
+                    c = Fraction(c) / lead
                 q[i - db] = c
                 a[i] = 0
                 for j in range(db):

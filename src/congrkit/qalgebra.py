@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm, prod
 from typing import Callable, Sequence, Union
 
-from .exactnum import _memo_cache, _memo_grow, _memo_table
+from .exactnum import _exact_div, _memo_cache, _memo_grow, _memo_table
 from .polynomials import Poly, _pack, _unpack, poly_gcd
 from .result import FAIL, PASS, CheckResult, verdict
 
@@ -110,9 +110,7 @@ def cyclotomic(d: int) -> Poly:
     got = Poly((-1,) + (0,) * (d - 1) + (1,))  # q^d - 1
     for e in range(1, d):
         if d % e == 0:
-            got, rem = divmod(got, cyclotomic(e))
-            if not rem.is_zero():
-                raise AssertionError("cyclotomic division must be exact")
+            got = _exact_div(got, cyclotomic(e))
     return got
 
 
@@ -342,10 +340,7 @@ def q_binomial(n: int, k: int) -> QRationalFunction:
 @_memo_cache()
 def _central_q_over(k: int) -> Poly:
     """qbinom(2k, k) / [2k-1]_q, exact in Z[q] for k >= 1."""
-    got, rem = divmod(qbinom(2 * k, k), q_int(2 * k - 1))
-    if not rem.is_zero():
-        raise AssertionError("[2k-1]_q must divide [2k choose k]_q")
-    return got
+    return _exact_div(qbinom(2 * k, k), q_int(2 * k - 1))
 
 
 _SQ_POLY: list[Poly] = _memo_table([])
@@ -461,16 +456,11 @@ def check_conj57(n: int) -> CheckResult:
     for k in range(n):
         acc += s_q_poly(k).shift(k)
     total = acc * Poly((1, 1))
-    d = q_int(n)
-    q1, r1 = divmod(total, d)
-    if r1.is_zero():
-        q2, r2 = divmod(q1, d)
-    else:
-        q2, r2 = Poly(), Poly((1,))
-    ok = r1.is_zero() and r2.is_zero()
+    quotient, rem = divmod(total, q_int(n) ** 2)
+    ok = rem.is_zero()
     note = ""
     if ok:
-        half_integral = any(c % 2 for c in q2.coeffs)
+        half_integral = any(c % 2 for c in quotient.coeffs)
         note = (
             "PASS in Q[q]; half-quotient in (1/2)Z[q] only"
             if half_integral

@@ -153,12 +153,16 @@ def _poly_body(rng: random.Random, degree: int, bound: int = 3) -> tuple[int, ..
             return coeffs
 
 
-def _scaled_lists(rng: random.Random, d0: int, m: int) -> tuple[list[int], list[int]]:
+def _shifted_draw(rng: random.Random) -> tuple[int, list[int], list[int]]:
+    """n, a_list and b_list of a shifted-row instance (thm41, cor41)."""
+    d0 = rng.choice((1, 2, 3, 4))
+    m = rng.randint(1, 3)
+    n = d0 * rng.randint(1, 40 // d0)
     # entries are multiples of d0 so the shared gcd is usually nontrivial
     alphas = list(range(1, 4 // d0 + 1))
     a_list = [d0 * rng.choice(alphas) * rng.choice((-1, 1)) for _ in range(m)]
     b_list = [d0 * rng.randint(0, 3 // d0) for _ in range(m)]
-    return a_list, b_list
+    return n, a_list, b_list
 
 
 def _grid_thm41(bounds: dict) -> list[dict]:
@@ -167,10 +171,7 @@ def _grid_thm41(bounds: dict) -> list[dict]:
     rng = random.Random("thm41-%d" % _SEED)
     out = []
     for i in range(100):
-        d0 = rng.choice((1, 2, 3, 4))
-        m = rng.randint(1, 3)
-        n = d0 * rng.randint(1, 40 // d0)
-        a_list, b_list = _scaled_lists(rng, d0, m)
+        n, a_list, b_list = _shifted_draw(rng)
         shift = rng.choice((1, 2))
         kern = KernelSpec(
             name="w%02d" % i,
@@ -192,10 +193,7 @@ def _grid_cor41(bounds: dict) -> list[dict]:
     rng = random.Random("cor41-%d" % _SEED)
     out = []
     for _ in range(100):
-        d0 = rng.choice((1, 2, 3, 4))
-        m = rng.randint(1, 3)
-        n = d0 * rng.randint(1, 40 // d0)
-        a_list, b_list = _scaled_lists(rng, d0, m)
+        n, a_list, b_list = _shifted_draw(rng)
         out.append({"n": n, "a_list": a_list, "b_list": b_list})
     return out
 

@@ -121,7 +121,7 @@ def summarize(results: list[CheckResult]) -> dict[str, int]:
     return counts
 
 
-def clip(value: Any, limit: int = 80) -> str:
+def clip(value: Any) -> str:
     """Deterministic bounded rendering for potentially huge exact values.
 
     Integers beyond roughly 4000 digits are summarized from the bit length
@@ -131,7 +131,7 @@ def clip(value: Any, limit: int = 80) -> str:
         digits = value.bit_length() * 30103 // 100000 + 1
         return "%sbig integer, ~%d digits" % ("-" if value < 0 else "", digits)
     s = str(value)
-    if len(s) <= limit:
+    if len(s) <= 80:
         return s
     return "%s...(%d digits)" % (s[:12], len(s))
 
@@ -195,15 +195,13 @@ def _chain(
     return verdict(value == first, show(first), show(value), modulus, witness, note)
 
 
-def _divisibility(
-    claims: Sequence[tuple[str, int, int]], note: str = ""
-) -> CheckResult:
+def _divisibility(claims: Sequence[tuple[str, int, int]]) -> CheckResult:
     """Each claim (label, value, modulus) requires modulus | value."""
     label, value, modulus = next((c for c in claims if c[1] % c[2]), claims[-1])
     residue = value % modulus
     witness = {"claim": label, "residue": residue}
     lhs = show(value) if residue else "0"
-    return verdict(not residue, lhs, "0", str(modulus), witness, note)
+    return verdict(not residue, lhs, "0", str(modulus), witness)
 
 
 def _first_failure(results: Iterable[CheckResult]) -> CheckResult:

@@ -59,7 +59,7 @@ from .exactnum import (
     _prefix_sum,
     _recurrence_prefix,
 )
-from .result import CheckResult, FAIL, PASS
+from .result import CheckResult, _first_failure, equal
 
 if TYPE_CHECKING:
     from .polynomials import Poly
@@ -443,13 +443,11 @@ def _windows(n_max: int) -> range:
 
 def _check_recurrence(n_max: int, vals: Sequence, rec: Callable) -> CheckResult:
     """rec(n) weighs vals[n], ..., vals[n + 3] to zero in every window; the
-    values and weights are integers, or polynomials, which FAIL renders."""
-    for n in _windows(n_max):
-        lhs = sum(c * v for c, v in zip(rec(n), vals[n : n + 4]))
-        if lhs != 0:
-            shown = lhs.render() if hasattr(lhs, "render") else str(lhs)
-            return CheckResult(FAIL, lhs=shown, rhs="0", witness={"n": n})
-    return CheckResult(PASS, lhs="0", rhs="0")
+    values and weights are integers, or polynomials, which show renders."""
+    return _first_failure(
+        equal(sum(c * v for c, v in zip(rec(n), vals[n : n + 4])), 0, {"n": n})
+        for n in _windows(n_max)
+    )
 
 
 def check_recurrence_R(n_max: int) -> CheckResult:

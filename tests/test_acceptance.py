@@ -54,8 +54,12 @@ SMALL_REPORT_SHA256 = {
 }
 
 # sha256 of two prime-family reports at --format json past the default grid,
-# taken before thm11 and conj51 read values shared by all primes
+# taken before thm11 and conj51 read values shared by all primes, and of the
+# whole sweep at --max-p 500 over two worker processes
 WIDE_REPORT_SHA256 = {
+    ("verify", "--all", "--max-p", "500", "--jobs", "2"): (
+        "4fb625d6c41c4d22c3e52ea75ab41e921034c140792f1fdc09c3e3ef52c5b0d8"
+    ),
     ("verify", "thm11", "--max-p", "3000"): (
         "3f4e49028016138a194abaf3d60d98c3a40d262c6a2015c3c348d341191a2354"
     ),

@@ -232,7 +232,6 @@ HAND_BUILT = {
     "qalgebra.py": {"check_conj58_q"},
     "residues.py": {"check_thm11", "check_thm12"},
     "scans.py": {"check_remark52", "check_conj58i", "conj53_witness"},
-    "sequences.py": {"_check_recurrence"},
 }
 
 

@@ -22,6 +22,7 @@ from congrkit.exactnum import (
     residues_congruent,
     two_square_decompose,
 )
+from congrkit.polynomials import Poly
 from congrkit.sequences import R_values, S_values
 
 
@@ -278,3 +279,12 @@ def test_clear_memos_resets_every_registered_memo(cold_memos):
             assert memo.cache_info().currsize == 0, memo
         else:
             assert memo == seed  # a list's seed, or {} for a dict
+
+
+def test_exact_div_takes_ints_and_polynomials():
+    assert exactnum._exact_div(-12, 4) == -3
+    assert exactnum._exact_div(Poly((-1, 0, 1)), Poly((1, 1))) == Poly((-1, 1))
+    with pytest.raises(ArithmeticError, match="7 / 2"):
+        exactnum._exact_div(7, 2)
+    with pytest.raises(ArithmeticError):
+        exactnum._exact_div(Poly((1, 0, 1)), Poly((1, 1)))

@@ -72,6 +72,15 @@ def test_central_product_memberships():
     assert central_times_kernel_in_kZ(PAPER_KERNELS["f1"], 30)
     assert central_times_kernel_in_Z(PAPER_KERNELS["f9"], 30, 2)
     assert not central_times_kernel_in_kZ(recip, 30)
+    # binomial(2k-1, k) / (k + 1) is 1 at k = 0 and 1/2 at k = 1
+    half = KernelSpec(name="half", sign="none", num=(1,), den=(1, 1))
+    assert central_times_kernel_in_Z(half, 0)
+    assert not central_times_kernel_in_Z(half, 1)
+    # binomial(2k-1, k) k (k + 1) / 2 is 0, 1, 9 at k = 0, 1, 2: 2 does not divide 9
+    tri = KernelSpec(name="tri", sign="none", num=(0, 1, 1), den=(2,))
+    assert central_times_kernel_in_Z(tri, 30)
+    assert central_times_kernel_in_kZ(tri, 1)
+    assert not central_times_kernel_in_kZ(tri, 2)
 
 
 def test_specs_are_immutable_and_roundtrip():

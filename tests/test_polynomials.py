@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 
+from congrkit import polynomials
 from congrkit.polynomials import _KRONECKER_CUTOFF, Poly, _kronecker_convolve, poly_gcd
 
 
@@ -82,6 +83,21 @@ def test_kronecker_product_matches_schoolbook_across_the_cutoff():
                     assert _kronecker_convolve(a, b) == _schoolbook(a, b)
 
 
+def test_a_constant_factor_never_packs(monkeypatch):
+    # a one-coefficient operand scales the other through the scalar path,
+    # however long the other operand is
+    def refuse(a, b):
+        raise AssertionError("a constant factor was packed")
+
+    monkeypatch.setattr(polynomials, "_kronecker_convolve", refuse)
+    p = Poly(range(1, 61))
+    assert len(p.coeffs) + 1 >= _KRONECKER_CUTOFF
+    tripled = Poly(3 * c for c in range(1, 61))
+    assert Poly((3,)) * p == tripled
+    assert p * Poly((3,)) == tripled
+    assert p**1 == p
+
+
 def test_multiplication_with_fraction_scalars():
     p = Poly((Fraction(1, 2), 3)) * Poly((2, 2))
     assert p == Poly((1, 7, 6))
@@ -100,12 +116,21 @@ def test_add_sub_negate():
 
 def test_divmod_reconstructs_dividend():
     rng = random.Random("poly-div")
+    scales = random.Random("poly-div-fractions")
     for _ in range(30):
         b = Poly([rng.randint(-9, 9) for _ in range(rng.randint(1, 6))] + [rng.randint(1, 9)])
         a = Poly([rng.randint(-9, 9) for _ in range(rng.randint(0, 10))])
-        q, r = divmod(a, b)
-        assert q * b + r == a
-        assert r.is_zero() or r.degree < b.degree
+        monic = Poly(b.coeffs[:-1] + (1,))
+        fa = a * Fraction(1, scales.randint(2, 5)) + Fraction(1, 3)
+        fb = b * Fraction(scales.randint(1, 4), 7)
+        fmonic = Poly(fb.coeffs[:-1] + (1,))
+        for x, y in ((a, b), (a, monic), (fa, fb), (a, fb), (fa, b), (fa, fmonic)):
+            q, r = divmod(x, y)
+            assert q * y + r == x
+            assert r.is_zero() or r.degree < y.degree
+        # a monic divisor of an integer polynomial leaves both parts integral
+        q, r = divmod(a, monic)
+        assert q.is_integral() and r.is_integral()
 
 
 def test_power_shift_eval_derivative():

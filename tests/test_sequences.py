@@ -8,6 +8,7 @@ import pytest
 from congrkit import FAIL, PASS, exactnum, sequences
 from congrkit.exactnum import binomial
 from congrkit.polynomials import Poly
+from congrkit.result import show
 from congrkit.sequences import (
     R,
     R_poly,
@@ -276,7 +277,9 @@ def test_recurrence_checks_fail_on_raised_row(
     # the k = 0 entry of the n = 4 row moves R_4 by -1 and S_4 by 3; the
     # window at n = 1 weighs the fourth value by -(n + 3) or -(n + 3)^2
     raise_row(sequences, seam, 4)
-    if cache in sequences.SEQUENCES:
+    if cache == "R":  # R's values are the x = 1 row of exactnum's point table
+        assert not exactnum._R_AT.get((1, 1))
+    elif cache in sequences.SEQUENCES:
         assert cache not in sequences._VALUES
     else:
         assert getattr(sequences, cache) == []
@@ -284,6 +287,16 @@ def test_recurrence_checks_fail_on_raised_row(
     assert r.status == FAIL
     assert r.witness == {"n": 1}
     assert r.lhs == lhs
+
+
+def test_recurrence_fail_rows_clip_a_long_lhs():
+    # a FAIL lhs is shown as result.show shows it: past 80 characters, clipped
+    r = sequences._check_recurrence(3, [10**100, 0, 0, 0], lambda n: (1, 0, 0, 0))
+    assert r.status == FAIL
+    assert (r.lhs, r.rhs, r.witness) == ("100000000000...(101 digits)", "0", {"n": 0})
+    long = Poly(range(1, 40))
+    r = sequences._check_recurrence(3, [long, 0, 0, 0], lambda n: (Poly((1,)), 0, 0, 0))
+    assert r.lhs == show(long) != long.render()
 
 
 def test_recurrence_prefixes_match_the_defining_sums(cold_memos):

@@ -306,12 +306,24 @@ def test_kernel_congruence_instances():
     assert check_thm41(3, lin, [3, 3], [0, 0]).status == PASS
     with pytest.raises(ValueError):
         check_thm41(3, poly_kernel("const", (1,)), [1], [0])
+    _assert_bad_shifted_lists(partial(check_thm41, 3, sq), "check_thm41")
+
+
+def _assert_bad_shifted_lists(check, name):
+    for a_list, b_list, message in (
+        ([1, 2], [0], "need n >= 1 and matching parameter lists"),
+        ([1], [-1], "shifts must be nonnegative"),
+    ):
+        with pytest.raises(ValueError) as err:
+            check(a_list, b_list)
+        assert str(err.value) == "%s: %s" % (name, message)
 
 
 def test_fixed_weight_specializations():
     assert check_cor41(4, [2], [0]).status == PASS
     assert check_cor41(3, [3], [3]).status == PASS
     assert check_cor41(4, [4], [0]).status == PASS
+    _assert_bad_shifted_lists(partial(check_cor41, 3), "check_cor41")
 
 
 def test_cubic_kernel_congruence():
@@ -329,6 +341,16 @@ def test_pair_product_integrality():
     assert check_thm43(4, recip, [1], "integral").status == PASS
     with pytest.raises(ValueError):
         check_thm43(4, recip, [2], "integral")
+    half = KernelSpec(name="half", sign="none", num=(1,), den=(1, 1))
+    prefix = "check_thm43: kernel times the central ratio must "
+    for kernel, strength, message in (
+        (recip, "strong", "check_thm43: unknown strength 'strong'"),
+        (half, "integral", prefix + "be an integer"),
+        (recip, "over_n", prefix + "lie in kZ"),
+    ):
+        with pytest.raises(ValueError) as err:
+            check_thm43(4, kernel, [1], strength)
+        assert str(err.value) == message
 
 
 def test_asymmetric_mixed_power_integrality():
