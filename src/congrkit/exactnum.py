@@ -33,8 +33,11 @@ checkers alike.
 
 Every memo of the package is registered in _MEMOS, as one of two kinds.  A
 grown table (_memo_table: a list, or a dict of lists by a small key) grows
-only through _memo_grow, which appends entries computed outside _MEMO_LOCK
-under it, so threads that race never store an entry at the wrong index.  A
+only through _memo_grow, and states only the rule for its next entry:
+entry(table, i), which reads table[:i] alone, by absolute index.
+_memo_grow computes each entry outside _MEMO_LOCK and appends it under it
+only if the table still ends at index i, so threads that race never store
+an entry at the wrong index.  A
 keyed memo (_memo_cache) is an lru_cache of a pure function and takes no
 lock: a race may compute an entry twice, but the values are equal.
 """
@@ -172,17 +175,19 @@ def clear_memos() -> None:
                 memo.clear()
 
 
-def _memo_grow(table: list, upto: int, grow: Callable[[int, int], list]) -> list:
+def _memo_grow(table: list, upto: int, entry: Callable[[list, int], object]) -> list:
     """table, first extended through index upto.
 
-    grow(start, upto) returns the entries start..upto and may read only
-    table[:start], which no thread changes any more.
+    entry(table, i) returns entry i and may read only table[:i], by absolute
+    index: no thread changes that prefix any more.  Each entry is computed
+    outside _MEMO_LOCK and appended under it only if no other thread has
+    stored index i first.
     """
-    start = len(table)
-    if start <= upto:
-        fresh = grow(start, upto)
+    while (i := len(table)) <= upto:
+        value = entry(table, i)
         with _MEMO_LOCK:
-            table.extend(fresh[len(table) - start :])
+            if len(table) == i:
+                table.append(value)
     return table
 
 
@@ -199,22 +204,12 @@ _CENTRAL = _memo_table([1])  # binomial(2k, k)
 _CENTRAL_OVER = _memo_table([-1])  # binomial(2k, k) // (2k - 1)
 
 
-def _central_grow(start: int, upto: int) -> list[int]:
-    c, out = _CENTRAL[start - 1], []
-    for k in range(start, upto + 1):
-        c = c * (2 * (2 * k - 1)) // k
-        out.append(c)
-    return out
-
-
-def _central_over_grow(start: int, upto: int) -> list[int]:
-    return [_CENTRAL[k] // (2 * k - 1) for k in range(start, upto + 1)]
-
-
 def _central_rows(upto: int) -> tuple[list[int], list[int]]:
     """The shared rows through index upto; callers must not mutate them."""
-    central = _memo_grow(_CENTRAL, upto, _central_grow)
-    return central, _memo_grow(_CENTRAL_OVER, upto, _central_over_grow)
+    central = _memo_grow(_CENTRAL, upto, lambda c, k: c[k - 1] * (2 * (2 * k - 1)) // k)
+    return central, _memo_grow(
+        _CENTRAL_OVER, upto, lambda _, k: central[k] // (2 * k - 1)
+    )
 
 
 # n -> (c0, ..., cd), the coefficients of an order-d recurrence at n
@@ -230,20 +225,15 @@ def _recurrence_prefix(
     """cache[: n_max + 1], extending cache with seed(i) for i < d and beyond
     that with the term the coefficients rec(i - d) force, divided exactly;
     d is the order, one less than the length of rec's tuple."""
+    order = len(rec(0)) - 1
 
-    def grow(start: int, upto: int) -> list[int]:
-        order = len(rec(0)) - 1
-        vals = cache[max(start - order, 0) : start]
-        head = len(vals)
-        for i in range(start, upto + 1):
-            if i < order:
-                vals.append(seed(i))
-            else:
-                *low, lead = rec(i - order)
-                vals.append(_exact_div(_dot(low, vals[-order:]), -lead))
-        return vals[head:]
+    def entry(vals: list[int], i: int) -> int:
+        if i < order:
+            return seed(i)
+        *low, lead = rec(i - order)
+        return _exact_div(_dot(low, vals[i - order : i]), -lead)
 
-    return _memo_grow(cache, n_max, grow)[: n_max + 1]
+    return _memo_grow(cache, n_max, entry)[: n_max + 1]
 
 
 _PREFIX_SUMS: dict[object, list] = _memo_table({})
@@ -258,15 +248,11 @@ def _prefix_sum(
     terms(lo, hi) returns the terms lo..hi-1.
     """
     table = _PREFIX_SUMS.setdefault(key, [zero])
-
-    def grow(start: int, upto: int) -> list:
-        acc, out = table[start - 1], []
-        for term in terms(start - 1, upto):
-            acc = step(acc, term)
-            out.append(acc)
-        return out
-
-    return _memo_grow(table, n, grow)[n]
+    lo = len(table) - 1
+    if lo < n:
+        row = list(terms(lo, n))
+        _memo_grow(table, n, lambda t, j: step(t[j - 1], row[j - 1 - lo]))
+    return table[n]
 
 
 # -- recurrence (1.5) of R_poly and its values at rational points ----------------
@@ -324,23 +310,20 @@ def _R_values_at(a: int, b: int, n_max: int) -> list[int]:
 _BERNOULLI: list[Fraction] = _memo_table([Fraction(1)])
 
 
-def _bernoulli_grow(start: int, upto: int) -> list[Fraction]:
-    values = _BERNOULLI[:start]
-    for i in range(start, upto + 1):
-        # odd-index values beyond B(1) are zero, so skip them as addends
-        acc = Fraction(0)
-        for j, bj in enumerate(values):
-            if bj:
-                acc += math.comb(i + 1, j) * bj
-        values.append(-acc / (i + 1))
-    return values[start:]
+def _bernoulli_entry(values: list[Fraction], i: int) -> Fraction:
+    # odd-index values beyond B(1) are zero, so skip them as addends
+    acc = Fraction(0)
+    for j, bj in enumerate(values[:i]):
+        if bj:
+            acc += math.comb(i + 1, j) * bj
+    return -acc / (i + 1)
 
 
 def bernoulli_number(m: int) -> Fraction:
     """B(m) with B(1) = -1/2, from sum_{j<=m} binomial(m+1, j) B(j) == 0."""
     if m < 0:
         raise ValueError("bernoulli_number: m must be >= 0, got %r" % (m,))
-    return _memo_grow(_BERNOULLI, m, _bernoulli_grow)[m]
+    return _memo_grow(_BERNOULLI, m, _bernoulli_entry)[m]
 
 
 def bernoulli_poly_eval(m: int, x: Rational) -> Fraction:

@@ -77,20 +77,16 @@ def q_int(n: int) -> Poly:
 _QBIN_ROWS: list[list[Poly]] = _memo_table([[Poly((1,))]])
 
 
-def _qbinom_grow(start: int, upto: int) -> list[list[Poly]]:
-    rows, prev = [], _QBIN_ROWS[start - 1]
-    for m in range(start, upto + 1):
-        row = [Poly((1,))]
-        for j in range(1, m // 2 + 1):
-            # [m, j] = [m-1, j-1] + q^j [m-1, j] has j + len([m-1, j]) coefficients
-            low, high = prev[j - 1].coeffs, prev[j].coeffs
-            out = list(low) + [0] * (j + len(high) - len(low))
-            out[j:] = map(operator.add, out[j:], high)
-            row.append(Poly(out))
-        row += [row[m - j] for j in range(len(row), m + 1)]  # [m, j] = [m, m-j]
-        rows.append(row)
-        prev = row
-    return rows
+def _qbinom_row(rows: list[list[Poly]], m: int) -> list[Poly]:
+    prev, row = rows[m - 1], [Poly((1,))]
+    for j in range(1, m // 2 + 1):
+        # [m, j] = [m-1, j-1] + q^j [m-1, j] has j + len([m-1, j]) coefficients
+        low, high = prev[j - 1].coeffs, prev[j].coeffs
+        out = list(low) + [0] * (j + len(high) - len(low))
+        out[j:] = map(operator.add, out[j:], high)
+        row.append(Poly(out))
+    row += [row[m - j] for j in range(len(row), m + 1)]  # [m, j] = [m, m-j]
+    return row
 
 
 def qbinom(n: int, k: int) -> Poly:
@@ -99,7 +95,7 @@ def qbinom(n: int, k: int) -> Poly:
         raise ValueError("qbinom: need n >= 0 and k >= 0")
     if k > n:
         return Poly()
-    return _memo_grow(_QBIN_ROWS, n, _qbinom_grow)[n][k]
+    return _memo_grow(_QBIN_ROWS, n, _qbinom_row)[n][k]
 
 
 @_memo_cache()
@@ -346,21 +342,18 @@ def _central_q_over(k: int) -> Poly:
 _SQ_POLY: list[Poly] = _memo_table([])
 
 
-def _s_q_poly_grow(start: int, upto: int) -> list[Poly]:
-    out = []
-    for m in range(start, upto + 1):
-        total = Poly((0, -1))  # k = 0 term: q^0 / [-1]_q = -q
-        for k in range(1, m + 1):
-            total += (qbinom(m, k) ** 2 * _central_q_over(k)).shift(k)
-        out.append(total)
-    return out
+def _s_q_poly_entry(_: list[Poly], m: int) -> Poly:
+    total = Poly((0, -1))  # k = 0 term: q^0 / [-1]_q = -q
+    for k in range(1, m + 1):
+        total += (qbinom(m, k) ** 2 * _central_q_over(k)).shift(k)
+    return total
 
 
 def s_q_poly(n: int) -> Poly:
     """Polynomial value of the q-analogue sum s_n(q); see s_q."""
     if n < 0:
         raise ValueError("s_q_poly: n must be >= 0")
-    return _memo_grow(_SQ_POLY, n, _s_q_poly_grow)[n]
+    return _memo_grow(_SQ_POLY, n, _s_q_poly_entry)[n]
 
 
 def s_q(n: int) -> QRationalFunction:

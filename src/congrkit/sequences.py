@@ -208,16 +208,13 @@ def S_m_poly(m: int, n: int) -> Poly:
     """x^k coefficient binomial(n,k)^m (km+1)!/(k!)^m; m = 2 gives S_poly."""
     if m < 1 or n < 0:
         raise ValueError("S_m_poly: need m >= 1 and n >= 0")
-    table = _SM_FACTORS.setdefault(m, [1])
-
-    def grow(start: int, upto: int) -> list[int]:
-        f, out = table[start - 1], []
-        for k in range(start, upto + 1):
-            f = _exact_div(f * math.prod(range(k * m - m + 2, k * m + 2)), k**m)
-            out.append(f)
-        return out
-
-    factors = _memo_grow(table, n, grow)
+    factors = _memo_grow(
+        _SM_FACTORS.setdefault(m, [1]),
+        n,
+        lambda t, k: _exact_div(
+            t[k - 1] * math.prod(range(k * m - m + 2, k * m + 2)), k**m
+        ),
+    )
     from .polynomials import Poly
 
     return Poly([c**m * f for c, f in zip(_binom_row(n, n + 1), factors)])
@@ -360,15 +357,6 @@ _VALUES: dict[str, list[int]] = _memo_table({})
 _R_POLY_CACHE: list[Poly] = _memo_table([])
 
 
-def _memo_prefix(cache: list, n_max: int, make: Callable[[int], object]) -> list:
-    """cache[: n_max + 1], first extending cache with make(i) where missing."""
-
-    def grow(start: int, upto: int) -> list:
-        return [make(i) for i in range(start, upto + 1)]
-
-    return _memo_grow(cache, n_max, grow)[: n_max + 1]
-
-
 def values_of(name: str, n_max: int) -> list[int]:
     """[v(0), ..., v(n_max)] of SEQUENCES[name], grown by its recurrence when
     it has one and from its defining sum otherwise, into a monotone cache.
@@ -378,7 +366,7 @@ def values_of(name: str, n_max: int) -> list[int]:
     fn, rec = SEQUENCES[name]
     cache = _VALUES.setdefault(name, [])
     if rec is None:
-        return _memo_prefix(cache, n_max, fn)
+        return _memo_grow(cache, n_max, lambda _, i: fn(i))[: n_max + 1]
     return _recurrence_prefix(cache, n_max, fn, rec)
 
 
@@ -393,7 +381,7 @@ def S_values(n_max: int) -> list[int]:
 
 
 def R_polys(n_max: int) -> list[Poly]:
-    return _memo_prefix(_R_POLY_CACHE, n_max, R_poly)
+    return _memo_grow(_R_POLY_CACHE, n_max, lambda _, i: R_poly(i))[: n_max + 1]
 
 
 # -- memoized prefix sums -------------------------------------------------------

@@ -311,6 +311,43 @@ def test_c14_report_bytes_identical_across_worker_counts(cli, tmp_path):
     assert len(report["results"]) == len(registry.all_jobs())
 
 
+def test_report_bytes_do_not_depend_on_run_order(python):
+    # a checker that read a memo left behind by an earlier instance, grown
+    # with other bounds, would pass in registry order and fail here
+    source = """
+import hashlib, random
+from congrkit import cli, registry
+from congrkit.result import summarize
+
+jobs = registry.all_jobs()
+order = list(range(len(jobs)))
+random.Random(27).shuffle(order)
+results = [None] * len(jobs)
+for i in order:
+    results[i] = registry.run_instance(*jobs[i])
+config = {"command": "verify", "family": "all", "format": "json"}
+chunks = [cli._serialize(results, "json")]
+report = cli.emit_report(config, chunks, summarize(results), "json")
+print(hashlib.sha256(report).hexdigest())
+"""
+    assert python(source).strip() == GOLDEN_REPORT_SHA256
+
+
+@pytest.mark.parametrize("method", ("spawn", "forkserver"))
+def test_report_bytes_do_not_depend_on_the_start_method(python, tmp_path, method):
+    out = tmp_path / "report.csv"
+    source = """
+import multiprocessing
+from congrkit import cli
+
+multiprocessing.set_start_method(%r, force=True)
+args = "verify --all --max-p 30 --max-n 10 --format csv --jobs 2 --out"
+raise SystemExit(cli.main(args.split() + [%r]))
+""" % (method, str(out))
+    python(source)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SMALL_REPORT_SHA256["csv"]
+
+
 @pytest.mark.parametrize("fmt", ("csv", "text"))
 def test_csv_and_text_report_bytes_identical_across_worker_counts(cli, fmt):
     args = ("verify", "--all", "--max-p", "30", "--max-n", "10", "--format", fmt)
@@ -322,7 +359,7 @@ def test_csv_and_text_report_bytes_identical_across_worker_counts(cli, fmt):
     assert hashlib.sha256(payload).hexdigest() == SMALL_REPORT_SHA256[fmt]
 
 
-@pytest.mark.parametrize("args", sorted(WIDE_REPORT_SHA256))
+@pytest.mark.parametrize("args", sorted(WIDE_REPORT_SHA256), ids=" ".join)
 def test_prime_family_reports_are_pinned_past_the_default_grid(cli, args):
     run = cli(*args, "--format", "json")
     assert run.returncode == 0

@@ -325,11 +325,32 @@ def test_memo_tables_stay_aligned_under_thread_races(cold_memos, race):
     # Cold tables, so every thread grows them; a check-then-append race
     # leaves values at the wrong index.
     # the recurrence prefixes read the central rows only through their seeds;
-    # R(300) grows those rows to full length from every thread
-    results = race(lambda: (R_values(300), S_values(300), R(300)))
+    # R(300) grows those rows to full length from every thread.  t grows term
+    # by term from its defining sum, schroder by its order-2 recurrence, and
+    # R_polys by R_poly
+    results = race(
+        lambda: (
+            R_values(300),
+            S_values(300),
+            R(300),
+            values_of("t", 60),
+            values_of("schroder", 200),
+            R_polys(60),
+        )
+    )
     assert len(exactnum._R_AT[1, 1]) == 301
     assert len(sequences._VALUES["S"]) == 301
-    expected = [R(n) for n in range(301)], [S(n) for n in range(301)], R(300)
+    assert len(sequences._VALUES["t"]) == 61
+    assert len(sequences._VALUES["schroder"]) == 201
+    assert len(sequences._R_POLY_CACHE) == 61
+    expected = (
+        [R(n) for n in range(301)],
+        [S(n) for n in range(301)],
+        R(300),
+        [t_seq(n) for n in range(61)],
+        [schroder(n) for n in range(201)],
+        [R_poly(n) for n in range(61)],
+    )
     assert results == [expected] * 4
     central = sequences._CENTRAL
     assert central == [math.comb(2 * k, k) for k in range(len(central))]
