@@ -27,8 +27,8 @@ Imports follow what the command runs.  At module level this module imports
 only the registry, which declares every family without importing a checker
 module; a family's checker module loads on its first check.  csv loads only
 for a CSV report, datetime only for --stamp, traceback only on a crash and
-multiprocessing only for a pool, which loads its job list's checker modules
-before it forks so that its workers share them.
+multiprocessing only for a pool, whose workers each import the checker
+modules of the families they run.
 """
 
 from __future__ import annotations
@@ -240,9 +240,6 @@ def _execute(
     if jobs > 1 and len(tasks) > 1:
         import multiprocessing
 
-        # forked workers inherit the checker modules instead of each
-        # compiling them again
-        registry.load_checkers(name for name, _ in pairs)
         with multiprocessing.Pool(processes=min(jobs, len(tasks))) as pool:
             done = pool.map(_run_chunk, tasks, chunksize=1)
     else:

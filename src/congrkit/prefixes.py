@@ -15,8 +15,8 @@ von Staudt-Clausen p divides the denominator of B_i only when p - 1 | i, and
 i <= p - 3 here.  So those terms vanish mod p^2, and dividing by the unit
 m + 1 gives p B_{p-2}(1/3) == sum_{j<p} ((3j+1)/3)^(p-2) mod p^2.
 The harmonic weights sum S_k / k and p sum S_k / k^2 are residues as well.
-Every denominator involved (2, 3 and k < p) is prime to p, so no instance
-of either family is ILL_POSED.
+Every denominator involved (2, 3 and k < p) is prime to p, so it is
+inverted mod p^2 here, and _chain reduces integers alone for both families.
 
 thm13 and thm14ii read integer values alone and never load polynomials;
 thm13ii, thm14i and cor11 read the polynomial and row forms.

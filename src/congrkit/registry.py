@@ -15,10 +15,10 @@ identical order; ``run_instance`` takes only picklable arguments and is safe
 to fan out across worker processes.
 
 A row names its checker as ``"module.function"``, never through the verify
-facade.  The module is imported on the family's first check, or by
-``load_checkers``, so listing or enumerating families compiles no checker
-module.  kernels loads only in the thm41-thm44 grids and in the kernel
-decoder of ``run_instance``.
+facade.  The module is imported on the family's first check, in the process
+that runs it, so listing or enumerating families compiles no checker module.
+kernels loads only in the thm41-thm44 grids and in the kernel decoder of
+``run_instance``.
 
 Range overrides are passed as a bounds mapping with keys ``max_n``,
 ``max_p`` and ``max_m``.  Grids consume the bounds they understand and
@@ -34,7 +34,7 @@ import importlib
 import random
 from fractions import Fraction
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from .exactnum import primes_up_to
 from .result import CheckResult
@@ -52,7 +52,6 @@ __all__ = [
     "run_instance",
     "run_pair",
     "all_jobs",
-    "load_checkers",
 ]
 
 _SEED = 20260815
@@ -588,15 +587,6 @@ def run_instance(name: str, params: dict) -> CheckResult:
 
 def run_pair(pair: tuple[str, dict]) -> CheckResult:
     return run_instance(pair[0], pair[1])
-
-
-def load_checkers(names: Iterable[str]) -> None:
-    """Import the checker modules of the named families now, not at their
-    first check."""
-    for name in set(names):
-        check = get_family(name).check
-        if isinstance(check, _Checker):
-            check.load()
 
 
 def all_jobs(

@@ -4,9 +4,9 @@ Statuses:
 
 * PASS         - the claim holds exactly on the checked instance.
 * FAIL         - the claim is violated; ``witness`` localizes the breakage.
-* ILL_POSED    - the instance cannot be evaluated (for congruence families,
-                 a denominator is not invertible modulo the prime power);
-                 never silently skipped.
+* ILL_POSED    - the instance cannot be evaluated.  No checker returns it;
+                 the status stays because reports carry it (the summary's
+                 ``ill_posed`` count, and exit code 1 when it is nonzero).
 * INCONCLUSIVE - a witness search exhausted its candidate budget without a
                  verdict either way (only one-sided searches use this).
 
@@ -16,13 +16,21 @@ FAIL; ``show`` is the one renderer of compared values.  The claim shapes
 that several checker modules share build on them: ``_chain`` (members in
 one residue class mod p^e), ``_divisibility`` (modulus | value, per claim)
 and ``_first_failure`` (the first result that is not PASS).
+
+``_chain`` lets residue_of_rational's DenominatorNotInvertible propagate:
+every denominator its callers pass is prime to p.  thm11 divides by 2x and
+4x with 0 < |x| < sqrt(p), by 2, and by 2^p + 2 == 4 mod p; conj51 by
+2^(p-1) + 1 == 2 mod p and by binomial((p+1)/2, (p+1)/4), whose top is
+below p; conj54 by 3, and Fraction(p, 3) is 1 at p = 3; conj55 by 8, and
+its closed form is the integer 7 at p = 2; thm13 and thm14ii pass integers.
+Were one not, the command line would report a crash naming the instance.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from typing import Any, Iterable, Optional, Sequence
 
-from .exactnum import DenominatorNotInvertible, Rational, residue_of_rational
+from .exactnum import Rational, residue_of_rational
 
 __all__ = [
     "CheckResult",
@@ -176,17 +184,9 @@ def _chain(
 ) -> CheckResult:
     """All member values must land in one residue class mod p**e."""
     modulus = str(p) if e == 1 else "%d^%d" % (p, e)
-    reduced = []
-    for label, value in members:
-        try:
-            reduced.append((label, residue_of_rational(value, p, e).value))
-        except DenominatorNotInvertible as exc:
-            witness = {"term": label}
-            if claim:
-                witness["claim"] = claim
-            return CheckResult(
-                ILL_POSED, modulus=modulus, witness=witness, note=str(exc)
-            )
+    reduced = [
+        (label, residue_of_rational(value, p, e).value) for label, value in members
+    ]
     first_label, first = reduced[0]
     label, value = next((m for m in reduced if m[1] != first), reduced[0])
     witness = {"left": first_label, "right": label}

@@ -13,8 +13,9 @@ result and the row and prefix-sum helpers in sequences.
 
 Most checkers evaluate their sums exactly (integers over one common
 denominator, or Fractions where denominators vary) and reduce once at the
-end.  A modulus that cannot invert a denominator is reported as ILL_POSED,
-never skipped.
+end.  No checker returns ILL_POSED (result argues why for each caller of
+_chain); a denominator a prime power cannot invert would raise
+DenominatorNotInvertible, a crash that names the instance.
 
 Each checker, the conjecture scans included, takes its registry grid keys
 as keyword arguments and returns its verdict alone: status, compared values,

@@ -38,6 +38,12 @@ def cli():
 
 
 @pytest.fixture(scope="session")
+def interpreter():
+    """Run the interpreter with args in a subprocess; return the completed run."""
+    return _child
+
+
+@pytest.fixture(scope="session")
 def python():
     """Run Python source in a fresh interpreter; return its stdout, decoded,
     and fail on a nonzero exit."""

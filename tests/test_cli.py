@@ -9,6 +9,7 @@ import pytest
 
 from congrkit import FAIL, CheckResult, registry, sequences
 from congrkit import cli as cli_module
+from congrkit.exactnum import DenominatorNotInvertible
 from congrkit.sequences import t_seq
 
 
@@ -204,7 +205,11 @@ def _crash_thm13_at_7(monkeypatch, error):
 
 
 @pytest.mark.parametrize("jobs", ("1", "2"))
-@pytest.mark.parametrize("error", (ValueError, ZeroDivisionError))
+# DenominatorNotInvertible is what a residue of a non-invertible denominator
+# raises: a crash that names the instance, never an ILL_POSED row
+@pytest.mark.parametrize(
+    "error", (ValueError, ZeroDivisionError, DenominatorNotInvertible)
+)
 def test_checker_crash_on_grid_instance_exits_3(
     monkeypatch, capsys, tmp_path, jobs, error
 ):
@@ -375,37 +380,6 @@ def test_start_up_imports_no_checker_module_or_dataclasses(python):
         "thm14ii": ["congrkit.prefixes", "congrkit.sequences"],
         "exports": ["congrkit.sequences"],
     }
-
-
-def test_pool_starts_with_its_checkers_loaded(python):
-    # the stand-in Pool of test_pool_has_no_more_workers_than_chunks, in a
-    # fresh interpreter, notes the checker modules loaded when it opens
-    source = _START_UP + """
-import multiprocessing
-
-opened = []
-
-class InlinePool:
-    def __init__(self, processes):
-        opened.append(loaded())
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, tasks, chunksize):
-        return list(map(fn, tasks))
-
-multiprocessing.Pool = InlinePool
-before = loaded()
-run("verify", "--all", "--max-n", "2", "--max-p", "13", "--max-m", "1", "--jobs", "2")
-print(json.dumps([before, opened]))
-"""
-    # every checker module and what it reads, but not the verify facade
-    pooled = [name for name in _LAZY if name != "congrkit.verify"]
-    assert json.loads(python(source)) == [[], [pooled]]
 
 
 def test_checker_crash_on_pinned_instance(monkeypatch, capsys):

@@ -449,13 +449,25 @@ _FRAMEWORK_CONTROLS = (
         "-3314/3",
         "",
     ),
+    # binomial(24, 2) goes from 276 to 277 in the pair ratio row of n = 24
+    (
+        "thm43",
+        0,
+        {"n": 24, "a_list": [1, 4], "strength": "over_n"},
+        24,
+        2,
+        {"claim": "pair ratio divisibility", "k": 2},
+        "55400",
+        "24",
+    ),
 )
 
 
 @pytest.mark.parametrize(
     "family, index, instance, top, k, witness, lhs, modulus",
     _FRAMEWORK_CONTROLS,
-    ids=[control[0] for control in _FRAMEWORK_CONTROLS],
+    # the second thm43 control is named by its claim
+    ids=[control[0] for control in _FRAMEWORK_CONTROLS[:-1]] + ["thm43-pair-ratio"],
 )
 def test_framework_families_fail_on_raised_row(
     raise_row, family, index, instance, top, k, witness, lhs, modulus
@@ -468,6 +480,21 @@ def test_framework_families_fail_on_raised_row(
     assert r.status == FAIL
     assert r.witness == witness
     assert (r.lhs, r.modulus) == (lhs, modulus)
+
+
+def test_thm43_fails_on_raised_delta(monkeypatch):
+    # the kernel difference at k = 0 gains 1: the sum stays an integer, but
+    # not a multiple of n = 24
+    params = instances_for("thm43")[0]
+    assert (params["n"], params["strength"]) == (24, "over_n")
+    assert run_instance("thm43", params).status == PASS
+    original = framework.delta
+    monkeypatch.setattr(framework, "delta", lambda f, k: original(f, k) + (k == 0))
+    r = run_instance("thm43", params)
+    assert r.status == FAIL
+    assert r.witness == {"claim": "divisibility by n"}
+    lhs = "-3256094403736586016400765149483495656292406515559199"
+    assert (r.lhs, r.modulus) == (lhs, "24")
 
 
 def test_lemma42_fails_on_raised_binomial(monkeypatch):
@@ -1463,6 +1490,17 @@ def test_thm15ii_fails_on_raised_row(cold_memos, raise_row):
     assert r.lhs == "-18/25"
 
 
+def test_thm15ii_fails_on_raised_weighted_sum(monkeypatch):
+    # the odd-weighted sum gains 1; the ten display sums do not read it
+    assert check_thm15_ii(5, 1, 1).status == PASS
+    original = displays._weighted
+    monkeypatch.setattr(displays, "_weighted", lambda *a: original(*a) + 1)
+    r = check_thm15_ii(5, 1, 1)
+    assert r.status == FAIL
+    assert r.witness == {"claim": "gcd-weighted odd sum"}
+    assert (r.lhs, r.modulus) == ("126", "5^2")
+
+
 def test_thm15i_fails_on_raised_row(cold_memos, raise_row):
     # binomial(14, 2) goes from 91 to 92 in the a = 3 row at n = 5
     _raise_binom_row(raise_row, displays, 14, 2)
@@ -1502,7 +1540,6 @@ def test_display_caches_agree_under_thread_races(cold_memos, race):
             (
                 displays._grid_products(m, n),
                 displays._display_weights(n, odd),
-                displays._xval_kernel_rows(n, odd),
             )
             for n in (7, 16)
             for m in (2, 3)
